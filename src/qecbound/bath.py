@@ -270,8 +270,10 @@ def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
     """
     if T < 0:
         raise ValueError("time must be non-negative")
-    osc = 1.0 - np.cos(grid.omega * T)
-    return grid.prefactor * lambda_star**2 * float(np.dot(grid.damping_weights, osc))
+    x = grid.omega * T
+    osc = np.subtract(1.0, np.cos(x, out=x), out=x)  # one mode-sized buffer, reused
+    # einsum, not np.dot: a threaded BLAS dot keeps its idle threads spinning (~2x CPU)
+    return grid.prefactor * lambda_star**2 * float(np.einsum("i,i->", grid.damping_weights, osc))
 
 
 def gamma_infinity(grid: ModeGrid, lambda_star: float) -> float:
@@ -287,8 +289,9 @@ def _pair_kernel(grid: ModeGrid, d: np.ndarray, T: float) -> complex:
     w = grid.damping_weights
     if np.any(d):
         w = w * np.cos(grid.k_vectors() @ d)
-    re = float(np.dot(w, 1.0 - np.cos(grid.omega * T)))
-    im = -float(np.dot(w, np.sin(grid.omega * T)))
+    x = grid.omega * T
+    im = -float(np.einsum("i,i->", w, np.sin(x)))
+    re = float(np.einsum("i,i->", w, np.subtract(1.0, np.cos(x, out=x), out=x)))
     return complex(re, im)
 
 
@@ -345,8 +348,9 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
     if pos.shape[1] != grid.D:
         raise DimensionError(f"positions must have dimension {grid.D}")
     weights = _register_weights(grid, pos)
-    re = float(np.dot(weights, 1.0 - np.cos(grid.omega * T)))
-    im = -float(np.dot(weights, np.sin(grid.omega * T)))
+    x = grid.omega * T
+    im = -float(np.einsum("i,i->", weights, np.sin(x)))
+    re = float(np.einsum("i,i->", weights, np.subtract(1.0, np.cos(x, out=x), out=x)))
     return grid.prefactor * complex(re, im)
 
 

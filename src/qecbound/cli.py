@@ -82,9 +82,12 @@ def _pipeline(cfg: RunConfig):
     code = cfg.stabilizer_code()
     table = enumerate_eta(code)
     layout = cfg.qubit_layout()
-    grids: dict[str, ModeGrid] = {
-        axis: build_mode_grid(geom, ch, cfg.max_modes) for axis, ch in channels.items()
-    }
+    # a grid reads only the exponents of its channel: equal spectra share one
+    spectra: dict[tuple[float, float], ModeGrid] = {}
+    for ch in channels.values():
+        if (ch.z_exp, ch.s_exp) not in spectra:
+            spectra[ch.z_exp, ch.s_exp] = build_mode_grid(geom, ch, cfg.max_modes)
+    grids = {axis: spectra[ch.z_exp, ch.s_exp] for axis, ch in channels.items()}
     amats: dict[str, AMatrix] = {
         axis: a_matrix(grids[axis], layout, ch, cfg.delta) for axis, ch in channels.items()
     }
@@ -466,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         for out in outputs:
             write_output(out, out_dir, cfg)
-    except QecBoundError as exc:
+    except (QecBoundError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if all(out.ok for out in outputs):

@@ -8,6 +8,7 @@ documented in docs/config.md.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -22,8 +23,9 @@ from .bounds import BoundInput
 from .errors import ConfigError
 from .pauli import StabilizerCode, five_qubit_code
 
+# codes are frozen, so each registered code is built once and shared
 CODE_REGISTRY: dict[str, Callable[[], StabilizerCode]] = {
-    "five_qubit": five_qubit_code,
+    "five_qubit": functools.cache(five_qubit_code),
 }
 
 _DEFAULT_CHANNELS = [
@@ -61,7 +63,13 @@ def _number(data: Mapping[str, Any], key: str, path: str, default: float) -> flo
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be a finite number")
+    return number
 
 
 def _integer(data: Mapping[str, Any], key: str, path: str, default: int) -> int:

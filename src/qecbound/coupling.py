@@ -16,6 +16,7 @@ qubit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping
@@ -68,12 +69,13 @@ class EtaTable:
         return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=8)
 def enumerate_eta(code: StabilizerCode) -> EtaTable:
     """Enumerate all trivial-syndrome logical-error triples of a distance-3 code.
 
     Scans channel pairs (alpha, beta) in {x,z}^2 and distinct sites
     (i; j < k), keeping products with zero syndrome that classify as
-    logical.  For the 5-qubit code this yields exactly 10 entries.
+    logical: 10 entries for the 5-qubit code.  Memoized: the table depends on the code alone.
     """
     if not verify_distance(code, 3):
         raise UnsupportedOrderError(
@@ -112,9 +114,11 @@ class AMatrix:
 def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: float) -> AMatrix:
     """Pair-amplitude matrix for one logical qubit's physical sites.
 
-    The imaginary part must cancel by +-k pairing; a residual magnitude
-    above 1e-12 (relative to the on-site value) indicates a broken grid and
-    raises.
+    Each distinct site separation d (d and -d folded, d = 0 the on-site sum)
+    costs one pass over the modes: the real part sum |u|^2 cos(k.d) and the
+    imaginary part sum |u|^2 sin(k.d), which must cancel by +-k pairing.  A
+    residual magnitude above 1e-12 (relative to the on-site value) indicates
+    a broken grid and raises.
     """
     if grid.stored_count == 0:
         raise DegenerateInputError("mode grid is empty")
@@ -122,20 +126,25 @@ def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: f
     positions = layout.padded_offsets(grid.D)
     n_sites = positions.shape[0]
     scale = (channel.lam * delta) ** 2
-    values = np.empty((n_sites, n_sites))
-    onsite = float(np.sum(grid.u2 * grid.weight))
+    w = grid.u2 * grid.weight
+    onsite = float(np.sum(w))
     tol = 1e-12 * max(1.0, onsite)
+    sums: dict[tuple[float, ...], float] = {(0.0,) * grid.D: onsite}
+    values = np.empty((n_sites, n_sites))
     for i in range(n_sites):
         for j in range(i, n_sites):
             d = positions[i] - positions[j]
-            phases = np.exp(-1j * (k @ d))
-            total = np.sum(grid.u2 * grid.weight * phases)
-            if abs(total.imag) > tol:
-                raise ArithmeticError(
-                    f"imaginary residual {abs(total.imag):.3e} in pair amplitude "
-                    f"({i}, {j}); grid is not +-k symmetric"
-                )
-            values[i, j] = values[j, i] = total.real
+            key = max(tuple(d), tuple(-d))
+            if key not in sums:
+                phase = k @ d  # one mode-sized temporary per separation
+                residual = abs(float(np.einsum("i,i->", w, np.sin(phase))))
+                if residual > tol:
+                    raise ArithmeticError(
+                        f"imaginary residual {residual:.3e} in pair amplitude "
+                        f"({i}, {j}); grid is not +-k symmetric"
+                    )
+                sums[key] = float(np.einsum("i,i->", w, np.cos(phase)))
+            values[i, j] = values[j, i] = sums[key]
     return AMatrix(channel.axis, scale * values)
 
 

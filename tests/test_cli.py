@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qecbound import PauliString, StabilizerCode, default_config, from_dict
-from qecbound.cli import main, run_subcommand
+from qecbound.cli import _pipeline, main, run_subcommand
 from qecbound.config import CODE_REGISTRY
 
 
@@ -146,6 +146,46 @@ class TestSweep:
         assert "qec.Period" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "param, lo, hi", [("layout.xi", 0.5, 2.0), ("bath.channels.1.s_exp", 0.0, 0.5)]
+    )
+    def test_sweep_points_match_separate_runs(self, param, lo, hi):
+        cfg = from_dict(SMALL_BATH)
+        flags = {"param": param, "from_": lo, "to": hi, "points": 4, "target": "lambda-star"}
+        sweep = run_subcommand("sweep", cfg, flags)[0]
+        assert sweep.columns == ["param", "value", "lambda_star_x", "lambda_star_z"]
+        rows = sweep.rows
+        for row in rows:
+            single = run_subcommand("lambda-star", cfg.with_value(param, row[1]), {})[0]
+            assert row[2:] == (single.summary["lambda_star_x"], single.summary["lambda_star_z"])
+        assert len({row[2:] for row in rows}) == len(rows)  # every point differs
+
+
+class TestPipelineStages:
+    @pytest.mark.parametrize(
+        "x_channel, shared",
+        [
+            ({"z_exp": 1.0, "s_exp": 0.0, "lambda": 1e-4}, True),
+            ({"z_exp": 1.0, "s_exp": 0.25, "lambda": 1e-3}, False),
+            ({"z_exp": 1.5, "s_exp": 0.0, "lambda": 1e-3}, False),
+        ],
+    )
+    def test_grid_shared_only_between_equal_spectra(self, x_channel, shared):
+        tree = {
+            "bath": {
+                "D": 1,
+                "L": 200 * math.pi,
+                "channels": [
+                    {"axis": "z", "z_exp": 1.0, "s_exp": 0.0, "lambda": 1e-3},
+                    {"axis": "x", **x_channel},
+                ],
+            }
+        }
+        grids = _pipeline(from_dict(tree))[5]
+        assert (grids["x"] is grids["z"]) == shared
+        assert not shared or grids["x"].mode_count == grids["z"].mode_count
+
+
 class TestErrorPaths:
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
@@ -165,6 +205,28 @@ class TestErrorPaths:
         )
         assert main(["--config", str(config), "--out", str(tmp_path), "gamma"]) == 1
         assert "budget" in capsys.readouterr().err
+
+    def test_library_error_exits_cleanly(self, tmp_path, capsys):
+        # the saturating regime leaves the asymptotic single-qubit bound undefined
+        import yaml
+
+        tree = {
+            "bath": {
+                "D": 2,
+                "L": 2 * math.pi * 100,
+                "channels": [
+                    {"axis": "z", "s_exp": 0.25, "lambda": 1e-2},
+                    {"axis": "x", "s_exp": 0.25, "lambda": 1e-2},
+                ],
+            },
+            "layout": {"Xi": 50, "D_x": 2, "N": 16},
+        }
+        config = tmp_path / "saturating.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        assert main(["--config", str(config), "--out", str(tmp_path), "mmax"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "saturating regime" in err
+        assert "Traceback" not in err
 
     def test_code_check_fails_on_broken_code(self, tmp_path, capsys, monkeypatch):
         def broken():

@@ -54,6 +54,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match="one channel per axis"):
             from_dict({"bath": {"channels": [{"axis": "z"}, {"axis": "z"}]}})
 
+    @pytest.mark.parametrize(
+        "tree, key",
+        [
+            ({"qec": {"Delta": math.nan}}, r"qec\.Delta"),
+            ({"calibration": {"c_cal": math.inf}}, r"calibration\.c_cal"),
+            ({"bath": {"L": -math.inf}}, r"bath\.L"),
+            ({"bath": {"L": 10**400}}, r"bath\.L"),
+            ({"bath": {"channels": [{"axis": "z", "s_exp": math.nan}]}}, r"bath\.channels\[0\]\.s_exp"),
+        ],
+    )
+    def test_non_finite_number_names_key(self, tree, key):
+        with pytest.raises(ConfigError, match=key + " must be a finite number"):
+            from_dict(tree)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("qec:\n  Delta: .nan\n", r"qec\.Delta"), ("calibration:\n  c_cal: .inf\n", r"calibration\.c_cal")],
+    )
+    def test_non_finite_yaml_names_key(self, tmp_path, text, key):
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
     def test_three_channels(self):
         with pytest.raises(ConfigError, match="at most two"):
             from_dict({"bath": {"channels": [{"axis": "z"}, {"axis": "x"}, {"axis": "z"}]}})

@@ -102,6 +102,9 @@ class TestEnumerate:
         assert found_xz == table.index_set("x", "z")
         assert found_zx == table.index_set("z", "x")
 
+    def test_memoized_per_code(self, code):
+        assert enumerate_eta(code) is enumerate_eta(code)
+
     def test_rejects_wrong_distance(self):
         trivial = StabilizerCode(
             n=1,
@@ -161,6 +164,33 @@ class TestAMatrix:
             assert np.allclose(a.values, a.values.T)
             diag = np.diag(a.values)
             assert np.all(np.abs(a.values) <= diag[:, None] * (1 + 1e-12))
+
+    @pytest.mark.parametrize("case", ["d2_dx2", "d3_irregular"])
+    def test_matches_per_pair_complex_exponential(self, case):
+        if case == "d2_dx2":
+            geom = BathGeometry(D=2, L=2 * math.pi * 30, omega_c=1.0)
+            layout = regular_layout(1, Xi=100.0, D_x=2, xi=1.3)
+        else:
+            geom = BathGeometry(D=3, L=2 * math.pi * 8, omega_c=1.0)
+            layout = regular_layout(1, Xi=100.0, D_x=3, xi=1.0)
+            rng = np.random.default_rng(11)
+            offsets = rng.uniform(-2.0, 2.0, size=(5, 3))
+            # separations of equal length not related by a lattice symmetry
+            offsets[0], offsets[2], offsets[3] = (0, 0, 0), (1.25, 0, 0), (0.75, 1.0, 0)
+            offsets[4] = offsets[1]  # a coincident pair: zero off-diagonal separation
+            layout.physical_offsets = offsets
+        ch = BathChannel(axis="x", z_exp=1.0, s_exp=0.25, lam=0.2)
+        grid = build_mode_grid(geom, ch)
+        delta = 1.5
+        k = grid.k_vectors()
+        pos = layout.padded_offsets(geom.D)
+        ref = np.empty((5, 5))
+        for i, j in itertools.product(range(5), repeat=2):
+            total = np.sum(grid.u2 * grid.weight * np.exp(-1j * (k @ (pos[i] - pos[j]))))
+            ref[i, j] = (ch.lam * delta) ** 2 * total.real
+        a = a_matrix(grid, layout, ch, delta)
+        np.testing.assert_allclose(a.values, ref, rtol=1e-12, atol=1e-12 * ref[0, 0])
+        assert a.axis == "x"
 
     def test_asymmetric_grid_rejected(self, small_grid):
         geom, ch, grid = small_grid
