@@ -8,11 +8,14 @@ momenta.  A channel has dispersion omega(k) = |k|**z_exp and coupling weight
 for nonzero integer vectors n, cut off at omega <= omega_c.
 
 Two grid representations are supported.  The dense form stores every integer
-vector and supports position-dependent sums.  The radial form groups modes by
-|n|**2 with integer multiplicities; dispersion and coupling weight depend
-only on |k|, so isotropic sums (the decoherence function, saturation values)
-are algebraically identical on either form while the radial one stays small
-even for 3-dimensional baths with tens of millions of modes.
+vector and supports position-dependent sums.  The radial form stores one
+record per |n|**2 value with its integer multiplicity.  Dispersion and
+coupling weight depend only on |k|, so the modes of either form group into
+shells, one per distinct |n|**2.  Every time-dependent sum bins its static
+per-mode weights into shells once and then costs one cos (and one sin for
+an imaginary part) per shell and time point, on either form.  The radial
+form still saves memory: it stays small even for 3-dimensional baths with
+tens of millions of modes, but it supports only isotropic sums.
 """
 
 from __future__ import annotations
@@ -71,12 +74,14 @@ class ModeGrid:
     """Momentum lattice of one channel, dense or radially compressed.
 
     omega, u2 and weight are aligned arrays; weight is the integer
-    multiplicity of each stored record (all ones for dense grids).  Dense
-    grids additionally carry the integer vectors n with k = (2*pi/L)*n.
+    multiplicity of each stored record (a read-only view of ones for dense
+    grids).  Dense grids additionally carry the integer vectors n with
+    k = (2*pi/L)*n.  omega and u2 must depend on a record only through
+    |n|^2: records sharing it form one shell.
 
-    Instances are value objects: build once, share read-only.  The two
-    internal caches (damping weights, register structure factors) are
-    idempotent, so a rare concurrent recomputation is harmless.
+    Instances are value objects: build once, share read-only.  The internal
+    caches (the shell index and per-shell weights, and the register weights
+    memo) are idempotent, so a rare concurrent recomputation is harmless.
     """
 
     D: int
@@ -112,15 +117,64 @@ class ModeGrid:
             )
         return self.n * (2.0 * math.pi / self.L)
 
-    @cached_property
+    @property
     def damping_weights(self) -> np.ndarray:
-        """weight * |u|^2 / omega^2, the static kernel of all dephasing sums."""
+        """weight * |u|^2 / omega^2 per record, the static kernel of all dephasing sums."""
         return self.weight * self.u2 / (self.omega * self.omega)
+
+    @cached_property
+    def shell_index(self) -> np.ndarray:
+        """Shell of each record; shells number the distinct |n|^2 in increasing order.
+
+        Every record of a radial grid is its own shell.  A dense grid looks
+        its shells up in a table over |n| (D = 1) or |n|^2 (D >= 2), which
+        is shorter than a full grid of that cutoff; no sort is needed.
+        """
+        if self.n is None:
+            return np.arange(self.stored_count)
+        key = np.abs(self.n[:, 0]) if self.D == 1 else np.einsum("ij,ij->i", self.n, self.n)
+        present = np.zeros(int(key.max(initial=0)) + 1, dtype=bool)
+        present[key] = True
+        index = np.cumsum(present, dtype=np.int32)[key]
+        index -= 1
+        return index
+
+    @cached_property
+    def _shell_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(omega, |u|^2 / omega^2) per shell."""
+        size = int(self.shell_index.max(initial=-1)) + 1
+        omega = np.empty(size)
+        omega[self.shell_index] = self.omega
+        rho = np.empty(size)
+        rho[self.shell_index] = self.u2
+        rho /= omega * omega
+        return omega, rho
+
+    @property
+    def shell_omega(self) -> np.ndarray:
+        """omega per shell."""
+        return self._shell_spectrum[0]
+
+    def _shell_weights(self, values: np.ndarray | None = None) -> np.ndarray:
+        """damping_weights * values summed over each shell (values default to 1).
+
+        |u|^2 / omega^2 is constant on a shell, so it multiplies the binned
+        weight * values and no mode-sized damping array is formed.  values
+        is overwritten.
+        """
+        omega, rho = self._shell_spectrum
+        w = self.weight if values is None else np.multiply(values, self.weight, out=values)
+        return rho * np.bincount(self.shell_index, weights=w, minlength=len(omega))
+
+    @cached_property
+    def shell_damping(self) -> np.ndarray:
+        """damping_weights summed over each shell."""
+        return self._shell_weights()
 
     @property
     def static_sum(self) -> float:
         """sum over modes of |u|^2 / omega^2 (no lattice prefactor)."""
-        return float(np.sum(self.damping_weights))
+        return float(np.sum(self.shell_damping))
 
 
 def _isqrt_exact(values: np.ndarray) -> np.ndarray:
@@ -203,26 +257,24 @@ def _dense_vectors(D: int, m2max: int) -> np.ndarray:
 
 
 def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values of |n|^2, multiplicities) over nonzero integer vectors."""
+    """(values of |n|^2, multiplicities) over nonzero integer vectors.
+
+    D = 1 is closed form: shell |n| holds +n and -n.  For D >= 2 the count
+    table over |n|^2 <= m2max is shorter than the grid, and each slab of
+    fixed n_1 adds only its own modes to it.
+    """
     n_max = math.isqrt(m2max)
-    counts = np.zeros(m2max + 1, dtype=np.int64)
-    ax = np.arange(-n_max, n_max + 1, dtype=np.int64)
     if D == 1:
-        m2 = ax * ax
-        counts += np.bincount(m2[m2 <= m2max], minlength=m2max + 1)
-    elif D == 2:
-        base = ax * ax
-        for n1 in ax:
-            m2 = base + n1 * n1
-            counts += np.bincount(m2[m2 <= m2max], minlength=m2max + 1)
-    else:
-        yy, zz = np.meshgrid(ax, ax, indexing="ij")
-        base = (yy * yy + zz * zz).ravel()
-        for n1 in ax:
-            m2 = base + n1 * n1
-            counts += np.bincount(m2[m2 <= m2max], minlength=m2max + 1)
+        r = np.arange(1, n_max + 1, dtype=np.int64)
+        return r * r, np.full(n_max, 2, dtype=np.int64)
+    counts = np.zeros(m2max + 1, dtype=np.int64)
+    sq = np.arange(-n_max, n_max + 1, dtype=np.int64) ** 2
+    base = sq if D == 2 else np.add.outer(sq, sq).ravel()
+    for n1_sq in sq:
+        m2 = base + n1_sq
+        np.add.at(counts, m2[m2 <= m2max], 1)
     counts[0] -= 1  # origin excluded
-    idx = np.nonzero(counts)[0]
+    idx = np.flatnonzero(counts)
     return idx, counts[idx]
 
 
@@ -243,9 +295,8 @@ def build_mode_grid(
     _, m2max = _lattice_extent(geom, ch)
     _check_budget(geom, _count_modes(geom.D, m2max), max_modes)
     n = _dense_vectors(geom.D, m2max)
-    m2 = np.sum(n * n, axis=1)
-    weight = np.ones(len(n), dtype=np.float64)
-    return _grid_from_radii(geom, ch, m2, weight, n)
+    m2 = np.einsum("ij,ij->i", n, n)
+    return _grid_from_radii(geom, ch, m2, np.broadcast_to(1.0, len(n)), n)
 
 
 def build_radial_mode_grid(
@@ -259,6 +310,23 @@ def build_radial_mode_grid(
 
 
 # -- spectral sums -----------------------------------------------------------
+#
+# Every time-dependent sum has the form sum_k w_k (1 - e^{i omega_k T}) with
+# static weights w_k.  omega is constant on a shell, so the weights are binned
+# into shells once and each time point costs O(shells).
+
+
+def _oscillating_sum(grid: ModeGrid, weights: np.ndarray, T: float, imag: bool = True) -> complex:
+    """sum over shells of weights * (1 - e^{i omega T}), no prefactor.
+
+    The real part is sum weights * (1 - cos omega T), the imaginary part
+    -sum weights * sin omega T (skipped when imag is False).
+    """
+    x = grid.shell_omega * T
+    # einsum, not np.dot: a threaded BLAS dot keeps its idle threads spinning (~2x CPU)
+    im = -float(np.einsum("i,i->", weights, np.sin(x))) if imag else 0.0
+    re = float(np.einsum("i,i->", weights, np.subtract(1.0, np.cos(x, out=x), out=x)))
+    return complex(re, im)
 
 
 def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
@@ -270,10 +338,8 @@ def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
     """
     if T < 0:
         raise ValueError("time must be non-negative")
-    x = grid.omega * T
-    osc = np.subtract(1.0, np.cos(x, out=x), out=x)  # one mode-sized buffer, reused
-    # einsum, not np.dot: a threaded BLAS dot keeps its idle threads spinning (~2x CPU)
-    return grid.prefactor * lambda_star**2 * float(np.einsum("i,i->", grid.damping_weights, osc))
+    osc = _oscillating_sum(grid, grid.shell_damping, T, imag=False).real
+    return grid.prefactor * lambda_star**2 * osc
 
 
 def gamma_infinity(grid: ModeGrid, lambda_star: float) -> float:
@@ -281,52 +347,54 @@ def gamma_infinity(grid: ModeGrid, lambda_star: float) -> float:
     return grid.prefactor * lambda_star**2 * grid.static_sum
 
 
-def _pair_kernel(grid: ModeGrid, d: np.ndarray, T: float) -> complex:
-    """sum_k (|u|^2/omega^2) e^{-i k.d} (1 - e^{-i omega T}), no prefactor.
-
-    The +-k symmetry of the grid reduces e^{-i k.d} to cos(k.d) exactly.
-    """
-    w = grid.damping_weights
-    if np.any(d):
-        w = w * np.cos(grid.k_vectors() @ d)
-    x = grid.omega * T
-    im = -float(np.einsum("i,i->", w, np.sin(x)))
-    re = float(np.einsum("i,i->", w, np.subtract(1.0, np.cos(x, out=x), out=x)))
-    return complex(re, im)
-
-
 def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> complex:
     """Pair correlation sum between positions x and y.
 
-    W_{x,y}(T) = (2*pi/L)^D * sum_k (|u_k|^2/omega_k^2) e^{-i k.(x-y)} (1 - e^{-i omega_k T}).
+    W_{x,y}(T) = (2*pi/L)^D * sum_k (|u_k|^2/omega_k^2) e^{-i k.(x-y)} (1 - e^{i omega_k T}).
 
     Symmetric under x <-> y; complex in general (the x = y imaginary part is
-    -prefactor * sum (|u|^2/omega^2) sin(omega T)).
+    -prefactor * sum (|u|^2/omega^2) sin(omega T)).  The +-k symmetry of the
+    grid reduces e^{-i k.(x-y)} to cos(k.(x-y)) exactly.
     """
     if T < 0:
         raise ValueError("time must be non-negative")
     d = np.atleast_1d(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
     if d.shape != (grid.D,):
         raise DimensionError(f"positions must have dimension {grid.D}")
-    return grid.prefactor * _pair_kernel(grid, d, T)
+    if np.any(d):
+        weights = grid._shell_weights(np.cos(grid.k_vectors() @ d))
+    else:
+        weights = grid.shell_damping
+    return grid.prefactor * _oscillating_sum(grid, weights, T)
+
+
+def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
+    """|sum_x e^{i k.x}|^2 per record of a dense grid."""
+    k = grid.k_vectors()
+    re = np.zeros(grid.stored_count)
+    im = np.zeros(grid.stored_count)
+    for x in pos:  # one pass per qubit keeps the temporaries mode-sized
+        phase = k @ x
+        re += np.cos(phase)
+        im += np.sin(phase, out=phase)
+    re *= re
+    re += np.square(im, out=im)
+    return re
 
 
 def _register_weights(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
-    """damping_weights * |sum_x e^{i k.x}|^2, memoized per position set.
+    """Shell weights of damping_weights * |sum_x e^{i k.x}|^2, memoized per position set.
 
     The structure factor is T-independent, so time series over a fixed
-    register reuse it; a small FIFO memo lives on the grid instance.
+    register reuse it; a small FIFO memo of shell-sized arrays lives on the
+    grid instance.
     """
     key = pos.tobytes()
     memo: dict[bytes, np.ndarray] = grid.__dict__.setdefault("_register_memo", {})
     cached = memo.get(key)
     if cached is not None:
         return cached
-    k = grid.k_vectors()
-    f = np.zeros(grid.stored_count, dtype=np.complex128)
-    for x in pos:  # one pass per qubit keeps the temporaries mode-sized
-        f += np.exp(1j * (k @ x))
-    weights = grid.damping_weights * (f.real**2 + f.imag**2)
+    weights = grid._shell_weights(_structure_factor(grid, pos))
     if len(memo) >= 8:
         memo.pop(next(iter(memo)))
     memo[key] = weights
@@ -337,7 +405,7 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
     """Double sum of w_pair over all ordered position pairs, diagonal included.
 
     Evaluated through the register structure factor: the pair double sum
-    collapses to sum_k (|u|^2/omega^2) |sum_x e^{i k.x}|^2 (1 - e^{-i omega T}),
+    collapses to sum_k (|u|^2/omega^2) |sum_x e^{i k.x}|^2 (1 - e^{i omega T}),
     algebraically identical to summing w_pair over all pairs.
     """
     if T < 0:
@@ -347,11 +415,7 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
         pos = pos[:, None]
     if pos.shape[1] != grid.D:
         raise DimensionError(f"positions must have dimension {grid.D}")
-    weights = _register_weights(grid, pos)
-    x = grid.omega * T
-    im = -float(np.einsum("i,i->", weights, np.sin(x)))
-    re = float(np.einsum("i,i->", weights, np.subtract(1.0, np.cos(x, out=x), out=x)))
-    return grid.prefactor * complex(re, im)
+    return grid.prefactor * _oscillating_sum(grid, _register_weights(grid, pos), T)
 
 
 # -- qubit geometry ----------------------------------------------------------

@@ -349,6 +349,12 @@ def mmax_multi(
     return _floor_steps(value)
 
 
+def _grid_for(grids: Mapping[str, ModeGrid], axis: str) -> ModeGrid:
+    if axis not in grids:
+        raise ConfigError(f"no mode grid supplied for channel '{axis}'")
+    return grids[axis]
+
+
 def hs_distance(
     grids: Mapping[str, ModeGrid],
     couplings: EffectiveCoupling,
@@ -373,9 +379,7 @@ def hs_distance(
     for axis, lam_star in couplings.lambda_star.items():
         if lam_star == 0.0:
             continue
-        if axis not in grids:
-            raise ConfigError(f"no mode grid supplied for channel '{axis}'")
-        grid = grids[axis]
+        grid = _grid_for(grids, axis)
         positions = layout.padded_logical_positions(grid.D)
         total = w_sum(grid, positions, T)
         acc += lam_star**2 * abs(total) ** 2
@@ -398,7 +402,7 @@ def mmax_multi_numeric(
     for axis, lam_star in couplings.lambda_star.items():
         if lam_star == 0.0:
             continue
-        grid = grids[axis]
+        grid = _grid_for(grids, axis)
         ceiling_sq += (lam_star * 2.0 * grid.prefactor * n**2 * grid.static_sum) ** 2
     if proportionality * math.sqrt(ceiling_sq) <= inputs.d_crit:
         return math.inf

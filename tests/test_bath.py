@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,112 @@ class TestWSum:
             positions = np.array([[rng.uniform(-50, 50)] for _ in range(4)])
             total = w_sum(grid_1d, positions, rng.uniform(0, 200))
             assert total.real >= -1e-10 * abs(total)
+
+
+# -- per-mode references for the shell kernel ---------------------------------
+
+
+def _per_mode_sum(grid, factor, T):
+    """sum over modes of damping * factor * (1 - e^{i omega T}), no prefactor."""
+    damping = grid.weight * grid.u2 / (grid.omega * grid.omega)
+    return np.sum(damping * factor * (1.0 - np.exp(1j * grid.omega * T)))
+
+
+def _ref_gamma(grid, lam, T):
+    return grid.prefactor * lam**2 * _per_mode_sum(grid, 1.0, T).real
+
+
+def _ref_w_pair(grid, x, y, T):
+    phase = np.exp(-1j * (grid.k_vectors() @ (np.asarray(x) - np.asarray(y))))
+    return grid.prefactor * _per_mode_sum(grid, phase, T)
+
+
+def _ref_w_sum(grid, positions, T):
+    return sum(_ref_w_pair(grid, x, y, T) for x in positions for y in positions)
+
+
+def _assert_close(got, ref):
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+# z = 1 makes every frequency a multiple of 2*pi/L: the sums recur with period L
+_SHELL_CASES = [
+    (1, BathGeometry(D=1, L=2 * math.pi * 50, omega_c=1.0)),
+    (2, BathGeometry(D=2, L=2 * math.pi * 12, omega_c=1.0)),
+    (3, BathGeometry(D=3, L=2 * math.pi * 6, omega_c=1.0)),
+]
+
+
+@pytest.fixture(scope="module", params=_SHELL_CASES, ids=lambda case: f"D{case[0]}")
+def shell_case(request):
+    _, geom = request.param
+    grid = build_mode_grid(geom, _ch(s=0.25))
+    return geom, grid, (3.7, 2.5 * geom.L + 0.9)
+
+
+class TestShellKernel:
+    def test_shells_partition_the_modes(self, shell_case):
+        _, grid, _ = shell_case
+        m2 = np.sum(grid.n * grid.n, axis=1)
+        order = np.unique(m2)
+        assert len(grid.shell_omega) < grid.stored_count
+        assert np.array_equal(order[grid.shell_index], m2)
+        assert np.array_equal(grid.shell_omega[grid.shell_index], grid.omega)
+
+    def test_gamma(self, shell_case):
+        _, grid, times = shell_case
+        assert gamma(grid, 0.03, 0.0) == 0.0
+        for T in times:
+            _assert_close(gamma(grid, 0.03, T), _ref_gamma(grid, 0.03, T))
+
+    def test_static_sum(self, shell_case):
+        _, grid, _ = shell_case
+        ref = float(np.sum(grid.weight * grid.u2 / grid.omega**2))
+        assert grid.static_sum == pytest.approx(ref, rel=1e-12)
+
+    def test_w_pair(self, shell_case):
+        geom, grid, times = shell_case
+        rng = random.Random(geom.D)
+        x = [rng.uniform(-5, 5) for _ in range(geom.D)]
+        y = [rng.uniform(-5, 5) for _ in range(geom.D)]
+        for a, b in ((x, y), (x, x)):
+            assert w_pair(grid, a, b, 0.0) == 0j
+            for T in times:
+                _assert_close(w_pair(grid, a, b, T), _ref_w_pair(grid, a, b, T))
+
+    def test_w_sum(self, shell_case):
+        geom, grid, times = shell_case
+        registers = [regular_layout(1, Xi=7.0, D_x=0, xi=0.5)]
+        registers += [regular_layout(4, Xi=7.0, D_x=d, xi=0.5) for d in range(1, geom.D + 1)]
+        for layout in registers:
+            # off-centre, so that the sin part of the structure factor is nonzero
+            positions = layout.padded_logical_positions(geom.D) + 0.37
+            assert w_sum(grid, positions, 0.0) == 0j
+            for T in times:
+                _assert_close(w_sum(grid, positions, T), _ref_w_sum(grid, positions, T))
+
+    def test_radial_grid_holds_the_dense_shells(self):
+        ch = _ch(s=0.25)
+        for _, geom in _SHELL_CASES:
+            dense = build_mode_grid(geom, ch)
+            radial = build_radial_mode_grid(geom, ch)
+            assert radial.mode_count == dense.mode_count
+            assert np.array_equal(radial.omega, dense.shell_omega)
+            assert np.array_equal(radial.weight, np.bincount(dense.shell_index))
+            assert np.array_equal(radial.shell_damping, dense.shell_damping)
+            for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
+                assert gamma(radial, 0.03, T) == gamma(dense, 0.03, T)
+
+    def test_radial_1d_counting_is_linear(self):
+        geom = BathGeometry(D=1, L=2 * math.pi * 2000, omega_c=1.0)
+        tracemalloc.start()
+        try:
+            grid = build_radial_mode_grid(geom, _ch())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.mode_count == 4000
+        assert peak < 1_000_000
 
 
 class TestLayout:

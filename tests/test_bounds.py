@@ -402,6 +402,12 @@ class TestHsDistance:
         with pytest.raises(ConfigError):
             hs_distance({"z": grid}, couplings, layout, 1.0)
 
+    def test_numeric_register_bound_missing_grid(self, hs_setup):
+        _, grid, layout = hs_setup
+        couplings = EffectiveCoupling({"z": 1e-3, "x": 1e-3})
+        with pytest.raises(ConfigError, match="no mode grid supplied for channel 'x'"):
+            mmax_multi_numeric({"z": grid}, couplings, layout, _inputs(n_logical=4))
+
     def test_numeric_register_bound(self, hs_setup):
         _, grid, layout = hs_setup
         couplings = EffectiveCoupling({"z": 2e-4})
