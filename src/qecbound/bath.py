@@ -20,18 +20,22 @@ tens of millions of modes, but it supports only isotropic sums.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, DegenerateInputError, DimensionError
 
 DEFAULT_MODE_BUDGET = 10_000_000
+_MEMO_ENTRIES = 8
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class BathGeometry:
 
 @dataclass(eq=False)
 class ModeGrid:
-    """Momentum lattice of one channel, dense or radially compressed.
+    """Momentum lattice of one channel spectrum, dense or radially compressed.
 
     omega, u2 and weight are aligned arrays; weight is the integer
     multiplicity of each stored record (a read-only view of ones for dense
@@ -79,9 +83,16 @@ class ModeGrid:
     k = (2*pi/L)*n.  omega and u2 must depend on a record only through
     |n|^2: records sharing it form one shell.
 
-    Instances are value objects: build once, share read-only.  The internal
-    caches (the shell index and per-shell weights, and the register weights
-    memo) are idempotent, so a rare concurrent recomputation is harmless.
+    A grid reads only the geometry, the exponents (z_exp, s_exp) and the
+    mode budget, never the channel axis or coupling.  build_mode_grid and
+    build_radial_mode_grid return one shared instance per such key and keep
+    the two most recently built alive, which covers both channels of one
+    configuration; their arrays are read-only.  Everything derived from the grid alone is computed once per
+    instance: the shell index and per-shell weights (cached properties), and
+    through :meth:`memo` the register weights of the 8 most recent position
+    sets (w_sum), the unscaled pair sums of the 8 most recent offset sets
+    (a_matrix) and the latest numeric single-qubit bound per (inputs,
+    lambda*).
     """
 
     D: int
@@ -90,6 +101,29 @@ class ModeGrid:
     u2: np.ndarray
     weight: np.ndarray
     n: np.ndarray | None = field(default=None, repr=False)
+    _memo: dict[str, OrderedDict] = field(default_factory=dict, init=False, repr=False)
+    _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+
+    def memo(
+        self, kind: str, key: Hashable, compute: Callable[[], Any], entries: int = _MEMO_ENTRIES
+    ) -> Any:
+        """compute(), memoized on this grid under (kind, key).
+
+        Each kind keeps its `entries` most recently used results.  compute
+        runs outside the lock, so two threads may both compute a missing
+        entry; both get an equal value.
+        """
+        with self._memo_lock:
+            cache = self._memo.setdefault(kind, OrderedDict())
+            if key in cache:
+                cache.move_to_end(key)
+                return cache[key]
+        value = compute()
+        with self._memo_lock:
+            cache[key] = value
+            while len(cache) > entries:
+                cache.popitem(last=False)
+        return value
 
     @property
     def prefactor(self) -> float:
@@ -184,9 +218,9 @@ def _isqrt_exact(values: np.ndarray) -> np.ndarray:
     return np.where(r * r > values, r - 1, r)
 
 
-def _lattice_extent(geom: BathGeometry, ch: BathChannel) -> tuple[int, int]:
-    """(n_max, m2max): largest |n| and |n|^2 passing the frequency cutoff."""
-    k_c = geom.omega_c ** (1.0 / ch.z_exp)
+def _lattice_extent(geom: BathGeometry, z_exp: float) -> int:
+    """m2max: the largest |n|^2 passing the frequency cutoff."""
+    k_c = geom.omega_c ** (1.0 / z_exp)
     dk = 2.0 * math.pi / geom.L
     # tiny relative slack so k = k_c lands inside despite rounding
     n_max = int(math.floor(k_c / dk * (1.0 + 1e-12)))
@@ -195,7 +229,7 @@ def _lattice_extent(geom: BathGeometry, ch: BathChannel) -> tuple[int, int]:
             f"cutoff omega_c={geom.omega_c} lies below the smallest mode "
             f"frequency for L={geom.L}; the grid would be empty"
         )
-    return n_max, n_max * n_max
+    return n_max * n_max
 
 
 def _count_modes(D: int, m2max: int) -> int:
@@ -226,34 +260,44 @@ def _check_budget(geom: BathGeometry, count: int, max_modes: int) -> None:
         )
 
 
-def _dense_vectors(D: int, m2max: int) -> np.ndarray:
+def _dense_vectors(D: int, m2max: int, count: int) -> np.ndarray:
+    """The count nonzero integer vectors with |n|^2 <= m2max, in lexicographic order.
+
+    Built one slab of fixed n_1 at a time into a pre-sized array.  A slab
+    is a run of n_D values for every n_2 row (one row for D = 2), so the
+    columns come from np.repeat over the rows.
+    """
     n_max = math.isqrt(m2max)
     if D == 1:
         ns = np.arange(-n_max, n_max + 1, dtype=np.int64)
         return ns[ns != 0].reshape(-1, 1)
-    blocks = []
-    if D == 2:
-        for n1 in range(-n_max, n_max + 1):
-            m = math.isqrt(m2max - n1 * n1)
-            n2 = np.arange(-m, m + 1, dtype=np.int64)
-            block = np.empty((len(n2), 2), dtype=np.int64)
-            block[:, 0] = n1
-            block[:, 1] = n2
-            blocks.append(block)
-    else:
-        for n1 in range(-n_max, n_max + 1):
-            r2 = m2max - n1 * n1
+    out = np.empty((count, D), dtype=np.int64)
+    pos = 0
+    for n1 in range(-n_max, n_max + 1):
+        r2 = m2max - n1 * n1
+        if D == 2:
+            rows = np.zeros((1, 0), dtype=np.int64)
+            half = np.array([math.isqrt(r2)], dtype=np.int64)
+        else:
             m1 = math.isqrt(r2)
-            for n2 in range(-m1, m1 + 1):
-                m = math.isqrt(r2 - n2 * n2)
-                n3 = np.arange(-m, m + 1, dtype=np.int64)
-                block = np.empty((len(n3), 3), dtype=np.int64)
-                block[:, 0] = n1
-                block[:, 1] = n2
-                block[:, 2] = n3
-                blocks.append(block)
-    vectors = np.concatenate(blocks)
-    return vectors[np.any(vectors != 0, axis=1)]
+            rows = np.arange(-m1, m1 + 1, dtype=np.int64)[:, None]
+            half = _isqrt_exact(r2 - rows[:, 0] * rows[:, 0])
+        runs = 2 * half + 1
+        size = int(runs.sum())
+        # run j holds n_D = -half_j ... half_j; centre_j is the offset of its n_D = 0
+        centre = np.cumsum(runs) - runs + half
+        last = np.arange(size, dtype=np.int64) - np.repeat(centre, runs)
+        middle = np.repeat(rows, runs, axis=0)
+        if n1 == 0:  # drop the origin: the centre of the middle run
+            keep = np.ones(size, dtype=bool)
+            keep[centre[len(runs) // 2]] = False
+            last, middle, size = last[keep], middle[keep], size - 1
+        block = out[pos : pos + size]
+        block[:, 0] = n1
+        block[:, 1:-1] = middle
+        block[:, -1] = last
+        pos += size
+    return out
 
 
 def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,35 +322,52 @@ def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, counts[idx]
 
 
-def _grid_from_radii(
-    geom: BathGeometry, ch: BathChannel, m2: np.ndarray, weight: np.ndarray, n: np.ndarray | None
+@functools.lru_cache(maxsize=2)
+def _shared_grid(
+    geom: BathGeometry, z_exp: float, s_exp: float, max_modes: int, radial: bool
 ) -> ModeGrid:
-    dk = 2.0 * math.pi / geom.L
-    k = dk * np.sqrt(m2.astype(np.float64))
-    omega = k ** ch.z_exp
-    u2 = k ** (2.0 * ch.s_exp)
-    return ModeGrid(D=geom.D, L=geom.L, omega=omega, u2=u2, weight=weight, n=n)
+    """The grid of one spectrum, keyed by exactly what it reads.
+
+    Two entries hold both channels of one configuration, so at most one
+    configuration's grids outlive their use.  The arrays are made read-only
+    because every caller with this key shares them.
+    """
+    m2max = _lattice_extent(geom, z_exp)
+    count = _count_modes(geom.D, m2max)
+    _check_budget(geom, count, max_modes)
+    if radial:
+        m2, counts = _radial_counts(geom.D, m2max)
+        weight, n = counts.astype(np.float64), None
+    else:
+        n = _dense_vectors(geom.D, m2max, count)
+        m2 = np.einsum("ij,ij->i", n, n)
+        weight = np.broadcast_to(1.0, count)
+    k = (2.0 * math.pi / geom.L) * np.sqrt(m2.astype(np.float64))
+    grid = ModeGrid(D=geom.D, L=geom.L, omega=k**z_exp, u2=k ** (2.0 * s_exp), weight=weight, n=n)
+    for array in (grid.omega, grid.u2, grid.weight, grid.n):
+        if array is not None:
+            array.flags.writeable = False
+    return grid
 
 
 def build_mode_grid(
     geom: BathGeometry, ch: BathChannel, max_modes: int = DEFAULT_MODE_BUDGET
 ) -> ModeGrid:
-    """Dense grid: every nonzero integer vector with omega(|k|) <= omega_c."""
-    _, m2max = _lattice_extent(geom, ch)
-    _check_budget(geom, _count_modes(geom.D, m2max), max_modes)
-    n = _dense_vectors(geom.D, m2max)
-    m2 = np.einsum("ij,ij->i", n, n)
-    return _grid_from_radii(geom, ch, m2, np.broadcast_to(1.0, len(n)), n)
+    """Dense grid: every nonzero integer vector with omega(|k|) <= omega_c.
+
+    Channels with equal exponents get the same instance (see ModeGrid).
+    """
+    return _shared_grid(geom, ch.z_exp, ch.s_exp, max_modes, False)
 
 
 def build_radial_mode_grid(
     geom: BathGeometry, ch: BathChannel, max_modes: int = DEFAULT_MODE_BUDGET
 ) -> ModeGrid:
-    """Radially compressed grid: one record per |n|^2 value with multiplicity."""
-    _, m2max = _lattice_extent(geom, ch)
-    _check_budget(geom, _count_modes(geom.D, m2max), max_modes)
-    m2, counts = _radial_counts(geom.D, m2max)
-    return _grid_from_radii(geom, ch, m2, counts.astype(np.float64), None)
+    """Radially compressed grid: one record per |n|^2 value with multiplicity.
+
+    Shared like the dense grid (see ModeGrid).
+    """
+    return _shared_grid(geom, ch.z_exp, ch.s_exp, max_modes, True)
 
 
 # -- spectral sums -----------------------------------------------------------
@@ -386,19 +447,11 @@ def _register_weights(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
     """Shell weights of damping_weights * |sum_x e^{i k.x}|^2, memoized per position set.
 
     The structure factor is T-independent, so time series over a fixed
-    register reuse it; a small FIFO memo of shell-sized arrays lives on the
-    grid instance.
+    register reuse it.
     """
-    key = pos.tobytes()
-    memo: dict[bytes, np.ndarray] = grid.__dict__.setdefault("_register_memo", {})
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    weights = grid._shell_weights(_structure_factor(grid, pos))
-    if len(memo) >= 8:
-        memo.pop(next(iter(memo)))
-    memo[key] = weights
-    return weights
+    return grid.memo(
+        "register", pos.tobytes(), lambda: grid._shell_weights(_structure_factor(grid, pos))
+    )
 
 
 def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:

@@ -250,8 +250,19 @@ def mmax_single(
 def _mmax_single_numeric(
     inputs: BoundInput, lambda_star: float, grid: ModeGrid | None
 ) -> int | float:
+    """The numeric single-qubit bound, memoized on the grid per (inputs, lambda*).
+
+    Only the latest search is kept: calibrate_c_cal repeats the search that
+    mmax_single just made, while other repeats are rare.
+    """
     if grid is None:
         raise ConfigError("numeric mode requires a mode grid")
+    return grid.memo(
+        "mmax_single", (inputs, lambda_star), lambda: _search_single(inputs, lambda_star, grid), 1
+    )
+
+
+def _search_single(inputs: BoundInput, lambda_star: float, grid: ModeGrid) -> int | float:
     if inputs.d_crit >= inputs.sigma_plus_abs:
         raise CriterionUnreachableError(
             f"criterion {inputs.d_crit} can never be exceeded: the trace distance "
@@ -366,7 +377,9 @@ def hs_distance(
 
     D_HS = proportionality * sqrt(sum over channels of lambda*^2 * |sum over
     position pairs of W(T)|^2), with the pair sum running over all ordered
-    logical-position pairs including the diagonal.
+    logical-position pairs including the diagonal.  W depends on a channel
+    only through its grid, so channels sharing one grid object share one
+    evaluation: sum lambda*^2 |W|^2 = (sum lambda*^2) |W|^2.
     """
     n = layout.n_logical
     strongest = couplings.max_value
@@ -375,14 +388,16 @@ def hs_distance(
             f"perturbative bound stretched: (max lambda*)^2 * N = {strongest**2 * n:.3g} > 0.1",
             stacklevel=2,
         )
-    acc = 0.0
+    lam2: dict[ModeGrid, float] = {}
     for axis, lam_star in couplings.lambda_star.items():
         if lam_star == 0.0:
             continue
         grid = _grid_for(grids, axis)
-        positions = layout.padded_logical_positions(grid.D)
-        total = w_sum(grid, positions, T)
-        acc += lam_star**2 * abs(total) ** 2
+        lam2[grid] = lam2.get(grid, 0.0) + lam_star**2
+    acc = 0.0
+    for grid, weight in lam2.items():
+        total = w_sum(grid, layout.padded_logical_positions(grid.D), T)
+        acc += weight * abs(total) ** 2
     return proportionality * math.sqrt(acc)
 
 

@@ -19,7 +19,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import __version__
-from .bath import ModeGrid, build_mode_grid
+from .bath import build_mode_grid
 from .bounds import (
     SumKind,
     hs_distance,
@@ -82,12 +82,7 @@ def _pipeline(cfg: RunConfig):
     code = cfg.stabilizer_code()
     table = enumerate_eta(code)
     layout = cfg.qubit_layout()
-    # a grid reads only the exponents of its channel: equal spectra share one
-    spectra: dict[tuple[float, float], ModeGrid] = {}
-    for ch in channels.values():
-        if (ch.z_exp, ch.s_exp) not in spectra:
-            spectra[ch.z_exp, ch.s_exp] = build_mode_grid(geom, ch, cfg.max_modes)
-    grids = {axis: spectra[ch.z_exp, ch.s_exp] for axis, ch in channels.items()}
+    grids = {axis: build_mode_grid(geom, ch, cfg.max_modes) for axis, ch in channels.items()}
     amats: dict[str, AMatrix] = {
         axis: a_matrix(grids[axis], layout, ch, cfg.delta) for axis, ch in channels.items()
     }

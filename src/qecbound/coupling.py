@@ -111,21 +111,10 @@ class AMatrix:
         return float(self.values[i - 1, j - 1])
 
 
-def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: float) -> AMatrix:
-    """Pair-amplitude matrix for one logical qubit's physical sites.
-
-    Each distinct site separation d (d and -d folded, d = 0 the on-site sum)
-    costs one pass over the modes: the real part sum |u|^2 cos(k.d) and the
-    imaginary part sum |u|^2 sin(k.d), which must cancel by +-k pairing.  A
-    residual magnitude above 1e-12 (relative to the on-site value) indicates
-    a broken grid and raises.
-    """
-    if grid.stored_count == 0:
-        raise DegenerateInputError("mode grid is empty")
+def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
+    """sum_k |u_k|^2 cos(k.(x_i - x_j)) for every site pair (i, j), no coupling scale."""
     k = grid.k_vectors()  # (N, D); raises for radial grids
-    positions = layout.padded_offsets(grid.D)
     n_sites = positions.shape[0]
-    scale = (channel.lam * delta) ** 2
     w = grid.u2 * grid.weight
     onsite = float(np.sum(w))
     tol = 1e-12 * max(1.0, onsite)
@@ -145,7 +134,25 @@ def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: f
                     )
                 sums[key] = float(np.einsum("i,i->", w, np.cos(phase)))
             values[i, j] = values[j, i] = sums[key]
-    return AMatrix(channel.axis, scale * values)
+    return values
+
+
+def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: float) -> AMatrix:
+    """Pair-amplitude matrix for one logical qubit's physical sites.
+
+    Each distinct site separation d (d and -d folded, d = 0 the on-site sum)
+    costs one pass over the modes: the real part sum |u|^2 cos(k.d) and the
+    imaginary part sum |u|^2 sin(k.d), which must cancel by +-k pairing.  A
+    residual magnitude above 1e-12 (relative to the on-site value) indicates
+    a broken grid and raises.  The sums depend on the grid and the offsets
+    alone, so they are memoized on the grid and only the (lambda * Delta)^2
+    scale is applied per call.
+    """
+    if grid.stored_count == 0:
+        raise DegenerateInputError("mode grid is empty")
+    positions = layout.padded_offsets(grid.D)
+    sums = grid.memo("pair_sums", positions.tobytes(), lambda: _pair_sums(grid, positions))
+    return AMatrix(channel.axis, (channel.lam * delta) ** 2 * sums)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qecbound import (
     w_pair,
     w_sum,
 )
+from qecbound import bath
 
 
 def _ch(z=1.0, s=0.0, lam=1e-3, axis="z"):
@@ -84,6 +87,14 @@ class TestGridConstruction:
                 gamma_infinity(dense, 0.1), rel=1e-12
             )
 
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_slab_enumeration_matches_pencils(self, D):
+        for n in (1, 2, 5, 11):
+            for m2max in (n * n, n * n + 1, n * n + n):
+                count = bath._count_modes(D, m2max)
+                got = bath._dense_vectors(D, m2max, count)
+                assert np.array_equal(got, _pencil_vectors(D, m2max))
+
     def test_radial_refuses_positions(self):
         geom = BathGeometry(D=1, L=30.0, omega_c=1.0)
         grid = build_radial_mode_grid(geom, _ch())
@@ -101,6 +112,70 @@ class TestGridConstruction:
             BathChannel(axis="z", z_exp=0.0, s_exp=0.0, lam=0.1)
         with pytest.raises(ValueError):
             BathChannel(axis="z", z_exp=1.0, s_exp=0.0, lam=-0.1)
+
+
+def _pencil_vectors(D, m2max):
+    """Reference enumeration: one (n1, n2) pencil at a time, then drop the origin."""
+    n_max = math.isqrt(m2max)
+    if D == 1:
+        ns = np.arange(-n_max, n_max + 1)
+        return ns[ns != 0].reshape(-1, 1)
+    blocks = []
+    for n1 in range(-n_max, n_max + 1):
+        r2 = m2max - n1 * n1
+        pencils = [()] if D == 2 else [(n2,) for n2 in range(-math.isqrt(r2), math.isqrt(r2) + 1)]
+        for lead in pencils:
+            m = math.isqrt(r2 - sum(c * c for c in lead))
+            for last in range(-m, m + 1):
+                blocks.append((n1, *lead, last))
+    vectors = np.array(blocks, dtype=np.int64)
+    return vectors[np.any(vectors != 0, axis=1)]
+
+
+class TestGridSharing:
+    def test_equal_spectra_share_one_grid(self):
+        geom = BathGeometry(D=2, L=2 * math.pi * 5, omega_c=1.0)
+        z, x = _ch(s=0.25, lam=1e-3, axis="z"), _ch(s=0.25, lam=0.2, axis="x")
+        assert build_mode_grid(geom, z) is build_mode_grid(geom, x)
+        assert build_radial_mode_grid(geom, z) is build_radial_mode_grid(geom, x)
+        assert build_radial_mode_grid(geom, z) is not build_mode_grid(geom, z)
+
+    def test_every_key_field_separates_grids(self):
+        geom = BathGeometry(D=1, L=2 * math.pi * 30, omega_c=1.0)
+        base = build_mode_grid(geom, _ch(s=0.25))
+        assert build_mode_grid(geom, _ch(s=0.25, lam=0.5)) is base
+        others = [
+            build_mode_grid(BathGeometry(D=1, L=2 * math.pi * 31, omega_c=1.0), _ch(s=0.25)),
+            build_mode_grid(BathGeometry(D=1, L=geom.L, omega_c=0.9), _ch(s=0.25)),
+            build_mode_grid(geom, _ch(s=0.5)),
+            build_mode_grid(geom, _ch(z=1.5, s=0.25)),
+            build_mode_grid(geom, _ch(s=0.25), max_modes=1000),
+        ]
+        assert all(other is not base for other in others)
+
+    def test_smaller_budget_still_refused(self):
+        geom = BathGeometry(D=1, L=2 * math.pi * 30, omega_c=1.0)
+        for build in (build_mode_grid, build_radial_mode_grid):
+            assert build(geom, _ch(), max_modes=100).mode_count == 60
+            with pytest.raises(CapabilityError, match="budget of 59"):
+                build(geom, _ch(), max_modes=59)
+
+    def test_arrays_are_read_only(self):
+        geom = BathGeometry(D=2, L=2 * math.pi * 4, omega_c=1.0)
+        dense = build_mode_grid(geom, _ch())
+        radial = build_radial_mode_grid(geom, _ch())
+        for array in (dense.omega, dense.u2, dense.n, dense.weight, radial.omega, radial.weight):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_at_most_two_grids_stay_alive(self):
+        refs = []
+        for i in range(4):
+            grid = build_mode_grid(BathGeometry(D=1, L=2 * math.pi * (70 + i), omega_c=1.0), _ch())
+            refs.append(weakref.ref(grid))
+        del grid
+        gc.collect()
+        assert [ref() is not None for ref in refs] == [False, False, True, True]
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from qecbound import (
     ConfigError,
     CriterionUnreachableError,
     EffectiveCoupling,
+    ModeGrid,
     Regime,
     SumKind,
     build_mode_grid,
@@ -29,6 +30,7 @@ from qecbound import (
     w_sum_asymptotic,
     zeta_and_regime,
 )
+from qecbound import bounds
 
 
 def _ch(z=1.0, s=0.0, lam=1e-3):
@@ -423,6 +425,54 @@ class TestHsDistance:
         _, grid, layout = hs_setup
         couplings = EffectiveCoupling({"z": 0.0})
         assert mmax_multi_numeric({"z": grid}, couplings, layout, _inputs()) == math.inf
+
+
+def _unshared(grid):
+    """A separate instance over the same arrays: nothing memoized, nothing shared."""
+    return ModeGrid(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=grid.weight, n=grid.n)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSharedGridSums:
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_hs_distance_sums_each_grid_once(self, D, monkeypatch):
+        geom = BathGeometry(D=D, L=2 * math.pi * (400 if D == 1 else 25), omega_c=1.0)
+        grid = build_mode_grid(geom, _ch(s=0.25))
+        assert build_mode_grid(geom, BathChannel("x", 1.0, 0.25, 1e-4)) is grid
+        layout = regular_layout(4, Xi=20.0, D_x=D, xi=1.0)
+        couplings = EffectiveCoupling({"z": 3e-3, "x": 1e-3})
+        separate = {"z": _unshared(grid), "x": _unshared(grid)}
+        calls = _counting(monkeypatch, bounds, "w_sum")
+        for T in (2.5, 40.0, 3.0 * geom.L + 0.7):
+            calls.clear()
+            shared = hs_distance({"z": grid, "x": grid}, couplings, layout, T)
+            assert len(calls) == 1
+            expected = hs_distance(separate, couplings, layout, T)
+            assert len(calls) == 3
+            assert shared == pytest.approx(expected, rel=1e-12)
+
+    def test_calibration_reuses_the_numeric_search(self, monkeypatch):
+        grid = build_mode_grid(GEOM_1D, _ch())
+        rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
+        lam = 1.3e-2
+        m = mmax_single(rep, _inputs(), lam, GEOM_1D, mode="numeric", grid=grid)
+        calls = _counting(monkeypatch, bounds, "gamma")
+        c = calibrate_c_cal(rep, _inputs(), lam, GEOM_1D, grid)
+        assert calls == []
+        assert c == calibrate_c_cal(rep, _inputs(), lam, GEOM_1D, _unshared(grid))
+        assert calls  # the fresh grid searched
+        assert m == mmax_single(rep, _inputs(), lam, GEOM_1D, mode="numeric", grid=_unshared(grid))
 
 
 class TestFitSlope:

@@ -162,6 +162,34 @@ class TestSweep:
 
 
 class TestPipelineStages:
+    def test_coupling_sweep_builds_each_stage_once(self, monkeypatch):
+        from qecbound import bath, coupling
+
+        counts = {"grids": 0, "pair_sums": 0}
+
+        def counting(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                counts[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        param = "bath.channels.0.lambda"
+        cfg = from_dict(SMALL_BATH)
+        flags = {"param": param, "from_": 1e-4, "to": 5e-3, "points": 6, "target": "lambda-star"}
+        bath._shared_grid.cache_clear()
+        counting(bath, "_dense_vectors", "grids")
+        counting(coupling, "_pair_sums", "pair_sums")
+        rows = run_subcommand("sweep", cfg, flags)[0].rows
+        assert counts == {"grids": 1, "pair_sums": 1}
+        for row in rows:
+            bath._shared_grid.cache_clear()  # a separate run shares nothing
+            single = run_subcommand("lambda-star", cfg.with_value(param, row[1]), {})[0]
+            assert row[2:] == (single.summary["lambda_star_x"], single.summary["lambda_star_z"])
+        assert counts == {"grids": 7, "pair_sums": 7}
+
     @pytest.mark.parametrize(
         "x_channel, shared",
         [

@@ -11,6 +11,7 @@ from qecbound import (
     BathGeometry,
     ConfigError,
     ErrorClass,
+    ModeGrid,
     PauliString,
     StabilizerCode,
     UnsupportedOrderError,
@@ -23,6 +24,7 @@ from qecbound import (
     regular_layout,
     syndrome,
 )
+from qecbound import coupling
 
 # Index sets in the documented generator convention (j < k normalized).
 XZ_TRIPLES = {(3, 2, 4), (4, 3, 5), (5, 1, 4), (1, 2, 5), (2, 1, 3)}
@@ -192,6 +194,23 @@ class TestAMatrix:
         np.testing.assert_allclose(a.values, ref, rtol=1e-12, atol=1e-12 * ref[0, 0])
         assert a.axis == "x"
 
+    def test_second_coupling_reuses_the_pair_sums(self, small_grid, monkeypatch):
+        geom, ch, grid = small_grid
+        layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
+        first = a_matrix(grid, layout, ch, delta=1.5)
+        real = coupling._pair_sums
+        calls = []
+        monkeypatch.setattr(coupling, "_pair_sums", lambda *args: calls.append(1) or real(*args))
+        other = BathChannel(axis="x", z_exp=1.0, s_exp=0.0, lam=0.7)
+        second = a_matrix(grid, layout, other, delta=0.4)
+        assert calls == []
+        assert second.axis == "x"
+        ratio = (other.lam * 0.4) ** 2 / (ch.lam * 1.5) ** 2
+        np.testing.assert_allclose(second.values, ratio * first.values, rtol=1e-15, atol=0)
+        fresh = ModeGrid(D=1, L=geom.L, omega=grid.omega, u2=grid.u2, weight=grid.weight, n=grid.n)
+        np.testing.assert_array_equal(a_matrix(fresh, layout, other, delta=0.4).values, second.values)
+        assert calls == [1]
+
     def test_asymmetric_grid_rejected(self, small_grid):
         geom, ch, grid = small_grid
         from qecbound import ModeGrid
@@ -205,8 +224,9 @@ class TestAMatrix:
             n=grid.n[:1],
         )
         layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
-        with pytest.raises(ArithmeticError, match="residual"):
-            a_matrix(lopsided, layout, ch, delta=1.0)
+        for _ in range(2):  # a failed check is not memoized
+            with pytest.raises(ArithmeticError, match="residual"):
+                a_matrix(lopsided, layout, ch, delta=1.0)
 
     def test_empty_grid_rejected(self, small_grid):
         geom, ch, grid = small_grid
