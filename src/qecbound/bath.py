@@ -28,7 +28,7 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,12 +87,12 @@ class ModeGrid:
     mode budget, never the channel axis or coupling.  build_mode_grid and
     build_radial_mode_grid return one shared instance per such key and keep
     the two most recently built alive, which covers both channels of one
-    configuration; their arrays are read-only.  Everything derived from the grid alone is computed once per
-    instance: the shell index and per-shell weights (cached properties), and
-    through :meth:`memo` the register weights of the 8 most recent position
-    sets (w_sum), the unscaled pair sums of the 8 most recent offset sets
-    (a_matrix) and the latest numeric single-qubit bound per (inputs,
-    lambda*).
+    configuration; their arrays are read-only.  Everything derived from the
+    grid alone is computed once per instance: the shell index and per-shell
+    weights (cached properties), and through :meth:`memo` the register
+    weights of the 8 most recent position sets (w_sum), the unscaled pair
+    sums of the 8 most recent offset sets (a_matrix) and the latest numeric
+    single-qubit bound per (inputs, lambda*).
     """
 
     D: int
@@ -213,9 +213,10 @@ class ModeGrid:
 
 def _isqrt_exact(values: np.ndarray) -> np.ndarray:
     """Elementwise integer sqrt of non-negative int64 values, exact."""
-    r = np.floor(np.sqrt(values.astype(np.float64))).astype(np.int64)
-    r = np.where((r + 1) * (r + 1) <= values, r + 1, r)
-    return np.where(r * r > values, r - 1, r)
+    r = np.sqrt(values).astype(np.int64)
+    r += (r + 1) * (r + 1) <= values
+    r -= r * r > values
+    return r
 
 
 def _lattice_extent(geom: BathGeometry, z_exp: float) -> int:
@@ -232,91 +233,72 @@ def _lattice_extent(geom: BathGeometry, z_exp: float) -> int:
     return n_max * n_max
 
 
+def _slabs(D: int, m2max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ball |n|^2 <= m2max, origin included, as runs along the last axis.
+
+    Yields (lead, half) per slab: row j of lead holds the leading D - 1
+    coordinates of one run, n_D = -half[j] ... half[j].  Each run of the
+    (D - 1)-dimensional ball leads one slab, so D <= 2 is a single slab and
+    D = 3 has one per n_1; all in lexicographic order.
+    """
+    if D == 1:
+        leads: Iterable[np.ndarray] = [np.zeros((1, 0), dtype=np.int64)]
+    else:
+        leads = (
+            np.column_stack((np.tile(row, (2 * h + 1, 1)), np.arange(-h, h + 1)))
+            for lead, half in _slabs(D - 1, m2max)
+            for row, h in zip(lead, half)
+        )
+    for lead in leads:
+        yield lead, _isqrt_exact(m2max - np.einsum("ij,ij->i", lead, lead))
+
+
+def _runs(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run lengths, n_D of every point) for the runs n_D = -half[j] ... half[j], run after run."""
+    runs = 2 * half + 1
+    centre = np.cumsum(runs) - half - 1  # offset of each run's n_D = 0
+    return runs, np.arange(int(runs.sum()), dtype=np.int64) - np.repeat(centre, runs)
+
+
 def _count_modes(D: int, m2max: int) -> int:
     """Number of nonzero integer vectors with |n|^2 <= m2max."""
-    n_max = math.isqrt(m2max)
-    if D == 1:
-        return 2 * n_max
-    total = 0
-    if D == 2:
-        n1 = np.arange(-n_max, n_max + 1, dtype=np.int64)
-        m = _isqrt_exact(m2max - n1 * n1)
-        total = int(np.sum(2 * m + 1))
-    else:
-        for n1 in range(-n_max, n_max + 1):
-            r2 = m2max - n1 * n1
-            m1 = math.isqrt(r2)
-            n2 = np.arange(-m1, m1 + 1, dtype=np.int64)
-            m = _isqrt_exact(r2 - n2 * n2)
-            total += int(np.sum(2 * m + 1))
-    return total - 1  # exclude the origin
-
-
-def _check_budget(geom: BathGeometry, count: int, max_modes: int) -> None:
-    if count > max_modes:
-        raise CapabilityError(
-            f"grid for (L={geom.L}, omega_c={geom.omega_c}) needs {count} modes, "
-            f"exceeding the budget of {max_modes}"
-        )
+    return sum(int(np.sum(2 * half + 1)) for _, half in _slabs(D, m2max)) - 1
 
 
 def _dense_vectors(D: int, m2max: int, count: int) -> np.ndarray:
     """The count nonzero integer vectors with |n|^2 <= m2max, in lexicographic order.
 
-    Built one slab of fixed n_1 at a time into a pre-sized array.  A slab
-    is a run of n_D values for every n_2 row (one row for D = 2), so the
-    columns come from np.repeat over the rows.
+    Built one slab at a time into a pre-sized array: the leading columns
+    repeat each run's row, the last column counts along the run.
     """
-    n_max = math.isqrt(m2max)
-    if D == 1:
-        ns = np.arange(-n_max, n_max + 1, dtype=np.int64)
-        return ns[ns != 0].reshape(-1, 1)
     out = np.empty((count, D), dtype=np.int64)
     pos = 0
-    for n1 in range(-n_max, n_max + 1):
-        r2 = m2max - n1 * n1
-        if D == 2:
-            rows = np.zeros((1, 0), dtype=np.int64)
-            half = np.array([math.isqrt(r2)], dtype=np.int64)
-        else:
-            m1 = math.isqrt(r2)
-            rows = np.arange(-m1, m1 + 1, dtype=np.int64)[:, None]
-            half = _isqrt_exact(r2 - rows[:, 0] * rows[:, 0])
-        runs = 2 * half + 1
-        size = int(runs.sum())
-        # run j holds n_D = -half_j ... half_j; centre_j is the offset of its n_D = 0
-        centre = np.cumsum(runs) - runs + half
-        last = np.arange(size, dtype=np.int64) - np.repeat(centre, runs)
-        middle = np.repeat(rows, runs, axis=0)
-        if n1 == 0:  # drop the origin: the centre of the middle run
-            keep = np.ones(size, dtype=bool)
-            keep[centre[len(runs) // 2]] = False
-            last, middle, size = last[keep], middle[keep], size - 1
-        block = out[pos : pos + size]
-        block[:, 0] = n1
-        block[:, 1:-1] = middle
-        block[:, -1] = last
-        pos += size
+    for lead, half in _slabs(D, m2max):
+        runs, last = _runs(half)
+        columns = [np.repeat(c, runs) for c in lead.T] + [last]
+        if not lead[len(lead) // 2].any():  # a slab symmetric about the origin: drop its middle
+            columns = [np.delete(c, len(last) // 2) for c in columns]
+        for j, c in enumerate(columns):
+            out[pos : pos + len(c), j] = c
+        pos += len(columns[-1])
     return out
 
 
 def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
     """(values of |n|^2, multiplicities) over nonzero integer vectors.
 
-    D = 1 is closed form: shell |n| holds +n and -n.  For D >= 2 the count
-    table over |n|^2 <= m2max is shorter than the grid, and each slab of
-    fixed n_1 adds only its own modes to it.
+    D = 1 is closed form: shell |n| holds +n and -n.  For D >= 2 each slab
+    adds its points to one count table over |n|^2 <= m2max.
     """
     n_max = math.isqrt(m2max)
     if D == 1:
         r = np.arange(1, n_max + 1, dtype=np.int64)
         return r * r, np.full(n_max, 2, dtype=np.int64)
     counts = np.zeros(m2max + 1, dtype=np.int64)
-    sq = np.arange(-n_max, n_max + 1, dtype=np.int64) ** 2
-    base = sq if D == 2 else np.add.outer(sq, sq).ravel()
-    for n1_sq in sq:
-        m2 = base + n1_sq
-        np.add.at(counts, m2[m2 <= m2max], 1)
+    for lead, half in _slabs(D, m2max):
+        runs, last = _runs(half)
+        m2 = np.repeat(np.einsum("ij,ij->i", lead, lead), runs) + last * last
+        counts += np.bincount(m2, minlength=m2max + 1)  # O(modes) over all slabs
     counts[0] -= 1  # origin excluded
     idx = np.flatnonzero(counts)
     return idx, counts[idx]
@@ -334,7 +316,11 @@ def _shared_grid(
     """
     m2max = _lattice_extent(geom, z_exp)
     count = _count_modes(geom.D, m2max)
-    _check_budget(geom, count, max_modes)
+    if count > max_modes:
+        raise CapabilityError(
+            f"grid for (L={geom.L}, omega_c={geom.omega_c}) needs {count} modes, "
+            f"exceeding the budget of {max_modes}"
+        )
     if radial:
         m2, counts = _radial_counts(geom.D, m2max)
         weight, n = counts.astype(np.float64), None
@@ -429,18 +415,42 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     return grid.prefactor * _oscillating_sum(grid, weights, T)
 
 
+def _separations(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct separations of the position pairs i < j, d and -d folded.
+
+    Returns (seps, mult, index): seps[0] = 0, then each new separation as
+    its first pair's difference; mult[s] counts the pairs i < j at +-seps[s]
+    (mult[0] the coincident ones); index[i, j] = index[j, i] is the pair's
+    separation, 0 on the diagonal.  Differences that agree to 1e-12 of the
+    largest coordinate are one separation, so rounding does not split them.
+    """
+    n, D = pos.shape
+    i, j = np.triu_indices(n, 1)  # the pairs i < j, row by row
+    diff = pos[i] - pos[j]
+    quanta = np.rint(diff / (1e-12 * max(1.0, float(np.abs(pos).max()))))
+    keys, seps = {(0.0,) * D: 0}, [np.zeros(D)]
+    index = np.zeros((n, n), dtype=np.intp)
+    for a, b, d, q in zip(i, j, diff, quanta):
+        index[a, b] = index[b, a] = keys.setdefault(max(tuple(q), tuple(-q)), len(keys))
+        if len(keys) > len(seps):
+            seps.append(d)
+    return np.array(seps), np.bincount(index[i, j], minlength=len(seps)), index
+
+
 def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
-    """|sum_x e^{i k.x}|^2 per record of a dense grid."""
+    """|sum_x e^{i k.x}|^2 per record of a dense grid, in separation form.
+
+    The square is N + 2 sum_d m_d cos(k.d) over the distinct separations d
+    of the pairs x < y (see _separations), which is real and exact for any
+    positions; coincident pairs add the constant 2 m_0.
+    """
+    seps, mult, _ = _separations(pos)
     k = grid.k_vectors()
-    re = np.zeros(grid.stored_count)
-    im = np.zeros(grid.stored_count)
-    for x in pos:  # one pass per qubit keeps the temporaries mode-sized
-        phase = k @ x
-        re += np.cos(phase)
-        im += np.sin(phase, out=phase)
-    re *= re
-    re += np.square(im, out=im)
-    return re
+    total = np.full(grid.stored_count, len(pos) + 2.0 * mult[0])
+    for d, m in zip(seps[1:], mult[1:]):
+        phase = k @ d  # one mode-sized temporary per separation
+        total += np.multiply(np.cos(phase, out=phase), 2.0 * m, out=phase)
+    return total
 
 
 def _register_weights(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:

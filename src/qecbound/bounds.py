@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -211,8 +211,10 @@ def mmax_single(
     sqrt(c_cal * D_crit) / (lambda* * Delta) in the strong-infrared regime;
     the result is floored to an integer.
 
-    Numeric mode searches the exact sums on the supplied grid for the
-    smallest M whose trace distance exceeds the criterion and returns M - 1.
+    Numeric mode doubles and then bisects M on the exact sums of the
+    supplied grid, and returns M - 1 for an M whose trace distance exceeds
+    the criterion while that of M - 1 does not: the first crossing only if
+    the distance grows monotonically in M (ROADMAP item 1).
     """
     _require_kind(report, SumKind.SINGLE_DEPHASING)
     if mode not in ("asymptotic", "numeric"):
@@ -279,16 +281,26 @@ def _search_single(inputs: BoundInput, lambda_star: float, grid: ModeGrid) -> in
         g = gamma(grid, lambda_star, M * inputs.delta)
         return trace_distance_single(g, inputs.sigma_plus_abs) > inputs.d_crit
 
+    return _search(
+        exceeded,
+        "criterion not exceeded within the search cap; the grid's "
+        "infrared resolution may be too coarse for this coupling",
+    )
+
+
+def _search(exceeded: Callable[[int], bool], cap_message: str) -> int:
+    """M - 1 for an M with exceeded(M) but not exceeded(M - 1): doubles M, then bisects.
+
+    M is the first such step only when exceeded is monotone in M.  Raises
+    CapabilityError(cap_message) once M passes _SEARCH_CAP.
+    """
     if exceeded(1):
         return 0
     hi = 2
     while not exceeded(hi):
         hi *= 2
         if hi > _SEARCH_CAP:
-            raise CapabilityError(
-                "criterion not exceeded within the search cap; the grid's "
-                "infrared resolution may be too coarse for this coupling"
-            )
+            raise CapabilityError(cap_message)
     lo = hi // 2  # exceeded(lo) is False
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -360,10 +372,17 @@ def mmax_multi(
     return _floor_steps(value)
 
 
-def _grid_for(grids: Mapping[str, ModeGrid], axis: str) -> ModeGrid:
-    if axis not in grids:
-        raise ConfigError(f"no mode grid supplied for channel '{axis}'")
-    return grids[axis]
+def _lam2_by_grid(
+    grids: Mapping[str, ModeGrid], couplings: EffectiveCoupling
+) -> dict[ModeGrid, float]:
+    """sum of lambda*^2 over the coupled channels of each distinct grid object."""
+    lam2: dict[ModeGrid, float] = {}
+    for axis, lam_star in couplings.lambda_star.items():
+        if lam_star != 0.0:
+            if axis not in grids:
+                raise ConfigError(f"no mode grid supplied for channel '{axis}'")
+            lam2[grids[axis]] = lam2.get(grids[axis], 0.0) + lam_star**2
+    return lam2
 
 
 def hs_distance(
@@ -388,16 +407,10 @@ def hs_distance(
             f"perturbative bound stretched: (max lambda*)^2 * N = {strongest**2 * n:.3g} > 0.1",
             stacklevel=2,
         )
-    lam2: dict[ModeGrid, float] = {}
-    for axis, lam_star in couplings.lambda_star.items():
-        if lam_star == 0.0:
-            continue
-        grid = _grid_for(grids, axis)
-        lam2[grid] = lam2.get(grid, 0.0) + lam_star**2
     acc = 0.0
-    for grid, weight in lam2.items():
+    for grid, lam2 in _lam2_by_grid(grids, couplings).items():
         total = w_sum(grid, layout.padded_logical_positions(grid.D), T)
-        acc += weight * abs(total) ** 2
+        acc += lam2 * abs(total) ** 2
     return proportionality * math.sqrt(acc)
 
 
@@ -408,44 +421,30 @@ def mmax_multi_numeric(
     inputs: BoundInput,
     proportionality: float = 1.0,
 ) -> int | float:
-    """Smallest M - 1 whose Hilbert-Schmidt bound exceeds the criterion."""
-    if all(v == 0.0 for v in couplings.lambda_star.values()):
+    """Register bound: M - 1 for a step M found by doubling and then bisecting.
+
+    The Hilbert-Schmidt bound exceeds the criterion at M but not at M - 1.
+    That is the first crossing only if the bound grows monotonically in M,
+    which a finite grid does not guarantee (ROADMAP item 1).
+    """
+    lam2 = _lam2_by_grid(grids, couplings)
+    if not lam2:
         return math.inf
-    # hard ceiling: |sum of W| <= 2 * prefactor * N^2 * static sum per channel
+    # hard ceiling: |sum of W| <= 2 * prefactor * N^2 * static sum per grid
     n = layout.n_logical
-    ceiling_sq = 0.0
-    for axis, lam_star in couplings.lambda_star.items():
-        if lam_star == 0.0:
-            continue
-        grid = _grid_for(grids, axis)
-        ceiling_sq += (lam_star * 2.0 * grid.prefactor * n**2 * grid.static_sum) ** 2
+    ceiling_sq = sum(w * (2.0 * g.prefactor * n**2 * g.static_sum) ** 2 for g, w in lam2.items())
     if proportionality * math.sqrt(ceiling_sq) <= inputs.d_crit:
         return math.inf
 
     def exceeded(M: int) -> bool:
-        return (
-            hs_distance(grids, couplings, layout, M * inputs.delta, proportionality)
-            > inputs.d_crit
-        )
+        T = M * inputs.delta
+        return hs_distance(grids, couplings, layout, T, proportionality) > inputs.d_crit
 
-    if exceeded(1):
-        return 0
-    hi = 2
-    while not exceeded(hi):
-        hi *= 2
-        if hi > _SEARCH_CAP:
-            raise CapabilityError(
-                "criterion not exceeded within the search cap; couplings may be "
-                "too weak for a finite register bound on this grid"
-            )
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if exceeded(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return _search(
+        exceeded,
+        "criterion not exceeded within the search cap; couplings may be "
+        "too weak for a finite register bound on this grid",
+    )
 
 
 def fit_loglog_slope(series: Sequence[tuple[float, float]]) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import __version__
-from .bath import build_mode_grid
+from .bath import build_mode_grid, gamma, gamma_infinity
 from .bounds import (
     SumKind,
     hs_distance,
@@ -29,8 +29,6 @@ from .bounds import (
     trace_distance_single,
     zeta_and_regime,
 )
-from .bath import gamma, gamma_infinity
-from .bounds import d_sat
 from .config import RunConfig, default_config, load_config
 from .coupling import AMatrix, a_matrix, enumerate_eta, lambda_star
 from .errors import QecBoundError
@@ -207,39 +205,34 @@ def _run_lambda_star(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
     ]
 
 
-def _run_gamma(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _gamma_series(cfg: RunConfig, flags: Mapping[str, Any]):
+    """The dephasing channel's axis, grid and lambda*, and (T, gamma(T)) per time."""
     _, _, _, _, _, grids, couplings = _pipeline(cfg)
     axis = _dephasing_axis(cfg)
-    lam_star = couplings[axis]
-    grid = grids[axis]
-    rows = []
-    for t in _times(flags):
-        g = gamma(grid, lam_star, float(t))
-        d = trace_distance_single(g, cfg.sigma_plus_abs)
-        rows.append((float(t), g, d))
-    last = rows[-1]
+    grid, lam_star = grids[axis], couplings[axis]
+    series = [(float(t), gamma(grid, lam_star, float(t))) for t in _times(flags)]
+    return axis, grid, lam_star, series
+
+
+def _run_gamma(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+    axis, _, lam_star, series = _gamma_series(cfg, flags)
+    rows = [(t, g, trace_distance_single(g, cfg.sigma_plus_abs)) for t, g in series]
     return [
         Output(
             name="gamma",
             columns=["T", "gamma", "trace_distance"],
             rows=rows,
             comments=[f"channel: {axis}", f"lambda_star: {_fmt(lam_star)}"],
-            summary={"gamma_final": last[1], "trace_distance_final": last[2]},
+            summary={"gamma_final": rows[-1][1], "trace_distance_final": rows[-1][2]},
         )
     ]
 
 
 def _run_distance(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
-    _, _, _, _, _, grids, couplings = _pipeline(cfg)
-    axis = _dephasing_axis(cfg)
-    lam_star = couplings[axis]
-    grid = grids[axis]
+    axis, grid, lam_star, series = _gamma_series(cfg, flags)
     g_inf = gamma_infinity(grid, lam_star)
     saturation = trace_distance_single(g_inf, cfg.sigma_plus_abs)
-    rows = []
-    for t in _times(flags):
-        g = gamma(grid, lam_star, float(t))
-        rows.append((float(t), trace_distance_single(g, cfg.sigma_plus_abs)))
+    rows = [(t, trace_distance_single(g, cfg.sigma_plus_abs)) for t, g in series]
     return [
         Output(
             name="distance",

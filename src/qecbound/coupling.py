@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bath import BathChannel, ModeGrid, QubitLayout
+from .bath import BathChannel, ModeGrid, QubitLayout, _separations
 from .errors import ConfigError, DegenerateInputError, UnsupportedOrderError
 from .pauli import ErrorClass, PauliString, StabilizerCode, classify, multiply, verify_distance
 
@@ -114,27 +114,22 @@ class AMatrix:
 def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
     """sum_k |u_k|^2 cos(k.(x_i - x_j)) for every site pair (i, j), no coupling scale."""
     k = grid.k_vectors()  # (N, D); raises for radial grids
-    n_sites = positions.shape[0]
+    seps, _, index = _separations(positions)
     w = grid.u2 * grid.weight
     onsite = float(np.sum(w))
     tol = 1e-12 * max(1.0, onsite)
-    sums: dict[tuple[float, ...], float] = {(0.0,) * grid.D: onsite}
-    values = np.empty((n_sites, n_sites))
-    for i in range(n_sites):
-        for j in range(i, n_sites):
-            d = positions[i] - positions[j]
-            key = max(tuple(d), tuple(-d))
-            if key not in sums:
-                phase = k @ d  # one mode-sized temporary per separation
-                residual = abs(float(np.einsum("i,i->", w, np.sin(phase))))
-                if residual > tol:
-                    raise ArithmeticError(
-                        f"imaginary residual {residual:.3e} in pair amplitude "
-                        f"({i}, {j}); grid is not +-k symmetric"
-                    )
-                sums[key] = float(np.einsum("i,i->", w, np.cos(phase)))
-            values[i, j] = values[j, i] = sums[key]
-    return values
+    sums = np.full(len(seps), onsite)  # separation 0 is the on-site sum
+    for s in range(1, len(seps)):
+        phase = k @ seps[s]  # one mode-sized temporary per separation
+        residual = abs(float(np.einsum("i,i->", w, np.sin(phase))))
+        if residual > tol:
+            i, j = np.argwhere(index == s)[0]  # the separation's first pair
+            raise ArithmeticError(
+                f"imaginary residual {residual:.3e} in pair amplitude "
+                f"({i}, {j}); grid is not +-k symmetric"
+            )
+        sums[s] = float(np.einsum("i,i->", w, np.cos(phase)))
+    return sums[index]
 
 
 def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: float) -> AMatrix:

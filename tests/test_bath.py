@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -312,6 +313,20 @@ def _assert_close(got, ref):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+def _irregular_register(D):
+    """Irregular positions with a coincident pair (a zero separation off the
+    diagonal) and, for D >= 2, separations (1.25, 0) and (0.75, 1) of equal
+    length that no lattice symmetry relates."""
+    pos = np.random.default_rng(11).uniform(-2.0, 2.0, size=(5, D))
+    pos[0] = pos[2] = 0.0
+    pos[2, 0] = 1.25
+    if D >= 2:
+        pos[3] = 0.0
+        pos[3, :2] = (0.75, 1.0)
+    pos[4] = pos[1]
+    return pos
+
+
 # z = 1 makes every frequency a multiple of 2*pi/L: the sums recur with period L
 _SHELL_CASES = [
     (1, BathGeometry(D=1, L=2 * math.pi * 50, omega_c=1.0)),
@@ -361,9 +376,10 @@ class TestShellKernel:
         geom, grid, times = shell_case
         registers = [regular_layout(1, Xi=7.0, D_x=0, xi=0.5)]
         registers += [regular_layout(4, Xi=7.0, D_x=d, xi=0.5) for d in range(1, geom.D + 1)]
-        for layout in registers:
-            # off-centre, so that the sin part of the structure factor is nonzero
-            positions = layout.padded_logical_positions(geom.D) + 0.37
+        # off-centre, so that a structure factor depending on absolute positions would show
+        position_sets = [layout.padded_logical_positions(geom.D) + 0.37 for layout in registers]
+        position_sets.append(_irregular_register(geom.D))
+        for positions in position_sets:
             assert w_sum(grid, positions, 0.0) == 0j
             for T in times:
                 _assert_close(w_sum(grid, positions, T), _ref_w_sum(grid, positions, T))
@@ -390,6 +406,27 @@ class TestShellKernel:
             tracemalloc.stop()
         assert grid.mode_count == 4000
         assert peak < 1_000_000
+
+
+class TestSeparations:
+    def test_square_register_has_one_entry_per_lattice_separation(self):
+        # 4 x 4 sites: separations (a, b) * Xi, a in 0..3, b in -3..3, folded: 24 besides 0;
+        # centring the sites rounds equal differences apart, which must not split them
+        pos = regular_layout(16, Xi=46.3, D_x=2, xi=1.0).padded_logical_positions(2)
+        seps, mult, index = bath._separations(pos)
+        assert len(seps) == 25 and mult[0] == 0 and mult.sum() == 16 * 15 // 2
+        assert np.array_equal(index, index.T) and not index.diagonal().any()
+        for i, j in itertools.combinations(range(16), 2):
+            d, sep = pos[i] - pos[j], seps[index[i, j]]
+            assert np.allclose(d, sep, rtol=0, atol=1e-9) or np.allclose(d, -sep, rtol=0, atol=1e-9)
+
+    def test_coincident_pair_and_equal_lengths(self):
+        pos = _irregular_register(3)
+        seps, mult, index = bath._separations(pos)
+        assert mult[0] == 1 and index[1, 4] == 0 and not seps[0].any()
+        assert index[0, 2] != index[0, 3]  # equal lengths, different separations
+        # site 4 repeats site 1, so its three pairs with sites 0, 2, 3 repeat those of site 1
+        assert mult.tolist() == [1, 2, 1, 1, 2, 2, 1]
 
 
 class TestLayout:

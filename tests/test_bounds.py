@@ -7,6 +7,7 @@ from qecbound import (
     BathChannel,
     BathGeometry,
     BoundInput,
+    CapabilityError,
     ConfigError,
     CriterionUnreachableError,
     EffectiveCoupling,
@@ -442,6 +443,35 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+class TestSearchCap:
+    """z = 1 and Delta = L: every search time is a recurrence time, where gamma(T)
+    returns to ~0, while the ceiling exceeds the criterion."""
+
+    GEOM = BathGeometry(D=1, L=2 * math.pi * 20, omega_c=1.0)
+
+    def _setup(self):
+        grid = build_mode_grid(self.GEOM, _ch())
+        inputs = _inputs(d_crit=0.1, delta=self.GEOM.L)
+        assert gamma(grid, 0.3, 7.0 * self.GEOM.L) < 1e-10
+        return grid, inputs
+
+    def test_single_qubit_search_stops_at_the_cap(self):
+        grid, inputs = self._setup()
+        rep = zeta_and_regime(_ch(), self.GEOM, SumKind.SINGLE_DEPHASING)
+        assert trace_distance_single(2 * gamma_infinity(grid, 0.3), 0.5) > inputs.d_crit
+        cap = "criterion not exceeded within the search cap; the grid's infrared resolution"
+        with pytest.raises(CapabilityError, match=cap):
+            mmax_single(rep, inputs, 0.3, self.GEOM, mode="numeric", grid=grid)
+
+    def test_register_search_stops_at_the_cap(self):
+        grid, inputs = self._setup()
+        layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
+        couplings = EffectiveCoupling({"z": 0.3})
+        cap = "criterion not exceeded within the search cap; couplings may be too weak"
+        with pytest.raises(CapabilityError, match=cap):
+            mmax_multi_numeric({"z": grid}, couplings, layout, inputs)
 
 
 class TestSharedGridSums:
