@@ -81,7 +81,10 @@ class ModeGrid:
     multiplicity of each stored record (a read-only view of ones for dense
     grids).  Dense grids additionally carry the integer vectors n with
     k = (2*pi/L)*n.  omega and u2 must depend on a record only through
-    |n|^2: records sharing it form one shell.
+    |n|^2: records sharing it form one shell.  Dense grids are mirrored, as
+    lexicographic order makes them: record N - 1 - i of N is record i with n
+    negated.  Position sums run over the first pair_count records with weight
+    2 and reject a user-built grid in any other order, a permuted one included.
 
     A grid reads only the geometry, the exponents (z_exp, s_exp) and the
     mode budget, never the channel axis or coupling.  build_mode_grid and
@@ -142,19 +145,25 @@ class ModeGrid:
     def is_radial(self) -> bool:
         return self.n is None
 
+    def _dense_n(self) -> np.ndarray:
+        if self.n is None:
+            raise CapabilityError("radial grid does not store mode vectors; build a dense "
+                                  "grid for position-dependent sums")
+        return self.n
+
     def k_vectors(self) -> np.ndarray:
         """Momentum vectors (N, D) of a dense grid."""
-        if self.n is None:
-            raise CapabilityError(
-                "radial grid does not store mode vectors; build a dense grid "
-                "for position-dependent sums"
-            )
-        return self.n * (2.0 * math.pi / self.L)
+        return self._dense_n() * (2.0 * math.pi / self.L)
 
-    @property
-    def damping_weights(self) -> np.ndarray:
-        """weight * |u|^2 / omega^2 per record, the static kernel of all dephasing sums."""
-        return self.weight * self.u2 / (self.omega * self.omega)
+    @cached_property
+    def pair_count(self) -> int:
+        """Number of +-k pairs, checked once; raises on every access unless mirrored."""
+        n, (h, odd) = self._dense_n(), divmod(self.stored_count, 2)
+        if odd or not np.array_equal(n[:h], -n[::-1][:h]) or not all(
+            np.array_equal(a[:h], a[::-1][:h]) for a in (self.omega, self.u2, self.weight)
+        ):
+            raise ArithmeticError("grid is not +-k mirrored: record N-1-i must be -(record i)")
+        return h
 
     @cached_property
     def shell_index(self) -> np.ndarray:
@@ -189,21 +198,21 @@ class ModeGrid:
         """omega per shell."""
         return self._shell_spectrum[0]
 
-    def _shell_weights(self, values: np.ndarray | None = None) -> np.ndarray:
-        """damping_weights * values summed over each shell (values default to 1).
+    def _shell_weights(self, values: np.ndarray) -> np.ndarray:
+        """2 * weight * |u|^2 / omega^2 * values per shell; values are per +-k pair, overwritten.
 
         |u|^2 / omega^2 is constant on a shell, so it multiplies the binned
-        weight * values and no mode-sized damping array is formed.  values
-        is overwritten.
+        weight * values and no mode-sized damping array is formed.
         """
-        omega, rho = self._shell_spectrum
-        w = self.weight if values is None else np.multiply(values, self.weight, out=values)
-        return rho * np.bincount(self.shell_index, weights=w, minlength=len(omega))
+        h, (omega, rho) = len(values), self._shell_spectrum
+        w = np.multiply(values, self.weight[:h], out=values)
+        return 2.0 * rho * np.bincount(self.shell_index[:h], weights=w, minlength=len(omega))
 
     @cached_property
     def shell_damping(self) -> np.ndarray:
-        """damping_weights summed over each shell."""
-        return self._shell_weights()
+        """weight * |u|^2 / omega^2 summed over each shell."""
+        omega, rho = self._shell_spectrum
+        return rho * np.bincount(self.shell_index, weights=self.weight, minlength=len(omega))
 
     @property
     def static_sum(self) -> float:
@@ -260,20 +269,15 @@ def _runs(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return runs, np.arange(int(runs.sum()), dtype=np.int64) - np.repeat(centre, runs)
 
 
-def _count_modes(D: int, m2max: int) -> int:
-    """Number of nonzero integer vectors with |n|^2 <= m2max."""
-    return sum(int(np.sum(2 * half + 1)) for _, half in _slabs(D, m2max)) - 1
-
-
-def _dense_vectors(D: int, m2max: int, count: int) -> np.ndarray:
-    """The count nonzero integer vectors with |n|^2 <= m2max, in lexicographic order.
+def _dense_vectors(slabs: list, count: int) -> np.ndarray:
+    """The count nonzero integer vectors in the slabs of _slabs, in lexicographic order.
 
     Built one slab at a time into a pre-sized array: the leading columns
     repeat each run's row, the last column counts along the run.
     """
-    out = np.empty((count, D), dtype=np.int64)
+    out = np.empty((count, slabs[0][0].shape[1] + 1), dtype=np.int64, order="F")
     pos = 0
-    for lead, half in _slabs(D, m2max):
+    for lead, half in slabs:
         runs, last = _runs(half)
         columns = [np.repeat(c, runs) for c in lead.T] + [last]
         if not lead[len(lead) // 2].any():  # a slab symmetric about the origin: drop its middle
@@ -284,18 +288,18 @@ def _dense_vectors(D: int, m2max: int, count: int) -> np.ndarray:
     return out
 
 
-def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values of |n|^2, multiplicities) over nonzero integer vectors.
+def _radial_counts(slabs: list, m2max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values of |n|^2, multiplicities) over the nonzero integer vectors in the slabs.
 
     D = 1 is closed form: shell |n| holds +n and -n.  For D >= 2 each slab
     adds its points to one count table over |n|^2 <= m2max.
     """
-    n_max = math.isqrt(m2max)
-    if D == 1:
+    if slabs[0][0].shape[1] == 0:  # D = 1
+        n_max = math.isqrt(m2max)
         r = np.arange(1, n_max + 1, dtype=np.int64)
         return r * r, np.full(n_max, 2, dtype=np.int64)
     counts = np.zeros(m2max + 1, dtype=np.int64)
-    for lead, half in _slabs(D, m2max):
+    for lead, half in slabs:
         runs, last = _runs(half)
         m2 = np.repeat(np.einsum("ij,ij->i", lead, lead), runs) + last * last
         counts += np.bincount(m2, minlength=m2max + 1)  # O(modes) over all slabs
@@ -315,17 +319,21 @@ def _shared_grid(
     because every caller with this key shares them.
     """
     m2max = _lattice_extent(geom, z_exp)
-    count = _count_modes(geom.D, m2max)
+    slabs, count = [], -1  # one walk: the count for the budget, the slabs while within it
+    for slab in _slabs(geom.D, m2max):
+        count += int(np.sum(2 * slab[1] + 1))
+        if count <= max_modes:
+            slabs.append(slab)
     if count > max_modes:
         raise CapabilityError(
             f"grid for (L={geom.L}, omega_c={geom.omega_c}) needs {count} modes, "
             f"exceeding the budget of {max_modes}"
         )
     if radial:
-        m2, counts = _radial_counts(geom.D, m2max)
+        m2, counts = _radial_counts(slabs, m2max)
         weight, n = counts.astype(np.float64), None
     else:
-        n = _dense_vectors(geom.D, m2max, count)
+        n = _dense_vectors(slabs, count)
         m2 = np.einsum("ij,ij->i", n, n)
         weight = np.broadcast_to(1.0, count)
     k = (2.0 * math.pi / geom.L) * np.sqrt(m2.astype(np.float64))
@@ -400,8 +408,8 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     W_{x,y}(T) = (2*pi/L)^D * sum_k (|u_k|^2/omega_k^2) e^{-i k.(x-y)} (1 - e^{i omega_k T}).
 
     Symmetric under x <-> y; complex in general (the x = y imaginary part is
-    -prefactor * sum (|u|^2/omega^2) sin(omega T)).  The +-k symmetry of the
-    grid reduces e^{-i k.(x-y)} to cos(k.(x-y)) exactly.
+    -prefactor * sum (|u|^2/omega^2) sin(omega T)).  For x != y the sum runs
+    per +-k pair (see ModeGrid), so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.
     """
     if T < 0:
         raise ValueError("time must be non-negative")
@@ -409,7 +417,7 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     if d.shape != (grid.D,):
         raise DimensionError(f"positions must have dimension {grid.D}")
     if np.any(d):
-        weights = grid._shell_weights(np.cos(grid.k_vectors() @ d))
+        weights = grid._shell_weights(np.cos(_phases(grid, d)))
     else:
         weights = grid.shell_damping
     return grid.prefactor * _oscillating_sum(grid, weights, T)
@@ -437,31 +445,30 @@ def _separations(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(seps), np.bincount(index[i, j], minlength=len(seps)), index
 
 
+def _phases(grid: ModeGrid, d: np.ndarray) -> np.ndarray:
+    """k.d per +-k pair, d != 0: a multiply-add per nonzero d_j over column j of n."""
+    n, scale = grid.n[: grid.pair_count], (2.0 * math.pi / grid.L) * d
+    first, *rest = np.flatnonzero(d)
+    phase = n[:, first] * scale[first]
+    for j in rest:
+        phase += n[:, j] * scale[j]
+    return phase
+
+
 def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
-    """|sum_x e^{i k.x}|^2 per record of a dense grid, in separation form.
+    """|sum_x e^{i k.x}|^2 per +-k pair of a dense grid, in separation form.
 
     The square is N + 2 sum_d m_d cos(k.d) over the distinct separations d
     of the pairs x < y (see _separations), which is real and exact for any
-    positions; coincident pairs add the constant 2 m_0.
+    positions; coincident pairs add the constant 2 m_0.  It is even in k,
+    so it is formed per +-k pair (the first pair_count records).
     """
     seps, mult, _ = _separations(pos)
-    k = grid.k_vectors()
-    total = np.full(grid.stored_count, len(pos) + 2.0 * mult[0])
+    total = np.full(grid.pair_count, len(pos) + 2.0 * mult[0])
     for d, m in zip(seps[1:], mult[1:]):
-        phase = k @ d  # one mode-sized temporary per separation
+        phase = _phases(grid, d)
         total += np.multiply(np.cos(phase, out=phase), 2.0 * m, out=phase)
     return total
-
-
-def _register_weights(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
-    """Shell weights of damping_weights * |sum_x e^{i k.x}|^2, memoized per position set.
-
-    The structure factor is T-independent, so time series over a fixed
-    register reuse it.
-    """
-    return grid.memo(
-        "register", pos.tobytes(), lambda: grid._shell_weights(_structure_factor(grid, pos))
-    )
 
 
 def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
@@ -478,7 +485,10 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
         pos = pos[:, None]
     if pos.shape[1] != grid.D:
         raise DimensionError(f"positions must have dimension {grid.D}")
-    return grid.prefactor * _oscillating_sum(grid, _register_weights(grid, pos), T)
+    weights = grid.memo(  # T-independent, so a time series over one register reuses it
+        "register", pos.tobytes(), lambda: grid._shell_weights(_structure_factor(grid, pos))
+    )
+    return grid.prefactor * _oscillating_sum(grid, weights, T)
 
 
 # -- qubit geometry ----------------------------------------------------------

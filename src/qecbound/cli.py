@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         for out in outputs:
             write_output(out, out_dir, cfg)
-    except (QecBoundError, ValueError, ArithmeticError) as exc:
+    except (QecBoundError, ValueError, ArithmeticError, OSError) as exc:  # OSError: --config, --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if all(out.ok for out in outputs):

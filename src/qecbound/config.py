@@ -161,7 +161,11 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def with_value(self, dotted_key: str, value: Any) -> "RunConfig":
-        """Rebuild with one scalar key replaced; used by parameter sweeps."""
+        """Rebuild with one scalar key replaced; used by parameter sweeps.
+
+        An integral float for an integer key (layout.N, bath.D, ...) becomes
+        that integer; any other float for such a key is a ConfigError.
+        """
         tree = copy.deepcopy(self.canonical_dict())
         parts = dotted_key.split(".")
         node: Any = tree
@@ -177,6 +181,10 @@ class RunConfig:
             raise ConfigError(f"sweep parameter {dotted_key} does not name a config key") from exc
         if isinstance(old, (dict, list)):
             raise ConfigError(f"sweep parameter {dotted_key} is not a scalar key")
+        if type(old) is int and isinstance(value, float):  # sweeps pass floats
+            if not value.is_integer():
+                raise ConfigError(f"{dotted_key} must be an integer, got {value!r}")
+            value = int(value)
         if isinstance(node, list):
             node[int(leaf)] = value
         else:

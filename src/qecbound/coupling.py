@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bath import BathChannel, ModeGrid, QubitLayout, _separations
+from .bath import BathChannel, ModeGrid, QubitLayout, _phases, _separations
 from .errors import ConfigError, DegenerateInputError, UnsupportedOrderError
 from .pauli import ErrorClass, PauliString, StabilizerCode, classify, multiply, verify_distance
 
@@ -99,7 +99,7 @@ class AMatrix:
     """Pair amplitudes a_{alpha,ij} over the physical sites of one logical qubit.
 
     a_{alpha,ij} = (lambda_alpha * Delta)^2 * sum_{k != 0} |u_k|^2 exp(-i k.(x_i - x_j)),
-    real by the +-k symmetry of the grid.
+    real by construction: summed per +-k pair, the phase is cos(k.(x_i - x_j)).
     """
 
     axis: str
@@ -112,36 +112,26 @@ class AMatrix:
 
 
 def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
-    """sum_k |u_k|^2 cos(k.(x_i - x_j)) for every site pair (i, j), no coupling scale."""
-    k = grid.k_vectors()  # (N, D); raises for radial grids
+    """sum_k |u_k|^2 cos(k.(x_i - x_j)) for every site pair (i, j), no coupling scale.
+
+    Twice the sum over one record per +-k pair: one cos pass over half the
+    grid per distinct separation.  Radial and unmirrored grids raise.
+    """
+    h = grid.pair_count
     seps, _, index = _separations(positions)
-    w = grid.u2 * grid.weight
-    onsite = float(np.sum(w))
-    tol = 1e-12 * max(1.0, onsite)
-    sums = np.full(len(seps), onsite)  # separation 0 is the on-site sum
-    for s in range(1, len(seps)):
-        phase = k @ seps[s]  # one mode-sized temporary per separation
-        residual = abs(float(np.einsum("i,i->", w, np.sin(phase))))
-        if residual > tol:
-            i, j = np.argwhere(index == s)[0]  # the separation's first pair
-            raise ArithmeticError(
-                f"imaginary residual {residual:.3e} in pair amplitude "
-                f"({i}, {j}); grid is not +-k symmetric"
-            )
-        sums[s] = float(np.einsum("i,i->", w, np.cos(phase)))
-    return sums[index]
+    w = 2.0 * grid.u2[:h] * grid.weight[:h]
+    sums = [np.sum(w)] + [np.einsum("i,i->", w, np.cos(_phases(grid, d))) for d in seps[1:]]
+    return np.array(sums)[index]  # separation 0 is the on-site sum
 
 
 def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: float) -> AMatrix:
     """Pair-amplitude matrix for one logical qubit's physical sites.
 
     Each distinct site separation d (d and -d folded, d = 0 the on-site sum)
-    costs one pass over the modes: the real part sum |u|^2 cos(k.d) and the
-    imaginary part sum |u|^2 sin(k.d), which must cancel by +-k pairing.  A
-    residual magnitude above 1e-12 (relative to the on-site value) indicates
-    a broken grid and raises.  The sums depend on the grid and the offsets
-    alone, so they are memoized on the grid and only the (lambda * Delta)^2
-    scale is applied per call.
+    costs one cos pass over one record per +-k pair; a grid that is not
+    mirrored raises ArithmeticError on every call.  The sums depend on the
+    grid and the offsets alone, so they are memoized on the grid and only
+    the (lambda * Delta)^2 scale is applied per call.
     """
     if grid.stored_count == 0:
         raise DegenerateInputError("mode grid is empty")

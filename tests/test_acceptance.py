@@ -311,7 +311,7 @@ class TestCriterion8:
             T = 11.0
             diag = qb.w_pair(grid, [0.0], [0.0], T)
             expected_im = -grid.prefactor * float(
-                np.dot(grid.damping_weights, np.sin(grid.omega * T))
+                np.dot(grid.weight * grid.u2 / grid.omega**2, np.sin(grid.omega * T))
             )
             assert diag.imag == pytest.approx(expected_im, rel=1e-12)
 

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qecbound import (
     BathChannel,
@@ -14,7 +16,9 @@ from qecbound import (
     CapabilityError,
     DegenerateInputError,
     DimensionError,
+    ModeGrid,
     QubitLayout,
+    a_matrix,
     build_mode_grid,
     build_radial_mode_grid,
     gamma,
@@ -92,9 +96,9 @@ class TestGridConstruction:
     def test_slab_enumeration_matches_pencils(self, D):
         for n in (1, 2, 5, 11):
             for m2max in (n * n, n * n + 1, n * n + n):
-                count = bath._count_modes(D, m2max)
-                got = bath._dense_vectors(D, m2max, count)
-                assert np.array_equal(got, _pencil_vectors(D, m2max))
+                want = _pencil_vectors(D, m2max)
+                got = bath._dense_vectors(list(bath._slabs(D, m2max)), len(want))
+                assert np.array_equal(got, want)
 
     def test_radial_refuses_positions(self):
         geom = BathGeometry(D=1, L=30.0, omega_c=1.0)
@@ -241,7 +245,7 @@ class TestWPair:
     def test_diagonal_imaginary_part(self, grid_1d):
         T = 4.2
         expected = -grid_1d.prefactor * float(
-            np.dot(grid_1d.damping_weights, np.sin(grid_1d.omega * T))
+            np.dot(grid_1d.weight * grid_1d.u2 / grid_1d.omega**2, np.sin(grid_1d.omega * T))
         )
         assert w_pair(grid_1d, [0.0], [0.0], T).imag == pytest.approx(expected, rel=1e-12)
 
@@ -406,6 +410,75 @@ class TestShellKernel:
             tracemalloc.stop()
         assert grid.mode_count == 4000
         assert peak < 1_000_000
+
+
+def _ref_a_matrix(grid, offsets, scale):
+    k, w = grid.k_vectors(), grid.u2 * grid.weight
+    return np.array(
+        [[scale * np.sum(w * np.exp(-1j * (k @ (a - b)))).real for b in offsets] for a in offsets]
+    )
+
+
+def _unmirrored(grid, case):
+    """A copy of grid whose records are not in mirrored order."""
+    keep = {
+        "odd count": np.arange(grid.stored_count - 1),
+        "permuted": np.random.default_rng(5).permutation(grid.stored_count),  # still +-k closed
+        "unequal weights": np.arange(grid.stored_count),
+    }[case]
+    weight = np.arange(1.0, len(keep) + 1) if case == "unequal weights" else np.ones(len(keep))
+    return ModeGrid(D=grid.D, L=grid.L, omega=grid.omega[keep], u2=grid.u2[keep], weight=weight,
+                    n=grid.n[keep])
+
+
+class TestPlusMinusFold:
+    """Position sums run over one record per +-k pair; check them against the full grid."""
+
+    @pytest.mark.parametrize("D_x", [1, 2])
+    def test_zero_components_match_full_grid(self, D_x):
+        geom = _SHELL_CASES[2][1]  # D = 3
+        ch = _ch(s=0.25, lam=0.2)
+        grid = build_mode_grid(geom, ch)
+        register = regular_layout(4, Xi=7.0, D_x=D_x, xi=0.5)
+        positions = register.padded_logical_positions(3)
+        assert not positions[:, D_x:].any()  # every separation has zero components
+        for T in (3.7, 2.5 * geom.L + 0.9):
+            _assert_close(w_sum(grid, positions, T), _ref_w_sum(grid, positions, T))
+            x, y = positions[0], positions[-1]
+            _assert_close(w_pair(grid, x, y, T), _ref_w_pair(grid, x, y, T))
+        offsets = register.padded_offsets(3)
+        ref = _ref_a_matrix(grid, offsets, (ch.lam * 1.5) ** 2)
+        got = a_matrix(grid, register, ch, delta=1.5).values
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * ref[0, 0])
+
+    @pytest.mark.parametrize("case", ["odd count", "permuted", "unequal weights"])
+    def test_unmirrored_grid_rejected_by_every_position_sum(self, case):
+        grid = _unmirrored(build_mode_grid(_SHELL_CASES[2][1], _ch(s=0.25)), case)
+        register = regular_layout(2, Xi=7.0, D_x=1, xi=0.5)
+        positions = register.padded_logical_positions(3)
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(ArithmeticError, match="mirrored"):
+                a_matrix(grid, register, _ch(), delta=1.0)
+            with pytest.raises(ArithmeticError, match="mirrored"):
+                w_sum(grid, positions, 1.0)
+            with pytest.raises(ArithmeticError, match="mirrored"):
+                w_pair(grid, positions[0], positions[1], 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        D=st.integers(1, 3),
+        size=st.floats(1.0, 8.0),
+        omega_c=st.floats(1.0, 1.5),
+        z=st.floats(0.5, 2.0),
+        s=st.floats(-0.5, 0.8),
+    )
+    def test_every_built_grid_is_mirrored(self, D, size, omega_c, z, s):
+        geom = BathGeometry(D=D, L=2 * math.pi * size, omega_c=omega_c)
+        grid = build_mode_grid(geom, _ch(z=z, s=s))
+        assert grid.stored_count % 2 == 0 and grid.pair_count == grid.stored_count // 2
+        assert np.array_equal(grid.n[::-1], -grid.n)
+        for array in (grid.omega, grid.u2, grid.weight):
+            assert np.array_equal(array[::-1], array)
 
 
 class TestSeparations:

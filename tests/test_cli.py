@@ -160,6 +160,33 @@ class TestSweep:
             assert row[2:] == (single.summary["lambda_star_x"], single.summary["lambda_star_z"])
         assert len({row[2:] for row in rows}) == len(rows)  # every point differs
 
+    @pytest.mark.parametrize(
+        "param, lo, hi, points, target",
+        [
+            ("layout.N", 1, 4, 4, "hs"),
+            ("layout.D_x", 0, 1, 2, "lambda-star"),
+            ("bath.D", 1, 3, 3, "lambda-star"),
+            ("budget.max_modes", 100, 103, 4, "lambda-star"),
+        ],
+    )
+    def test_integer_key_sweep_matches_separate_runs(self, param, lo, hi, points, target):
+        cfg = from_dict({"bath": {**SMALL_BATH["bath"], "L": 20 * math.pi}})
+        flags = {"param": param, "from_": lo, "to": hi, "points": points, "target": target,
+                 "t_max": 10.0, "steps": 3}
+        rows = run_subcommand("sweep", cfg, flags)[0].rows
+        assert [row[1] for row in rows] == list(range(lo, hi + 1))
+        for row in rows:
+            single = run_subcommand(target, cfg.with_value(param, int(row[1])), flags)[0]
+            assert row[2:] == tuple(single.summary.values())
+
+    def test_integer_key_sweep_off_the_integers_fails_cleanly(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        argv = ["--config", str(config), "--out", str(tmp_path), "sweep", "--param", "layout.N",
+                "--from", "1", "--to", "4", "--points", "3", "--target", "lambda-star"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "layout.N" in err and "2.5" in err
+
 
 class TestPipelineStages:
     def test_coupling_sweep_builds_each_stage_once(self, monkeypatch):
@@ -220,6 +247,18 @@ class TestErrorPaths:
         config.write_text("bath:\n  channels:\n    - axis: z\n      lambda: -1\n")
         assert main(["--config", str(config), "--out", str(tmp_path), "eta"]) == 1
         assert "bath.channels[0].lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing config", "config is a directory", "out is a file"])
+    def test_file_errors_exit_cleanly(self, tmp_path, capsys, case):
+        (tmp_path / "file").write_text("")
+        config, out = {
+            "missing config": (tmp_path / "missing.yaml", tmp_path),
+            "config is a directory": (tmp_path, tmp_path),
+            "out is a file": (_write_config(tmp_path), tmp_path / "file"),
+        }[case]
+        assert main(["--config", str(config), "--out", str(out), "eta"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

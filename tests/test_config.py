@@ -164,6 +164,13 @@ class TestSweepSupport:
         with pytest.raises(ConfigError, match="not a scalar"):
             default_config().with_value("bath.channels", 1.0)
 
+    @pytest.mark.parametrize("key", ["layout.N", "layout.D_x", "bath.D", "budget.max_modes"])
+    def test_with_value_integral_float_for_integer_key(self, key):
+        cfg = default_config()
+        assert cfg.with_value(key, 1.0) == cfg.with_value(key, 1)
+        with pytest.raises(ConfigError, match=rf"{key} must be an integer, got 1\.5"):
+            cfg.with_value(key, 1.5)
+
     def test_hash_stable_and_sensitive(self):
         a = default_config()
         b = default_config()

@@ -225,7 +225,7 @@ class TestAMatrix:
         )
         layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
         for _ in range(2):  # a failed check is not memoized
-            with pytest.raises(ArithmeticError, match="residual"):
+            with pytest.raises(ArithmeticError, match="mirrored"):
                 a_matrix(lopsided, layout, ch, delta=1.0)
 
     def test_empty_grid_rejected(self, small_grid):
