@@ -7,15 +7,15 @@ momenta.  A channel has dispersion omega(k) = |k|**z_exp and coupling weight
 |u_k|**2 = |k|**(2*s_exp); modes live on the momentum lattice k = (2*pi/L)*n
 for nonzero integer vectors n, cut off at omega <= omega_c.
 
-Two grid representations are supported.  The dense form stores every integer
-vector and supports position-dependent sums.  The radial form stores one
-record per |n|**2 value with its integer multiplicity.  Dispersion and
-coupling weight depend only on |k|, so the modes of either form group into
-shells, one per distinct |n|**2.  Every time-dependent sum bins its static
-per-mode weights into shells once and then costs one cos (and one sin for
-an imaginary part) per shell and time point, on either form.  The radial
-form still saves memory: it stays small even for 3-dimensional baths with
-tens of millions of modes, but it supports only isotropic sums.
+Dispersion and coupling weight depend only on |k|, so the modes group into
+shells, one per distinct |n|**2, and every sum here is even in k.  A grid is
+therefore a shell table: omega, |u|**2 and the mode count of each shell.  A
+dense grid adds one integer vector per +-k pair, which the position sums
+need for cos(k.d); a radial grid stores the table alone and supports only
+isotropic sums, but stays small even for 3-dimensional baths with tens of
+millions of modes.  Every time-dependent sum bins its static weights into
+shells once and then costs one cos (and one sin for an imaginary part) per
+shell and time point.
 """
 
 from __future__ import annotations
@@ -75,16 +75,17 @@ class BathGeometry:
 
 @dataclass(eq=False)
 class ModeGrid:
-    """Momentum lattice of one channel spectrum, dense or radially compressed.
+    """Momentum lattice of one channel spectrum: a shell table, and +-k pair vectors if dense.
 
-    omega, u2 and weight are aligned arrays; weight is the integer
-    multiplicity of each stored record (a read-only view of ones for dense
-    grids).  Dense grids additionally carry the integer vectors n with
-    k = (2*pi/L)*n.  omega and u2 must depend on a record only through
-    |n|^2: records sharing it form one shell.  Dense grids are mirrored, as
-    lexicographic order makes them: record N - 1 - i of N is record i with n
-    negated.  Position sums run over the first pair_count records with weight
-    2 and reject a user-built grid in any other order, a permuted one included.
+    omega, u2 and weight are per shell, one entry per distinct |n|^2 in
+    increasing order; weight is the number of modes in the shell.  A dense
+    grid also stores n, one integer vector per +-k pair (k = (2*pi/L)*n):
+    the lexicographically negative one, in lexicographic order.  Every sum
+    is even in k, so a pair stands for both of its modes; a radial grid
+    (n None) serves only the isotropic sums.  A hand-built dense grid is
+    checked once, by shell_index: each stored n must be lexicographically
+    negative and twice the pair count of each shell must equal its weight.
+    A grid failing this raises ArithmeticError on every position sum.
 
     A grid reads only the geometry, the exponents (z_exp, s_exp) and the
     mode budget, never the channel axis or coupling.  build_mode_grid and
@@ -92,7 +93,7 @@ class ModeGrid:
     the two most recently built alive, which covers both channels of one
     configuration; their arrays are read-only.  Everything derived from the
     grid alone is computed once per instance: the shell index and per-shell
-    weights (cached properties), and through :meth:`memo` the register
+    damping (cached properties), and through :meth:`memo` the register
     weights of the 8 most recent position sets (w_sum), the unscaled pair
     sums of the 8 most recent offset sets (a_matrix) and the latest numeric
     single-qubit bound per (inputs, lambda*).
@@ -134,7 +135,8 @@ class ModeGrid:
 
     @property
     def stored_count(self) -> int:
-        return len(self.omega)
+        """Number of stored records: +-k pairs (dense) or shells (radial)."""
+        return len(self.omega if self.n is None else self.n)
 
     @property
     def mode_count(self) -> int:
@@ -151,68 +153,38 @@ class ModeGrid:
                                   "grid for position-dependent sums")
         return self.n
 
-    def k_vectors(self) -> np.ndarray:
-        """Momentum vectors (N, D) of a dense grid."""
-        return self._dense_n() * (2.0 * math.pi / self.L)
-
-    @cached_property
-    def pair_count(self) -> int:
-        """Number of +-k pairs, checked once; raises on every access unless mirrored."""
-        n, (h, odd) = self._dense_n(), divmod(self.stored_count, 2)
-        if odd or not np.array_equal(n[:h], -n[::-1][:h]) or not all(
-            np.array_equal(a[:h], a[::-1][:h]) for a in (self.omega, self.u2, self.weight)
-        ):
-            raise ArithmeticError("grid is not +-k mirrored: record N-1-i must be -(record i)")
-        return h
-
     @cached_property
     def shell_index(self) -> np.ndarray:
-        """Shell of each record; shells number the distinct |n|^2 in increasing order.
+        """Shell of each stored +-k pair of a dense grid; raises on every access unless valid.
 
-        Every record of a radial grid is its own shell.  A dense grid looks
-        its shells up in a table over |n| (D = 1) or |n|^2 (D >= 2), which
-        is shorter than a full grid of that cutoff; no sort is needed.
+        Shells number the distinct |n|^2 in increasing order, looked up in
+        a table over |n| (D = 1) or |n|^2 (D >= 2); no sort is needed.
         """
-        if self.n is None:
-            return np.arange(self.stored_count)
-        key = np.abs(self.n[:, 0]) if self.D == 1 else np.einsum("ij,ij->i", self.n, self.n)
+        n = self._dense_n()
+        key = np.abs(n[:, 0]) if self.D == 1 else np.einsum("ij,ij->i", n, n)
         present = np.zeros(int(key.max(initial=0)) + 1, dtype=bool)
         present[key] = True
         index = np.cumsum(present, dtype=np.int32)[key]
         index -= 1
+        leading = n[np.arange(len(n)), np.argmax(n != 0, axis=1)]  # first nonzero component
+        if np.any(leading >= 0) or not np.array_equal(2 * np.bincount(index), self.weight):
+            raise ArithmeticError("grid is not a +-k pair table: every stored n must be "
+                                  "lexicographically negative, with weight = 2 * pairs per shell")
         return index
 
-    @cached_property
-    def _shell_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(omega, |u|^2 / omega^2) per shell."""
-        size = int(self.shell_index.max(initial=-1)) + 1
-        omega = np.empty(size)
-        omega[self.shell_index] = self.omega
-        rho = np.empty(size)
-        rho[self.shell_index] = self.u2
-        rho /= omega * omega
-        return omega, rho
-
-    @property
-    def shell_omega(self) -> np.ndarray:
-        """omega per shell."""
-        return self._shell_spectrum[0]
-
     def _shell_weights(self, values: np.ndarray) -> np.ndarray:
-        """2 * weight * |u|^2 / omega^2 * values per shell; values are per +-k pair, overwritten.
+        """2 * |u|^2 / omega^2 * values summed per shell; values are per +-k pair.
 
         |u|^2 / omega^2 is constant on a shell, so it multiplies the binned
-        weight * values and no mode-sized damping array is formed.
+        values and no pair-sized damping array is formed.
         """
-        h, (omega, rho) = len(values), self._shell_spectrum
-        w = np.multiply(values, self.weight[:h], out=values)
-        return 2.0 * rho * np.bincount(self.shell_index[:h], weights=w, minlength=len(omega))
+        bins = np.bincount(self.shell_index, weights=values, minlength=len(self.omega))
+        return 2.0 * self.u2 / self.omega**2 * bins
 
     @cached_property
     def shell_damping(self) -> np.ndarray:
-        """weight * |u|^2 / omega^2 summed over each shell."""
-        omega, rho = self._shell_spectrum
-        return rho * np.bincount(self.shell_index, weights=self.weight, minlength=len(omega))
+        """weight * |u|^2 / omega^2 per shell."""
+        return self.u2 / self.omega**2 * self.weight
 
     @property
     def static_sum(self) -> float:
@@ -270,21 +242,23 @@ def _runs(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_vectors(slabs: list, count: int) -> np.ndarray:
-    """The count nonzero integer vectors in the slabs of _slabs, in lexicographic order.
+    """The first count integer vectors in the slabs of _slabs, in lexicographic order.
 
-    Built one slab at a time into a pre-sized array: the leading columns
-    repeat each run's row, the last column counts along the run.
+    Half the nonzero vectors are the ones before the origin: one per +-k
+    pair, the lexicographically negative one.  Built one slab at a time into
+    a pre-sized array: the leading columns repeat each run's row, the last
+    column counts along the run.
     """
     out = np.empty((count, slabs[0][0].shape[1] + 1), dtype=np.int64, order="F")
     pos = 0
     for lead, half in slabs:
         runs, last = _runs(half)
-        columns = [np.repeat(c, runs) for c in lead.T] + [last]
-        if not lead[len(lead) // 2].any():  # a slab symmetric about the origin: drop its middle
-            columns = [np.delete(c, len(last) // 2) for c in columns]
-        for j, c in enumerate(columns):
-            out[pos : pos + len(c), j] = c
-        pos += len(columns[-1])
+        take = min(len(last), count - pos)
+        for j, column in enumerate([np.repeat(c, runs) for c in lead.T] + [last]):
+            out[pos : pos + take, j] = column[:take]
+        pos += take
+        if pos == count:
+            break
     return out
 
 
@@ -329,15 +303,11 @@ def _shared_grid(
             f"grid for (L={geom.L}, omega_c={geom.omega_c}) needs {count} modes, "
             f"exceeding the budget of {max_modes}"
         )
-    if radial:
-        m2, counts = _radial_counts(slabs, m2max)
-        weight, n = counts.astype(np.float64), None
-    else:
-        n = _dense_vectors(slabs, count)
-        m2 = np.einsum("ij,ij->i", n, n)
-        weight = np.broadcast_to(1.0, count)
+    m2, counts = _radial_counts(slabs, m2max)
     k = (2.0 * math.pi / geom.L) * np.sqrt(m2.astype(np.float64))
-    grid = ModeGrid(D=geom.D, L=geom.L, omega=k**z_exp, u2=k ** (2.0 * s_exp), weight=weight, n=n)
+    n = None if radial else _dense_vectors(slabs, count // 2)
+    grid = ModeGrid(D=geom.D, L=geom.L, omega=k**z_exp, u2=k ** (2.0 * s_exp),
+                    weight=counts.astype(np.float64), n=n)
     for array in (grid.omega, grid.u2, grid.weight, grid.n):
         if array is not None:
             array.flags.writeable = False
@@ -347,7 +317,7 @@ def _shared_grid(
 def build_mode_grid(
     geom: BathGeometry, ch: BathChannel, max_modes: int = DEFAULT_MODE_BUDGET
 ) -> ModeGrid:
-    """Dense grid: every nonzero integer vector with omega(|k|) <= omega_c.
+    """Dense grid: the shell table of the modes with omega(|k|) <= omega_c, and one n per +-k pair.
 
     Channels with equal exponents get the same instance (see ModeGrid).
     """
@@ -357,7 +327,7 @@ def build_mode_grid(
 def build_radial_mode_grid(
     geom: BathGeometry, ch: BathChannel, max_modes: int = DEFAULT_MODE_BUDGET
 ) -> ModeGrid:
-    """Radially compressed grid: one record per |n|^2 value with multiplicity.
+    """Radial grid: the dense grid's shell table without the vectors.
 
     Shared like the dense grid (see ModeGrid).
     """
@@ -377,7 +347,7 @@ def _oscillating_sum(grid: ModeGrid, weights: np.ndarray, T: float, imag: bool =
     The real part is sum weights * (1 - cos omega T), the imaginary part
     -sum weights * sin omega T (skipped when imag is False).
     """
-    x = grid.shell_omega * T
+    x = grid.omega * T
     # einsum, not np.dot: a threaded BLAS dot keeps its idle threads spinning (~2x CPU)
     im = -float(np.einsum("i,i->", weights, np.sin(x))) if imag else 0.0
     re = float(np.einsum("i,i->", weights, np.subtract(1.0, np.cos(x, out=x), out=x)))
@@ -409,7 +379,7 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
 
     Symmetric under x <-> y; complex in general (the x = y imaginary part is
     -prefactor * sum (|u|^2/omega^2) sin(omega T)).  For x != y the sum runs
-    per +-k pair (see ModeGrid), so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.
+    over the +-k pairs of a dense grid, so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.
     """
     if T < 0:
         raise ValueError("time must be non-negative")
@@ -447,7 +417,7 @@ def _separations(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _phases(grid: ModeGrid, d: np.ndarray) -> np.ndarray:
     """k.d per +-k pair, d != 0: a multiply-add per nonzero d_j over column j of n."""
-    n, scale = grid.n[: grid.pair_count], (2.0 * math.pi / grid.L) * d
+    n, scale = grid._dense_n(), (2.0 * math.pi / grid.L) * d
     first, *rest = np.flatnonzero(d)
     phase = n[:, first] * scale[first]
     for j in rest:
@@ -461,10 +431,10 @@ def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
     The square is N + 2 sum_d m_d cos(k.d) over the distinct separations d
     of the pairs x < y (see _separations), which is real and exact for any
     positions; coincident pairs add the constant 2 m_0.  It is even in k,
-    so it is formed per +-k pair (the first pair_count records).
+    so one value stands for both modes of a pair.
     """
     seps, mult, _ = _separations(pos)
-    total = np.full(grid.pair_count, len(pos) + 2.0 * mult[0])
+    total = np.full(len(grid._dense_n()), len(pos) + 2.0 * mult[0])
     for d, m in zip(seps[1:], mult[1:]):
         phase = _phases(grid, d)
         total += np.multiply(np.cos(phase, out=phase), 2.0 * m, out=phase)

@@ -207,7 +207,7 @@ def mmax_single(
     saturating regime (requires the criterion to sit above the saturation
     value, checked when a grid is supplied), exp[c_cal * D_crit / lambda*^2]
     in the logarithmic regime, (c_cal * D_crit)^(z/zeta) * lambda*^(-2z/zeta)
-    / Delta in the power-law regime, and (2pi/L)^(zeta-2z) *
+    / Delta in the power-law regime, and (2pi/L)^((zeta-2z)/2) *
     sqrt(c_cal * D_crit) / (lambda* * Delta) in the strong-infrared regime;
     the result is floored to an integer.
 
@@ -242,7 +242,7 @@ def mmax_single(
         value = scaled ** (z / report.zeta) * lambda_star ** (-2.0 * z / report.zeta) / inputs.delta
         return _floor_steps(value)
     value = (
-        (2.0 * math.pi / geom.L) ** (report.zeta - 2.0 * z)
+        (2.0 * math.pi / geom.L) ** ((report.zeta - 2.0 * z) / 2.0)
         * math.sqrt(scaled)
         / (lambda_star * inputs.delta)
     )
@@ -334,8 +334,8 @@ def calibrate_c_cal(
         return math.log(m_num) * lambda_star**2 / inputs.d_crit
     if report.regime == Regime.SUB_OHMIC:
         return (m_num * inputs.delta) ** (report.zeta / z) * lambda_star**2 / inputs.d_crit
-    root = m_num * lambda_star * inputs.delta / (2.0 * math.pi / geom.L) ** (report.zeta - 2.0 * z)
-    return root**2 / inputs.d_crit
+    scale = (2.0 * math.pi / geom.L) ** ((report.zeta - 2.0 * z) / 2.0)
+    return (m_num * lambda_star * inputs.delta / scale) ** 2 / inputs.d_crit
 
 
 def mmax_multi(

@@ -34,18 +34,6 @@ from .coupling import AMatrix, a_matrix, enumerate_eta, lambda_star
 from .errors import QecBoundError
 from .pauli import ErrorClass, classify, paulis_of_weight, syndrome, verify_distance
 
-SUBCOMMANDS = (
-    "eta",
-    "code-check",
-    "lambda-star",
-    "gamma",
-    "distance",
-    "regimes",
-    "mmax",
-    "hs",
-    "sweep",
-)
-
 _SWEEP_TARGETS = ("lambda-star", "gamma", "distance", "mmax", "hs")
 
 

@@ -114,12 +114,11 @@ class AMatrix:
 def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
     """sum_k |u_k|^2 cos(k.(x_i - x_j)) for every site pair (i, j), no coupling scale.
 
-    Twice the sum over one record per +-k pair: one cos pass over half the
-    grid per distinct separation.  Radial and unmirrored grids raise.
+    Twice the sum over the +-k pairs of a dense grid: one cos pass per
+    distinct separation.  Radial and malformed grids raise (see ModeGrid).
     """
-    h = grid.pair_count
+    w = 2.0 * grid.u2[grid.shell_index]
     seps, _, index = _separations(positions)
-    w = 2.0 * grid.u2[:h] * grid.weight[:h]
     sums = [np.sum(w)] + [np.einsum("i,i->", w, np.cos(_phases(grid, d))) for d in seps[1:]]
     return np.array(sums)[index]  # separation 0 is the on-site sum
 
@@ -128,8 +127,8 @@ def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: f
     """Pair-amplitude matrix for one logical qubit's physical sites.
 
     Each distinct site separation d (d and -d folded, d = 0 the on-site sum)
-    costs one cos pass over one record per +-k pair; a grid that is not
-    mirrored raises ArithmeticError on every call.  The sums depend on the
+    costs one cos pass over the +-k pairs; a malformed hand-built grid
+    raises ArithmeticError on every call.  The sums depend on the
     grid and the offsets alone, so they are memoized on the grid and only
     the (lambda * Delta)^2 scale is applied per call.
     """

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -33,3 +34,13 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     for q in range(p.n):
         out = np.kron(out, _MATS[p.letter(q)])
     return out
+
+
+def grid_modes(grid, ch):
+    """(k, omega, |u|^2) of every mode of a dense grid, rebuilt from the stored n and -n.
+
+    omega and |u|^2 come from |k| and the channel exponents, not from the grid's shell table.
+    """
+    n = np.concatenate([grid.n, -grid.n])
+    norm = (2.0 * math.pi / grid.L) * np.sqrt(np.einsum("ij,ij->i", n, n).astype(float))
+    return (2.0 * math.pi / grid.L) * n, norm**ch.z_exp, norm ** (2.0 * ch.s_exp)

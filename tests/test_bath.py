@@ -30,6 +30,8 @@ from qecbound import (
 )
 from qecbound import bath
 
+from conftest import grid_modes
+
 
 def _ch(z=1.0, s=0.0, lam=1e-3, axis="z"):
     return BathChannel(axis=axis, z_exp=z, s_exp=s, lam=lam)
@@ -40,7 +42,7 @@ class TestGridConstruction:
         geom = BathGeometry(D=1, L=2 * math.pi, omega_c=1.0)
         grid = build_mode_grid(geom, _ch())
         assert grid.mode_count == 2
-        assert sorted(grid.n[:, 0].tolist()) == [-1, 1]
+        assert sorted(np.concatenate([grid.n, -grid.n])[:, 0].tolist()) == [-1, 1]
         assert np.allclose(grid.omega, 1.0)
 
     def test_1d_count(self):
@@ -53,10 +55,12 @@ class TestGridConstruction:
         for _ in range(5):
             D = rng.choice([1, 2, 3])
             geom = BathGeometry(D=D, L=rng.uniform(10, 30), omega_c=rng.uniform(0.8, 2.0))
-            grid = build_mode_grid(geom, _ch(z=rng.uniform(0.5, 2.0)))
-            vectors = {tuple(v) for v in grid.n.tolist()}
-            assert vectors == {tuple(-c for c in v) for v in vectors}
-            assert (0,) * D not in vectors
+            ch = _ch(z=rng.uniform(0.5, 2.0))
+            grid = build_mode_grid(geom, ch)
+            vectors = {tuple(v) for v in np.concatenate([grid.n, -grid.n]).tolist()}
+            ball = _pencil_vectors(D, bath._lattice_extent(geom, ch.z_exp))
+            assert len(vectors) == 2 * len(grid.n) == len(ball)
+            assert vectors == {tuple(v) for v in ball.tolist()}
 
     def test_cutoff_respected(self):
         geom = BathGeometry(D=2, L=25.0, omega_c=1.3)
@@ -83,7 +87,8 @@ class TestGridConstruction:
             radial = build_radial_mode_grid(geom, ch)
             assert radial.is_radial and not dense.is_radial
             assert radial.mode_count == dense.mode_count
-            assert radial.stored_count < dense.stored_count
+            # D = 1 stores one record per shell either way
+            assert radial.stored_count <= dense.stored_count
             for T in (0.0, 3.7, 50.0):
                 assert gamma(radial, 0.1, T) == pytest.approx(
                     gamma(dense, 0.1, T), rel=1e-12, abs=1e-300
@@ -97,14 +102,27 @@ class TestGridConstruction:
         for n in (1, 2, 5, 11):
             for m2max in (n * n, n * n + 1, n * n + n):
                 want = _pencil_vectors(D, m2max)
-                got = bath._dense_vectors(list(bath._slabs(D, m2max)), len(want))
-                assert np.array_equal(got, want)
+                got = bath._dense_vectors(list(bath._slabs(D, m2max)), len(want) // 2)
+                assert np.array_equal(got, want[: len(want) // 2])
 
     def test_radial_refuses_positions(self):
         geom = BathGeometry(D=1, L=30.0, omega_c=1.0)
         grid = build_radial_mode_grid(geom, _ch())
         with pytest.raises(CapabilityError, match="dense"):
             w_pair(grid, [1.0], [0.0], 1.0)
+
+    def test_radial_refuses_every_position_sum(self):
+        geom = BathGeometry(D=2, L=30.0, omega_c=1.0)
+        grid = build_radial_mode_grid(geom, _ch())
+        register = regular_layout(2, Xi=3.0, D_x=1, xi=0.5)
+        for call in (
+            lambda: w_pair(grid, [1.0, 0.0], [0.0, 0.0], 1.0),
+            lambda: w_sum(grid, register.padded_logical_positions(2), 1.0),
+            lambda: w_sum(grid, np.zeros((1, 2)), 1.0),  # one site: no separation to form
+            lambda: a_matrix(grid, register, _ch(), delta=1.0),
+        ):
+            with pytest.raises(CapabilityError, match="dense"):
+                call()
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -294,23 +312,22 @@ class TestWSum:
 # -- per-mode references for the shell kernel ---------------------------------
 
 
-def _per_mode_sum(grid, factor, T):
-    """sum over modes of damping * factor * (1 - e^{i omega T}), no prefactor."""
-    damping = grid.weight * grid.u2 / (grid.omega * grid.omega)
-    return np.sum(damping * factor * (1.0 - np.exp(1j * grid.omega * T)))
+def _per_mode_sum(grid, ch, d, T):
+    """sum over modes of |u|^2/omega^2 e^{-i k.d} (1 - e^{i omega T}), no prefactor."""
+    k, omega, u2 = grid_modes(grid, ch)
+    return np.sum(u2 / (omega * omega) * np.exp(-1j * (k @ d)) * (1.0 - np.exp(1j * omega * T)))
 
 
-def _ref_gamma(grid, lam, T):
-    return grid.prefactor * lam**2 * _per_mode_sum(grid, 1.0, T).real
+def _ref_gamma(grid, ch, lam, T):
+    return grid.prefactor * lam**2 * _per_mode_sum(grid, ch, np.zeros(grid.D), T).real
 
 
-def _ref_w_pair(grid, x, y, T):
-    phase = np.exp(-1j * (grid.k_vectors() @ (np.asarray(x) - np.asarray(y))))
-    return grid.prefactor * _per_mode_sum(grid, phase, T)
+def _ref_w_pair(grid, ch, x, y, T):
+    return grid.prefactor * _per_mode_sum(grid, ch, np.asarray(x) - np.asarray(y), T)
 
 
-def _ref_w_sum(grid, positions, T):
-    return sum(_ref_w_pair(grid, x, y, T) for x in positions for y in positions)
+def _ref_w_sum(grid, ch, positions, T):
+    return sum(_ref_w_pair(grid, ch, x, y, T) for x in positions for y in positions)
 
 
 def _assert_close(got, ref):
@@ -339,10 +356,13 @@ _SHELL_CASES = [
 ]
 
 
+_SHELL_CH = _ch(s=0.25)
+
+
 @pytest.fixture(scope="module", params=_SHELL_CASES, ids=lambda case: f"D{case[0]}")
 def shell_case(request):
     _, geom = request.param
-    grid = build_mode_grid(geom, _ch(s=0.25))
+    grid = build_mode_grid(geom, _SHELL_CH)
     return geom, grid, (3.7, 2.5 * geom.L + 0.9)
 
 
@@ -351,15 +371,18 @@ class TestShellKernel:
         _, grid, _ = shell_case
         m2 = np.sum(grid.n * grid.n, axis=1)
         order = np.unique(m2)
-        assert len(grid.shell_omega) < grid.stored_count
+        assert len(grid.omega) == len(order) < grid.mode_count
         assert np.array_equal(order[grid.shell_index], m2)
-        assert np.array_equal(grid.shell_omega[grid.shell_index], grid.omega)
+        assert np.array_equal(grid.weight, 2 * np.bincount(grid.shell_index))
+        k = (2.0 * math.pi / grid.L) * np.sqrt(order.astype(float))
+        np.testing.assert_allclose(grid.omega, k**_SHELL_CH.z_exp, rtol=1e-15)
+        np.testing.assert_allclose(grid.u2, k ** (2.0 * _SHELL_CH.s_exp), rtol=1e-15)
 
     def test_gamma(self, shell_case):
         _, grid, times = shell_case
         assert gamma(grid, 0.03, 0.0) == 0.0
         for T in times:
-            _assert_close(gamma(grid, 0.03, T), _ref_gamma(grid, 0.03, T))
+            _assert_close(gamma(grid, 0.03, T), _ref_gamma(grid, _SHELL_CH, 0.03, T))
 
     def test_static_sum(self, shell_case):
         _, grid, _ = shell_case
@@ -374,7 +397,7 @@ class TestShellKernel:
         for a, b in ((x, y), (x, x)):
             assert w_pair(grid, a, b, 0.0) == 0j
             for T in times:
-                _assert_close(w_pair(grid, a, b, T), _ref_w_pair(grid, a, b, T))
+                _assert_close(w_pair(grid, a, b, T), _ref_w_pair(grid, _SHELL_CH, a, b, T))
 
     def test_w_sum(self, shell_case):
         geom, grid, times = shell_case
@@ -386,16 +409,16 @@ class TestShellKernel:
         for positions in position_sets:
             assert w_sum(grid, positions, 0.0) == 0j
             for T in times:
-                _assert_close(w_sum(grid, positions, T), _ref_w_sum(grid, positions, T))
+                _assert_close(w_sum(grid, positions, T), _ref_w_sum(grid, _SHELL_CH, positions, T))
 
     def test_radial_grid_holds_the_dense_shells(self):
-        ch = _ch(s=0.25)
         for _, geom in _SHELL_CASES:
-            dense = build_mode_grid(geom, ch)
-            radial = build_radial_mode_grid(geom, ch)
+            dense = build_mode_grid(geom, _SHELL_CH)
+            radial = build_radial_mode_grid(geom, _SHELL_CH)
             assert radial.mode_count == dense.mode_count
-            assert np.array_equal(radial.omega, dense.shell_omega)
-            assert np.array_equal(radial.weight, np.bincount(dense.shell_index))
+            for array in ("omega", "u2", "weight"):
+                assert np.array_equal(getattr(radial, array), getattr(dense, array))
+            assert np.array_equal(radial.weight, 2 * np.bincount(dense.shell_index))
             assert np.array_equal(radial.shell_damping, dense.shell_damping)
             for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
                 assert gamma(radial, 0.03, T) == gamma(dense, 0.03, T)
@@ -412,27 +435,28 @@ class TestShellKernel:
         assert peak < 1_000_000
 
 
-def _ref_a_matrix(grid, offsets, scale):
-    k, w = grid.k_vectors(), grid.u2 * grid.weight
+def _ref_a_matrix(grid, ch, offsets, scale):
+    k, _, u2 = grid_modes(grid, ch)
     return np.array(
-        [[scale * np.sum(w * np.exp(-1j * (k @ (a - b)))).real for b in offsets] for a in offsets]
+        [[scale * np.sum(u2 * np.exp(-1j * (k @ (a - b)))).real for b in offsets] for a in offsets]
     )
 
 
-def _unmirrored(grid, case):
-    """A copy of grid whose records are not in mirrored order."""
-    keep = {
-        "odd count": np.arange(grid.stored_count - 1),
-        "permuted": np.random.default_rng(5).permutation(grid.stored_count),  # still +-k closed
-        "unequal weights": np.arange(grid.stored_count),
-    }[case]
-    weight = np.arange(1.0, len(keep) + 1) if case == "unequal weights" else np.ones(len(keep))
-    return ModeGrid(D=grid.D, L=grid.L, omega=grid.omega[keep], u2=grid.u2[keep], weight=weight,
-                    n=grid.n[keep])
+def _malformed(grid, case):
+    """A hand-built copy of a dense grid that is not a +-k pair table."""
+    n, weight = np.array(grid.n), np.array(grid.weight)
+    if case == "both k and -k":  # a pair swapped for the partner of another in its shell
+        same = np.flatnonzero(grid.shell_index == grid.shell_index[0])
+        n[same[1]] = -n[same[0]]
+    elif case == "pair dropped":
+        n = n[1:]
+    else:
+        weight[0] += 2.0
+    return ModeGrid(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, n=n)
 
 
 class TestPlusMinusFold:
-    """Position sums run over one record per +-k pair; check them against the full grid."""
+    """Position sums run over one vector per +-k pair; check them against every mode."""
 
     @pytest.mark.parametrize("D_x", [1, 2])
     def test_zero_components_match_full_grid(self, D_x):
@@ -443,26 +467,41 @@ class TestPlusMinusFold:
         positions = register.padded_logical_positions(3)
         assert not positions[:, D_x:].any()  # every separation has zero components
         for T in (3.7, 2.5 * geom.L + 0.9):
-            _assert_close(w_sum(grid, positions, T), _ref_w_sum(grid, positions, T))
+            _assert_close(w_sum(grid, positions, T), _ref_w_sum(grid, ch, positions, T))
             x, y = positions[0], positions[-1]
-            _assert_close(w_pair(grid, x, y, T), _ref_w_pair(grid, x, y, T))
+            _assert_close(w_pair(grid, x, y, T), _ref_w_pair(grid, ch, x, y, T))
         offsets = register.padded_offsets(3)
-        ref = _ref_a_matrix(grid, offsets, (ch.lam * 1.5) ** 2)
+        ref = _ref_a_matrix(grid, ch, offsets, (ch.lam * 1.5) ** 2)
         got = a_matrix(grid, register, ch, delta=1.5).values
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * ref[0, 0])
 
-    @pytest.mark.parametrize("case", ["odd count", "permuted", "unequal weights"])
-    def test_unmirrored_grid_rejected_by_every_position_sum(self, case):
-        grid = _unmirrored(build_mode_grid(_SHELL_CASES[2][1], _ch(s=0.25)), case)
+    @pytest.mark.parametrize("case", ["both k and -k", "pair dropped", "wrong weight"])
+    def test_malformed_grid_rejected_by_every_position_sum(self, case):
+        grid = _malformed(build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH), case)
         register = regular_layout(2, Xi=7.0, D_x=1, xi=0.5)
         positions = register.padded_logical_positions(3)
         for _ in range(2):  # a failed check is not cached
-            with pytest.raises(ArithmeticError, match="mirrored"):
+            with pytest.raises(ArithmeticError, match="pair table"):
                 a_matrix(grid, register, _ch(), delta=1.0)
-            with pytest.raises(ArithmeticError, match="mirrored"):
+            with pytest.raises(ArithmeticError, match="pair table"):
                 w_sum(grid, positions, 1.0)
-            with pytest.raises(ArithmeticError, match="mirrored"):
+            with pytest.raises(ArithmeticError, match="pair table"):
                 w_pair(grid, positions[0], positions[1], 1.0)
+
+    def test_permuted_grid_gives_the_same_sums(self):
+        grid = build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH)
+        order = np.random.default_rng(5).permutation(grid.stored_count)
+        permuted = ModeGrid(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=grid.weight,
+                            n=grid.n[order])
+        register = regular_layout(4, Xi=7.0, D_x=2, xi=0.5)
+        positions = register.padded_logical_positions(3)
+        for T in (3.7, 2.5 * grid.L + 0.9):
+            _assert_close(w_sum(permuted, positions, T), w_sum(grid, positions, T))
+            x, y = positions[0], positions[-1]
+            _assert_close(w_pair(permuted, x, y, T), w_pair(grid, x, y, T))
+        want = a_matrix(grid, register, _SHELL_CH, delta=1.5).values
+        got = a_matrix(permuted, register, _SHELL_CH, delta=1.5).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want[0, 0])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -472,13 +511,13 @@ class TestPlusMinusFold:
         z=st.floats(0.5, 2.0),
         s=st.floats(-0.5, 0.8),
     )
-    def test_every_built_grid_is_mirrored(self, D, size, omega_c, z, s):
+    def test_every_built_grid_is_a_pair_table(self, D, size, omega_c, z, s):
         geom = BathGeometry(D=D, L=2 * math.pi * size, omega_c=omega_c)
         grid = build_mode_grid(geom, _ch(z=z, s=s))
-        assert grid.stored_count % 2 == 0 and grid.pair_count == grid.stored_count // 2
-        assert np.array_equal(grid.n[::-1], -grid.n)
-        for array in (grid.omega, grid.u2, grid.weight):
-            assert np.array_equal(array[::-1], array)
+        vectors = [tuple(v) for v in grid.n.tolist()]
+        assert all(next(c for c in v if c) < 0 for v in vectors)  # lexicographically negative
+        assert len(set(vectors)) == len(vectors)
+        assert np.array_equal(2 * np.bincount(grid.shell_index), grid.weight)
 
 
 class TestSeparations:

@@ -533,6 +533,30 @@ class TestFitSlope:
 
 
 class TestCalibration:
+    def test_strong_ir_c_cal_is_box_independent(self):
+        ch = _ch(s=-1.0)
+        values = []
+        for size in (250, 1000, 4000):
+            geom = BathGeometry(D=1, L=2 * math.pi * size, omega_c=1.0)
+            rep = zeta_and_regime(ch, geom, SumKind.SINGLE_DEPHASING)
+            assert rep.regime == Regime.STRONG_IR
+            grid = build_radial_mode_grid(geom, ch)
+            values.append(calibrate_c_cal(rep, _inputs(), 8.8e-5, geom, grid))
+        assert max(values) < 1.5 * min(values)
+
+    @pytest.mark.parametrize(
+        "s, lams", [(0.5, (0.05, 0.037)), (0.0, (1.3e-3, 4.1e-4)), (-1.0, (1e-5, 3.3e-6))],
+        ids=["ohmic", "sub_ohmic", "strong_ir"],
+    )
+    def test_asymptotic_bound_inverts_the_growth_law(self, s, lams):
+        rep = zeta_and_regime(_ch(s=s), GEOM_1D, SumKind.SINGLE_DEPHASING)
+        inputs = _inputs()  # c_cal = 1
+        for lam in lams:
+            m = mmax_single(rep, inputs, lam, GEOM_1D)
+            assert m >= 1
+            at, past = (gamma_asymptotic(rep, inputs, lam, GEOM_1D, k) for k in (m, m + 1))
+            assert at <= inputs.d_crit < past
+
     def test_super_ohmic_passthrough(self):
         geom = BathGeometry(D=3, L=40 * math.pi, omega_c=1.0)
         grid = build_radial_mode_grid(geom, _ch())

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,12 @@ class TestOutputs:
         assert main(["--config", str(config), "--out", str(tmp_path), "lambda-star"]) == 0
         rows = _data_rows(_read(tmp_path / "lambda-star.csv"))
         assert [r.split(",")[0] for r in rows] == ["x", "z"]
+
+    def test_example_config_runs(self, tmp_path):
+        config = Path(__file__).resolve().parents[1] / "docs" / "example-config.yaml"
+        for command in ("lambda-star", "regimes", "mmax"):
+            assert main(["--config", str(config), "--out", str(tmp_path), command]) == 0
+            assert _data_rows(_read(tmp_path / f"{command}.csv"))
 
 
 class TestSweep:

@@ -26,6 +26,8 @@ from qecbound import (
 )
 from qecbound import coupling
 
+from conftest import grid_modes
+
 # Index sets in the documented generator convention (j < k normalized).
 XZ_TRIPLES = {(3, 2, 4), (4, 3, 5), (5, 1, 4), (1, 2, 5), (2, 1, 3)}
 ZX_TRIPLES = {(1, 3, 4), (4, 1, 2), (2, 4, 5), (5, 2, 3), (3, 1, 5)}
@@ -132,7 +134,7 @@ class TestAMatrix:
         _, ch, grid = small_grid
         layout = regular_layout(1, Xi=100.0, D_x=1, xi=0.0, n_physical=3)
         a = a_matrix(grid, layout, ch, delta=1.0)
-        expected = (ch.lam * 1.0) ** 2 * float(np.sum(grid.u2))
+        expected = (ch.lam * 1.0) ** 2 * float(np.sum(grid_modes(grid, ch)[2]))
         assert a.values == pytest.approx(np.full((3, 3), expected))
 
     def test_zero_coupling(self, small_grid):
@@ -184,11 +186,11 @@ class TestAMatrix:
         ch = BathChannel(axis="x", z_exp=1.0, s_exp=0.25, lam=0.2)
         grid = build_mode_grid(geom, ch)
         delta = 1.5
-        k = grid.k_vectors()
+        k, _, u2 = grid_modes(grid, ch)
         pos = layout.padded_offsets(geom.D)
         ref = np.empty((5, 5))
         for i, j in itertools.product(range(5), repeat=2):
-            total = np.sum(grid.u2 * grid.weight * np.exp(-1j * (k @ (pos[i] - pos[j]))))
+            total = np.sum(u2 * np.exp(-1j * (k @ (pos[i] - pos[j]))))
             ref[i, j] = (ch.lam * delta) ** 2 * total.real
         a = a_matrix(grid, layout, ch, delta)
         np.testing.assert_allclose(a.values, ref, rtol=1e-12, atol=1e-12 * ref[0, 0])
@@ -215,18 +217,16 @@ class TestAMatrix:
         geom, ch, grid = small_grid
         from qecbound import ModeGrid
 
-        lopsided = ModeGrid(
-            D=1,
-            L=geom.L,
-            omega=grid.omega[:1],
-            u2=grid.u2[:1],
-            weight=grid.weight[:1],
-            n=grid.n[:1],
-        )
+        both = np.concatenate([grid.n, -grid.n[:1]])  # holds k and -k
+        malformed = [
+            ModeGrid(D=1, L=geom.L, omega=grid.omega, u2=grid.u2, weight=grid.weight, n=n)
+            for n in (both, grid.n[1:])  # the second's pair counts disagree with weight
+        ]
         layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
-        for _ in range(2):  # a failed check is not memoized
-            with pytest.raises(ArithmeticError, match="mirrored"):
-                a_matrix(lopsided, layout, ch, delta=1.0)
+        for lopsided in malformed:
+            for _ in range(2):  # a failed check is not memoized
+                with pytest.raises(ArithmeticError, match="pair table"):
+                    a_matrix(lopsided, layout, ch, delta=1.0)
 
     def test_empty_grid_rejected(self, small_grid):
         geom, ch, grid = small_grid
