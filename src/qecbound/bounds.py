@@ -5,15 +5,16 @@ exponent zeta built from the channel exponents and the relevant spatial
 dimension.  Sign and size of zeta against a boundary (twice the dynamical
 exponent for single-qubit dephasing, the dynamical exponent itself for the
 pair-correlation sums) select one of four regimes: saturating, logarithmic,
-power-law growth, or strong-infrared growth set by the bath size.  Each
-regime comes with a closed-form growth law and a matching bound M_max on the
-number of correction periods before a trace-distance criterion is violated.
+power-law growth, or strong-infrared growth set by the bath size.  One
+table, _growth_law, holds each regime's long-time law (the infinite-volume
+laws of Novais, Mucciolo & Baranger, PRA 78, 012314 (2008)); the asymptotic
+sums evaluate it, and _steps_to inverts it into the asymptotic bounds M_max.
 
-Asymptotic formulas carry dimensionless order-one prefactors that the theory
-does not fix; they enter here as calibration constants (c_cal for the
-single-qubit bound, b_cal for the multi-qubit one) multiplying the distance
-criterion, so that setting them to 1 reproduces the bare formulas and a
-one-point fit against the numerically exact sums pins them down.
+The laws carry order-one prefactors that the theory does not fix; they enter
+as calibration constants (c_cal for the single-qubit bound, b_cal for the
+register bound) scaling the distance criterion: the single-qubit bound
+solves lambda*^2 law(M) = c_cal * D_crit.  At 1 they give the bare laws, and
+calibrate_c_cal fits c_cal against the numerically exact sums at one point.
 """
 
 from __future__ import annotations
@@ -128,6 +129,46 @@ def _require_kind(report: RegimeReport, *kinds: SumKind) -> None:
         )
 
 
+def _growth_law(
+    report: RegimeReport, geom: BathGeometry, delta: float
+) -> tuple[float, float | None]:
+    """Unit-prefactor long-time law (A, p): A * M**p, or A * ln M when p is None.
+
+    Saturating (Delta^(-zeta/z), 0); logarithmic (1, None); power law
+    (Delta^(zeta/z), zeta/z); strong IR (Delta^(b/z) (L/2pi)^(zeta-b), b/z),
+    b the regime boundary.  b = 2z gives the dephasing law, b = z the pair-sum law.
+    """
+    z = report.z_exp
+    if report.regime == Regime.SUPER_OHMIC:
+        return delta ** (-report.zeta / z), 0.0
+    if report.regime == Regime.OHMIC:
+        return 1.0, None
+    if report.regime == Regime.SUB_OHMIC:
+        return delta ** (report.zeta / z), report.zeta / z
+    b = report.boundary
+    return delta ** (b / z) * (geom.L / (2.0 * math.pi)) ** (report.zeta - b), b / z
+
+
+def _law(report: RegimeReport, geom: BathGeometry, delta: float, M: int) -> float:
+    """The growth law of _growth_law evaluated after M >= 1 periods."""
+    if M < 1:
+        raise ValueError("step count must be at least 1")
+    A, p = _growth_law(report, geom, delta)
+    return A * (math.log(M) if p is None else M**p)
+
+
+def _steps_to(report: RegimeReport, geom: BathGeometry, delta: float, target: float) -> int | float:
+    """Largest M with the growth law at or below target; inf if it never gets there."""
+    A, p = _growth_law(report, geom, delta)
+    if p == 0.0:
+        return math.inf
+    try:  # an M past float range (1/p is huge near Ohmic) is never reached
+        steps = math.exp(target / A) if p is None else (target / A) ** (1.0 / p)
+        return max(0, math.floor(steps))
+    except OverflowError:
+        return math.inf
+
+
 def gamma_asymptotic(
     report: RegimeReport,
     inputs: BoundInput,
@@ -137,26 +178,12 @@ def gamma_asymptotic(
 ) -> float:
     """Long-time growth law of the dephasing function after M periods.
 
-    Saturating regime: lambda*^2 * Delta^(-zeta/z); logarithmic:
-    lambda*^2 * ln M; power law: lambda*^2 * (Delta*M)^(zeta/z); strong
-    infrared: (lambda* * Delta)^2 * (L/2pi)^(zeta-2z) * M^2.  The calibration
-    constant c_cal multiplies the result.
+    lambda*^2 times the dephasing law of _growth_law, divided by c_cal: the
+    bound solves law(M) = c_cal * D_crit / lambda*^2, so a calibrated curve
+    crosses D_crit at the calibrated asymptotic M_max.
     """
     _require_kind(report, SumKind.SINGLE_DEPHASING)
-    if M < 1:
-        raise ValueError("step count must be at least 1")
-    z = report.z_exp
-    lam2 = lambda_star**2
-    delta = inputs.delta
-    if report.regime == Regime.SUPER_OHMIC:
-        value = lam2 * delta ** (-report.zeta / z)
-    elif report.regime == Regime.OHMIC:
-        value = lam2 * math.log(M)
-    elif report.regime == Regime.SUB_OHMIC:
-        value = lam2 * (delta * M) ** (report.zeta / z)
-    else:
-        value = lam2 * delta**2 * (geom.L / (2.0 * math.pi)) ** (report.zeta - 2.0 * z) * M**2
-    return inputs.c_cal * value
+    return lambda_star**2 * _law(report, geom, inputs.delta, M) / inputs.c_cal
 
 
 def w_sum_asymptotic(
@@ -164,16 +191,7 @@ def w_sum_asymptotic(
 ) -> float:
     """Growth law of |sum over qubit pairs of W| after M periods (unit prefactor)."""
     _require_kind(report, SumKind.W_SELF, SumKind.W_CORRELATED)
-    if M < 1:
-        raise ValueError("step count must be at least 1")
-    z = report.z_exp
-    if report.regime == Regime.SUPER_OHMIC:
-        return N * delta ** (-report.zeta / z)
-    if report.regime == Regime.OHMIC:
-        return N * math.log(M)
-    if report.regime == Regime.SUB_OHMIC:
-        return N * (delta * M) ** (report.zeta / z)
-    return N * delta * (geom.L / (2.0 * math.pi)) ** (report.zeta - z) * M
+    return N * _law(report, geom, delta, M)
 
 
 def d_sat(grid: ModeGrid, lambda_star: float, sigma_plus_abs: float) -> float:
@@ -187,12 +205,6 @@ def d_sat(grid: ModeGrid, lambda_star: float, sigma_plus_abs: float) -> float:
     return trace_distance_single(gamma_infinity(grid, lambda_star), sigma_plus_abs)
 
 
-def _floor_steps(value: float) -> int | float:
-    if math.isinf(value):
-        return math.inf
-    return max(0, math.floor(value))
-
-
 def mmax_single(
     report: RegimeReport,
     inputs: BoundInput,
@@ -203,13 +215,11 @@ def mmax_single(
 ) -> int | float:
     """Largest number of correction periods an isolated logical qubit survives.
 
-    Asymptotic mode inverts the growth law case by case: infinite in the
-    saturating regime (requires the criterion to sit above the saturation
-    value, checked when a grid is supplied), exp[c_cal * D_crit / lambda*^2]
-    in the logarithmic regime, (c_cal * D_crit)^(z/zeta) * lambda*^(-2z/zeta)
-    / Delta in the power-law regime, and (2pi/L)^((zeta-2z)/2) *
-    sqrt(c_cal * D_crit) / (lambda* * Delta) in the strong-infrared regime;
-    the result is floored to an integer.
+    Asymptotic mode returns the largest M whose dephasing law (_growth_law)
+    stays at or below c_cal * D_crit / lambda*^2: infinite in the saturating
+    regime, where it requires the criterion to sit above the saturation
+    value (checked when a grid is supplied), and whenever the law cannot
+    reach the target in floating point.
 
     Numeric mode doubles and then bisects M on the exact sums of the
     supplied grid, and returns M - 1 for an M whose trace distance exceeds
@@ -224,29 +234,14 @@ def mmax_single(
     if mode == "numeric":
         return _mmax_single_numeric(inputs, lambda_star, grid)
 
-    z = report.z_exp
-    scaled = inputs.c_cal * inputs.d_crit
-    if report.regime == Regime.SUPER_OHMIC:
-        if grid is not None and d_sat(grid, lambda_star, inputs.sigma_plus_abs) >= inputs.d_crit:
+    if report.regime == Regime.SUPER_OHMIC and grid is not None:
+        if d_sat(grid, lambda_star, inputs.sigma_plus_abs) >= inputs.d_crit:
             raise ValueError(
                 "saturating regime with criterion at or below the saturation value; "
                 "the asymptotic bound does not apply"
             )
-        return math.inf
-    if report.regime == Regime.OHMIC:
-        try:
-            return _floor_steps(math.exp(scaled / lambda_star**2))
-        except OverflowError:
-            return math.inf
-    if report.regime == Regime.SUB_OHMIC:
-        value = scaled ** (z / report.zeta) * lambda_star ** (-2.0 * z / report.zeta) / inputs.delta
-        return _floor_steps(value)
-    value = (
-        (2.0 * math.pi / geom.L) ** ((report.zeta - 2.0 * z) / 2.0)
-        * math.sqrt(scaled)
-        / (lambda_star * inputs.delta)
-    )
-    return _floor_steps(value)
+    target = inputs.c_cal * inputs.d_crit / lambda_star**2
+    return _steps_to(report, geom, inputs.delta, target)
 
 
 def _mmax_single_numeric(
@@ -320,22 +315,17 @@ def calibrate_c_cal(
 ) -> float:
     """One-point calibration: the c_cal making the asymptotic bound match numerics.
 
-    Solves the matching regime case of the asymptotic formula for c_cal at
-    the numerically exact M_max.  In the saturating regime both routes are
-    infinite and c_cal is returned unchanged.
+    The bound solves law(M) = c_cal * D_crit / lambda*^2, so at the
+    numerically exact M_max c_cal = lambda*^2 * law(M_max) / D_crit.  In the
+    saturating regime both routes are infinite and c_cal is returned
+    unchanged.
     """
     if report.regime == Regime.SUPER_OHMIC:
         return inputs.c_cal
     m_num = _mmax_single_numeric(inputs, lambda_star, grid)
     if not m_num or math.isinf(m_num):
         raise ValueError(f"numeric bound {m_num} cannot calibrate the asymptotic formula")
-    z = report.z_exp
-    if report.regime == Regime.OHMIC:
-        return math.log(m_num) * lambda_star**2 / inputs.d_crit
-    if report.regime == Regime.SUB_OHMIC:
-        return (m_num * inputs.delta) ** (report.zeta / z) * lambda_star**2 / inputs.d_crit
-    scale = (2.0 * math.pi / geom.L) ** ((report.zeta - 2.0 * z) / 2.0)
-    return (m_num * lambda_star * inputs.delta / scale) ** 2 / inputs.d_crit
+    return lambda_star**2 * _law(report, geom, inputs.delta, m_num) / inputs.d_crit
 
 
 def mmax_multi(
@@ -346,30 +336,18 @@ def mmax_multi(
 ) -> int | float:
     """Bound on the step count from one channel of an N-qubit register.
 
-    Case by case: infinite (saturating); exp[b_cal * D_crit / (N lambda*)]
-    (logarithmic); Delta^-1 * [b_cal * D_crit / (N lambda*)]^(z/zeta)
-    (power law); (2pi/L)^(zeta-z) * b_cal * D_crit / (N lambda* Delta)
-    (strong infrared).  Floored to an integer.  The overall register bound
-    is the minimum over channels.
+    The largest M whose pair-sum law (_growth_law) stays at or below
+    b_cal * D_crit / (N lambda*): infinite in the saturating regime and
+    whenever the law cannot reach the target in floating point.  The overall
+    register bound is the minimum over channels.
     """
     _require_kind(report, SumKind.W_SELF, SumKind.W_CORRELATED)
     if inputs.n_logical == 0:
         raise ConfigError("logical-qubit count N must be positive for the register bound")
     if lambda_star == 0.0:
         return math.inf
-    z = report.z_exp
-    scaled = inputs.b_cal * inputs.d_crit / (inputs.n_logical * lambda_star)
-    if report.regime == Regime.SUPER_OHMIC:
-        return math.inf
-    if report.regime == Regime.OHMIC:
-        try:
-            return _floor_steps(math.exp(scaled))
-        except OverflowError:
-            return math.inf
-    if report.regime == Regime.SUB_OHMIC:
-        return _floor_steps(scaled ** (z / report.zeta) / inputs.delta)
-    value = (2.0 * math.pi / geom.L) ** (report.zeta - z) * scaled / inputs.delta
-    return _floor_steps(value)
+    target = inputs.b_cal * inputs.d_crit / (inputs.n_logical * lambda_star)
+    return _steps_to(report, geom, inputs.delta, target)
 
 
 def _lam2_by_grid(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -141,10 +142,11 @@ class TestAsymptotics:
         assert two / one == pytest.approx(2.0 ** (rep.zeta / rep.z_exp))
 
     def test_calibration_prefactor(self):
+        # the bound solves law(M) = c_cal * D_crit, so the curve is law / c_cal
         rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
         base = gamma_asymptotic(rep, _inputs(), 1e-3, GEOM_1D, 100)
         scaled = gamma_asymptotic(rep, _inputs(c_cal=2.5), 1e-3, GEOM_1D, 100)
-        assert scaled == pytest.approx(2.5 * base)
+        assert scaled == pytest.approx(base / 2.5)
 
     def test_wrong_kind_rejected(self):
         rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.W_SELF)
@@ -158,8 +160,8 @@ class TestAsymptotics:
         rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
         lam = 1e-3
         fit_m = 100
-        c = gamma(grid, lam, float(fit_m)) / gamma_asymptotic(
-            rep, _inputs(), lam, GEOM_1D, fit_m
+        c = gamma_asymptotic(rep, _inputs(), lam, GEOM_1D, fit_m) / gamma(
+            grid, lam, float(fit_m)
         )
         inputs = _inputs(c_cal=c)
         predicted = gamma_asymptotic(rep, inputs, lam, GEOM_1D, 1000)
@@ -301,6 +303,16 @@ class TestMmaxSingle:
             numeric = mmax_single(rep, _inputs(), lam, geom, mode="numeric", grid=grid)
             asym = mmax_single(rep, _inputs(c_cal=c), lam, geom)
             assert 0.5 <= (numeric + 1) / (asym + 1) <= 2.0
+
+    def test_near_ohmic_asymptotic_bounds_are_infinite(self):
+        # zeta = 1e-9: the inverse power z/zeta overflows, so the law never reaches the criterion
+        single, pair = (
+            zeta_and_regime(_ch(s=0.4999999995), GEOM_1D, kind)
+            for kind in (SumKind.SINGLE_DEPHASING, SumKind.W_SELF)
+        )
+        assert single.regime == pair.regime == Regime.SUB_OHMIC
+        assert mmax_single(single, _inputs(), 1e-3, GEOM_1D) == math.inf
+        assert mmax_multi(pair, _inputs(), 1e-3, GEOM_1D) == math.inf
 
     def test_bad_mode(self):
         rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
@@ -545,17 +557,53 @@ class TestCalibration:
         assert max(values) < 1.5 * min(values)
 
     @pytest.mark.parametrize(
-        "s, lams", [(0.5, (0.05, 0.037)), (0.0, (1.3e-3, 4.1e-4)), (-1.0, (1e-5, 3.3e-6))],
-        ids=["ohmic", "sub_ohmic", "strong_ir"],
+        "kind, s, regime, lams",
+        [
+            (SumKind.SINGLE_DEPHASING, 0.5, Regime.OHMIC, (0.05, 0.037)),
+            (SumKind.SINGLE_DEPHASING, 0.0, Regime.SUB_OHMIC, (1.3e-3, 4.1e-4)),
+            (SumKind.SINGLE_DEPHASING, -1.0, Regime.STRONG_IR, (1e-5, 3.3e-6)),
+            (SumKind.W_SELF, 0.5, Regime.OHMIC, (5e-4, 3.7e-4)),
+            (SumKind.W_SELF, 0.25, Regime.SUB_OHMIC, (1.3e-4, 3e-4)),
+            (SumKind.W_SELF, -1.0, Regime.STRONG_IR, (1.3e-12, 3.3e-13)),
+            (SumKind.W_CORRELATED, 1.0, Regime.OHMIC, (5e-4, 3.7e-4)),
+            (SumKind.W_CORRELATED, 0.75, Regime.SUB_OHMIC, (1.3e-4, 3e-4)),
+            (SumKind.W_CORRELATED, 0.25, Regime.STRONG_IR, (3e-7, 1.1e-7)),
+        ],
+        ids=[
+            "ohmic",
+            "sub_ohmic",
+            "strong_ir",
+            "w_self-ohmic",
+            "w_self-sub_ohmic",
+            "w_self-strong_ir",
+            "w_correlated-ohmic",
+            "w_correlated-sub_ohmic",
+            "w_correlated-strong_ir",
+        ],
     )
-    def test_asymptotic_bound_inverts_the_growth_law(self, s, lams):
-        rep = zeta_and_regime(_ch(s=s), GEOM_1D, SumKind.SINGLE_DEPHASING)
-        inputs = _inputs()  # c_cal = 1
-        for lam in lams:
-            m = mmax_single(rep, inputs, lam, GEOM_1D)
-            assert m >= 1
-            at, past = (gamma_asymptotic(rep, inputs, lam, GEOM_1D, k) for k in (m, m + 1))
-            assert at <= inputs.d_crit < past
+    def test_asymptotic_bound_inverts_the_growth_law(self, kind, s, regime, lams):
+        # the bound is the last M whose law stays at or below the scaled criterion
+        rep = zeta_and_regime(_ch(s=s), GEOM_1D, kind, D_x=1)
+        assert rep.regime == regime
+        for cal, lam in itertools.product((1.0, 0.5, 2.0), lams):
+            if kind == SumKind.SINGLE_DEPHASING:
+                inputs = _inputs(c_cal=cal)
+                m = mmax_single(rep, inputs, lam, GEOM_1D)
+                target = inputs.d_crit
+
+                def law(k):
+                    return gamma_asymptotic(rep, inputs, lam, GEOM_1D, k)
+
+            else:
+                inputs = _inputs(n_logical=4, b_cal=cal)
+                m = mmax_multi(rep, inputs, lam, GEOM_1D)
+                target = cal * inputs.d_crit
+
+                def law(k):
+                    return lam * w_sum_asymptotic(rep, 4, GEOM_1D, inputs.delta, k)
+
+            assert m >= 1, (cal, lam)
+            assert law(m) <= target < law(m + 1), (cal, lam)
 
     def test_super_ohmic_passthrough(self):
         geom = BathGeometry(D=3, L=40 * math.pi, omega_c=1.0)
@@ -564,10 +612,12 @@ class TestCalibration:
         assert calibrate_c_cal(rep, _inputs(c_cal=1.7), 1e-3, geom, grid) == 1.7
 
     def test_calibration_reproduces_numeric_at_fit_point(self):
-        grid = build_mode_grid(GEOM_1D, _ch())
-        rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
-        lam = 1e-2
-        numeric = mmax_single(rep, _inputs(), lam, GEOM_1D, mode="numeric", grid=grid)
-        c = calibrate_c_cal(rep, _inputs(), lam, GEOM_1D, grid)
-        asym = mmax_single(rep, _inputs(c_cal=c), lam, GEOM_1D)
-        assert abs(asym - numeric) <= 1
+        # sub-Ohmic, Ohmic and strong-IR: the grids of the test_duality_* tests
+        for size, s, lam in ((5000, 0.0, 1e-2), (2000, 0.5, 0.03), (1000, -1.0, 8.8e-5)):
+            geom = BathGeometry(D=1, L=2 * math.pi * size, omega_c=1.0)
+            grid = build_mode_grid(geom, _ch(s=s))
+            rep = zeta_and_regime(_ch(s=s), geom, SumKind.SINGLE_DEPHASING)
+            numeric = mmax_single(rep, _inputs(), lam, geom, mode="numeric", grid=grid)
+            c = calibrate_c_cal(rep, _inputs(), lam, geom, grid)
+            asym = mmax_single(rep, _inputs(c_cal=c), lam, geom)
+            assert abs(asym - numeric) <= 1, rep.regime

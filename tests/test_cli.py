@@ -302,6 +302,21 @@ class TestErrorPaths:
         assert err.startswith("error: ") and "saturating regime" in err
         assert "Traceback" not in err
 
+    def test_near_ohmic_asymptotic_bound_is_infinite(self, tmp_path):
+        # zeta = 1e-9 for both channels: the inverse power overflows, the law never crosses
+        import yaml
+
+        channel = {"z_exp": 1.0, "s_exp": 0.4999999995}
+        tree = {
+            "bath": {"D": 1, "channels": [{"axis": "z", **channel}, {"axis": "x", **channel}]}
+        }
+        config = tmp_path / "near-ohmic.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        assert main(["--config", str(config), "--out", str(tmp_path), "mmax"]) == 0
+        rows = [row.split(",") for row in _data_rows(_read(tmp_path / "mmax.csv"))]
+        infinite = [row[-1] for row in rows if row[0] == "single" or row[2] == "w_self"]
+        assert infinite == ["inf"] * 3
+
     def test_code_check_fails_on_broken_code(self, tmp_path, capsys, monkeypatch):
         def broken():
             return StabilizerCode(
