@@ -337,16 +337,18 @@ def mmax_multi(
     """Bound on the step count from one channel of an N-qubit register.
 
     The largest M whose pair-sum law (_growth_law) stays at or below
-    b_cal * D_crit / (N lambda*): infinite in the saturating regime and
-    whenever the law cannot reach the target in floating point.  The overall
-    register bound is the minimum over channels.
+    b_cal * D_crit / (N |lambda*|): infinite in the saturating regime and
+    whenever the law cannot reach the target in floating point.  The
+    renormalized lambda* can be negative; only its size enters, as in the
+    lambda*^2 of the numeric bound.  The overall register bound is the
+    minimum over channels.
     """
     _require_kind(report, SumKind.W_SELF, SumKind.W_CORRELATED)
     if inputs.n_logical == 0:
         raise ConfigError("logical-qubit count N must be positive for the register bound")
     if lambda_star == 0.0:
         return math.inf
-    target = inputs.b_cal * inputs.d_crit / (inputs.n_logical * lambda_star)
+    target = inputs.b_cal * inputs.d_crit / (inputs.n_logical * abs(lambda_star))
     return _steps_to(report, geom, inputs.delta, target)
 
 

@@ -35,6 +35,9 @@ from .errors import QecBoundError
 from .pauli import ErrorClass, classify, paulis_of_weight, syndrome, verify_distance
 
 _SWEEP_TARGETS = ("lambda-star", "gamma", "distance", "mmax", "hs")
+# defaults of the optional flags: the parser shows them, and run_subcommand
+# puts them under the caller's flags, so every handler finds every flag
+_FLAG_DEFAULTS = {"t_max": 10.0, "steps": 50, "mode": "asymptotic", "points": 5}
 
 
 @dataclass
@@ -89,8 +92,8 @@ def _dephasing_axis(cfg: RunConfig) -> str:
 
 
 def _times(flags: Mapping[str, Any]) -> np.ndarray:
-    t_max = float(flags.get("t_max", 10.0))
-    steps = int(flags.get("steps", 50))
+    t_max = float(flags["t_max"])
+    steps = int(flags["steps"])
     if t_max < 0:
         raise QecBoundError("--t-max must be non-negative")
     if steps < 1:
@@ -256,7 +259,7 @@ def _run_regimes(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 
 
 def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
-    mode = str(flags.get("mode", "asymptotic"))
+    mode = str(flags["mode"])
     if mode not in ("asymptotic", "numeric"):
         raise QecBoundError(f"--mode must be 'numeric' or 'asymptotic', got {mode!r}")
     geom, channels, _, _, layout, grids, couplings = _pipeline(cfg)
@@ -338,7 +341,7 @@ def _run_sweep(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
     hi = flags.get("to")
     if lo is None or hi is None:
         raise QecBoundError("sweep requires --from and --to")
-    points = int(flags.get("points", 5))
+    points = int(flags["points"])
     if points < 2:
         raise QecBoundError("--points must be at least 2")
     values = np.linspace(float(lo), float(hi), points)
@@ -346,7 +349,7 @@ def _run_sweep(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
     rows: list[tuple] = []
     for value in values:
         sub_cfg = cfg.with_value(param, float(value))
-        outputs = run_subcommand(target, sub_cfg, dict(flags))
+        outputs = run_subcommand(target, sub_cfg, flags)
         summary = outputs[0].summary
         if columns is None:
             columns = ["param", "value"] + list(summary)
@@ -378,7 +381,7 @@ def run_subcommand(cmd: str, cfg: RunConfig, flags: Mapping[str, Any]) -> list[O
     """Execute one subcommand and return its outputs (no files written)."""
     if cmd not in _HANDLERS:
         raise QecBoundError(f"unknown subcommand {cmd!r}")
-    return _HANDLERS[cmd](cfg, flags)
+    return _HANDLERS[cmd](cfg, {**_FLAG_DEFAULTS, **flags})
 
 
 def write_output(out: Output, out_dir: Path, cfg: RunConfig) -> None:
@@ -415,23 +418,23 @@ def _build_parser() -> argparse.ArgumentParser:
         ("hs", "Hilbert-Schmidt bound series"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
-        p.add_argument("--steps", type=int, default=50)
+        p.add_argument("--t-max", dest="t_max", type=float, default=_FLAG_DEFAULTS["t_max"])
+        p.add_argument("--steps", type=int, default=_FLAG_DEFAULTS["steps"])
 
     sub.add_parser("regimes", help="zeta exponents and regime labels")
 
     p = sub.add_parser("mmax", help="bounds on the number of correction periods")
-    p.add_argument("--mode", choices=("numeric", "asymptotic"), default="asymptotic")
+    p.add_argument("--mode", choices=("numeric", "asymptotic"), default=_FLAG_DEFAULTS["mode"])
 
     p = sub.add_parser("sweep", help="vary one scalar config key and re-run a target")
     p.add_argument("--param", required=True, help="dotted config key, e.g. qec.Delta")
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", dest="to", type=float, required=True)
-    p.add_argument("--points", type=int, default=5)
+    p.add_argument("--points", type=int, default=_FLAG_DEFAULTS["points"])
     p.add_argument("--target", required=True, choices=_SWEEP_TARGETS)
-    p.add_argument("--mode", choices=("numeric", "asymptotic"), default="asymptotic")
-    p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--mode", choices=("numeric", "asymptotic"), default=_FLAG_DEFAULTS["mode"])
+    p.add_argument("--t-max", dest="t_max", type=float, default=_FLAG_DEFAULTS["t_max"])
+    p.add_argument("--steps", type=int, default=_FLAG_DEFAULTS["steps"])
 
     return parser
 

@@ -1,13 +1,16 @@
 """Run configuration: YAML loading, strict validation, defaults.
 
-Every validation failure names the offending key path (e.g.
-``bath.channels[0].lambda``); unknown keys are rejected.  Defaults are
-documented in docs/config.md.
+The tables ``_SCALARS`` and ``_CHANNEL_SCALARS`` are the schema: each row
+gives a key's ``RunConfig`` field, default, integer-ness, range check and
+the requirement its error states.  Validation, the canonical form (and so
+the config hash) and the known-key sets are all read from them; only the
+cross-key rules in ``from_dict`` are written out.  Every validation failure
+names the offending key path (e.g. ``bath.channels[0].lambda``); unknown
+keys are rejected.  Defaults are documented in docs/config.md.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import json
@@ -28,21 +31,49 @@ CODE_REGISTRY: dict[str, Callable[[], StabilizerCode]] = {
     "five_qubit": functools.cache(five_qubit_code),
 }
 
-_DEFAULT_CHANNELS = [
-    {"axis": "z", "z_exp": 1.0, "s_exp": 0.0, "lambda": 1.0e-3},
-    {"axis": "x", "z_exp": 1.0, "s_exp": 0.0, "lambda": 1.0e-4},
-]
 
-_SECTIONS = {
-    "bath": {"D", "L", "omega_c", "channels"},
-    "code": {"name"},
-    "layout": {"xi", "Xi", "D_x", "N"},
-    "qec": {"Delta"},
-    "criteria": {"D_crit", "sigma_plus_abs"},
-    "calibration": {"c_cal", "b_cal", "proportionality"},
-    "budget": {"max_modes"},
+def _positive(value: float) -> bool:
+    return value > 0
+
+
+# (RunConfig field, default, integer?, check, requirement stated on failure)
+_Row = tuple[str, Any, bool, Callable[[Any], bool], str]
+
+# dotted key -> row, in validation order.  The default None of bath.omega_c
+# stands for 1/qec.Delta, so qec.Delta comes first.
+_SCALARS: dict[str, _Row] = {
+    "qec.Delta": ("delta", 1.0, False, _positive, "must be positive"),
+    "bath.D": ("D", 1, True, lambda v: v in (1, 2, 3), "must be 1, 2 or 3"),
+    "bath.L": ("L", 400.0 * math.pi, False, _positive, "must be positive"),
+    "bath.omega_c": ("omega_c", None, False, _positive, "must be positive"),
+    "layout.xi": ("xi", 1.0, False, _positive, "must be positive"),
+    "layout.Xi": ("Xi", 100.0, False, _positive, "must be positive"),
+    "layout.D_x": ("D_x", 1, True, lambda v: v >= 0, "must be non-negative"),
+    "layout.N": ("n_logical", 1, True, lambda v: v >= 1, "must be at least 1"),
+    "criteria.D_crit": ("d_crit", 0.01, False, lambda v: 0.0 < v < 1.0,
+                        "must lie strictly between 0 and 1"),
+    "criteria.sigma_plus_abs": ("sigma_plus_abs", 0.5, False, lambda v: 0.0 <= v <= 0.5,
+                                "must lie in [0, 1/2]"),
+    "calibration.c_cal": ("c_cal", 1.0, False, _positive, "must be positive"),
+    "calibration.b_cal": ("b_cal", 1.0, False, _positive, "must be positive"),
+    "calibration.proportionality": ("proportionality", 1.0, False, _positive, "must be positive"),
+    "budget.max_modes": ("max_modes", 10_000_000, True, lambda v: v >= 1, "must be at least 1"),
 }
-_CHANNEL_KEYS = {"axis", "z_exp", "s_exp", "lambda"}
+# the same rows for the numeric keys of one bath.channels entry (BathChannel fields)
+_CHANNEL_SCALARS: dict[str, _Row] = {
+    "z_exp": ("z_exp", 1.0, False, _positive, "must be positive"),
+    "s_exp": ("s_exp", 0.0, False, lambda v: True, ""),  # any finite exponent
+    "lambda": ("lam", 1.0e-3, False, lambda v: v >= 0, "must be non-negative"),
+}
+
+# the table's channel defaults, with a weaker coupling on the transverse axis
+_DEFAULT_CHANNELS = [{"axis": "z"}, {"axis": "x", "lambda": 1.0e-4}]
+
+_SECTIONS: dict[str, set[str]] = {"bath": {"channels"}, "code": {"name"}}
+for _key in _SCALARS:
+    _section, _name = _key.split(".")
+    _SECTIONS.setdefault(_section, set()).add(_name)
+_CHANNEL_KEYS = {"axis", *_CHANNEL_SCALARS}
 
 
 def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
@@ -59,8 +90,7 @@ def _reject_unknown(data: Mapping[str, Any], allowed: set[str], prefix: str) -> 
             raise ConfigError(f"unknown key: {where}")
 
 
-def _number(data: Mapping[str, Any], key: str, path: str, default: float) -> float:
-    value = data.get(key, default)
+def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
     try:
@@ -72,11 +102,23 @@ def _number(data: Mapping[str, Any], key: str, path: str, default: float) -> flo
     return number
 
 
-def _integer(data: Mapping[str, Any], key: str, path: str, default: int) -> int:
-    value = data.get(key, default)
+def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer")
     return value
+
+
+def _read(rows: Mapping[str, _Row], data: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
+    """Read, type-check and range-check every row's key of data, by field name."""
+    values: dict[str, Any] = {}
+    for key, (field, default, integer, check, requirement) in rows.items():
+        if default is None:  # bath.omega_c
+            default = 1.0 / values["delta"]
+        value = (_integer if integer else _number)(data.get(key, default), prefix + key)
+        if not check(value):
+            raise ConfigError(f"{prefix}{key} {requirement}")
+        values[field] = value
+    return values
 
 
 @dataclass(frozen=True)
@@ -134,27 +176,16 @@ class RunConfig:
 
     def canonical_dict(self) -> dict[str, Any]:
         """Plain dict with all defaults resolved; basis of the config hash."""
-        return {
-            "bath": {
-                "D": self.D,
-                "L": self.L,
-                "omega_c": self.omega_c,
-                "channels": [
-                    {"axis": c.axis, "z_exp": c.z_exp, "s_exp": c.s_exp, "lambda": c.lam}
-                    for c in self.channels
-                ],
-            },
-            "code": {"name": self.code_name},
-            "layout": {"xi": self.xi, "Xi": self.Xi, "D_x": self.D_x, "N": self.n_logical},
-            "qec": {"Delta": self.delta},
-            "criteria": {"D_crit": self.d_crit, "sigma_plus_abs": self.sigma_plus_abs},
-            "calibration": {
-                "c_cal": self.c_cal,
-                "b_cal": self.b_cal,
-                "proportionality": self.proportionality,
-            },
-            "budget": {"max_modes": self.max_modes},
-        }
+        tree: dict[str, dict[str, Any]] = {section: {} for section in _SECTIONS}
+        for key, (field, *_) in _SCALARS.items():
+            section, name = key.split(".")
+            tree[section][name] = getattr(self, field)
+        tree["bath"]["channels"] = [
+            {"axis": c.axis, **{key: getattr(c, row[0]) for key, row in _CHANNEL_SCALARS.items()}}
+            for c in self.channels
+        ]
+        tree["code"]["name"] = self.code_name
+        return tree
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
@@ -166,29 +197,24 @@ class RunConfig:
         An integral float for an integer key (layout.N, bath.D, ...) becomes
         that integer; any other float for such a key is a ConfigError.
         """
-        tree = copy.deepcopy(self.canonical_dict())
-        parts = dotted_key.split(".")
+        tree = self.canonical_dict()  # a fresh tree on every call
+        *parents, leaf = dotted_key.split(".")
         node: Any = tree
         try:
-            for part in parts[:-1]:
+            for part in parents:
                 node = node[int(part)] if isinstance(node, list) else node[part]
-            leaf = parts[-1]
             if isinstance(node, list):
-                old = node[int(leaf)]
-            else:
-                old = node[leaf]
+                leaf = int(leaf)
+            old = node[leaf]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"sweep parameter {dotted_key} does not name a config key") from exc
         if isinstance(old, (dict, list)):
             raise ConfigError(f"sweep parameter {dotted_key} is not a scalar key")
-        if type(old) is int and isinstance(value, float):  # sweeps pass floats
+        if dotted_key in _SCALARS and _SCALARS[dotted_key][2] and isinstance(value, float):
             if not value.is_integer():
                 raise ConfigError(f"{dotted_key} must be an integer, got {value!r}")
             value = int(value)
-        if isinstance(node, list):
-            node[int(leaf)] = value
-        else:
-            node[leaf] = value
+        node[leaf] = value
         return from_dict(tree)
 
 
@@ -196,29 +222,16 @@ def from_dict(raw: Mapping[str, Any] | None) -> RunConfig:
     """Validate a configuration tree and fill defaults."""
     data = _require_mapping(raw, "<config>")
     _reject_unknown(data, set(_SECTIONS), "")
-    sections = {
-        name: _require_mapping(data.get(name), name) for name in _SECTIONS
-    }
+    sections = {name: _require_mapping(data.get(name), name) for name in _SECTIONS}
     for name, allowed in _SECTIONS.items():
         _reject_unknown(sections[name], allowed, f"{name}.")
 
-    qec = sections["qec"]
-    delta = _number(qec, "Delta", "qec.Delta", 1.0)
-    if delta <= 0:
-        raise ConfigError("qec.Delta must be positive")
+    flat = {f"{name}.{key}": value for name, body in sections.items() for key, value in body.items()}
+    values = _read(_SCALARS, flat)
+    if values["D_x"] > values["D"]:
+        raise ConfigError("layout.D_x exceeds bath.D")
 
-    bath = sections["bath"]
-    D = _integer(bath, "D", "bath.D", 1)
-    if D not in (1, 2, 3):
-        raise ConfigError("bath.D must be 1, 2 or 3")
-    L = _number(bath, "L", "bath.L", 400.0 * math.pi)
-    if L <= 0:
-        raise ConfigError("bath.L must be positive")
-    omega_c = _number(bath, "omega_c", "bath.omega_c", 1.0 / delta)
-    if omega_c <= 0:
-        raise ConfigError("bath.omega_c must be positive")
-
-    raw_channels = bath.get("channels", copy.deepcopy(_DEFAULT_CHANNELS))
+    raw_channels = sections["bath"].get("channels", _DEFAULT_CHANNELS)
     if not isinstance(raw_channels, list) or not raw_channels:
         raise ConfigError("bath.channels must be a non-empty list")
     if len(raw_channels) > 2:
@@ -231,85 +244,23 @@ def from_dict(raw: Mapping[str, Any] | None) -> RunConfig:
         axis = entry.get("axis")
         if axis not in ("x", "z"):
             raise ConfigError(f"{prefix}.axis must be 'x' or 'z'")
-        z_exp = _number(entry, "z_exp", f"{prefix}.z_exp", 1.0)
-        if z_exp <= 0:
-            raise ConfigError(f"{prefix}.z_exp must be positive")
-        s_exp = _number(entry, "s_exp", f"{prefix}.s_exp", 0.0)
-        lam = _number(entry, "lambda", f"{prefix}.lambda", 1.0e-3)
-        if lam < 0:
-            raise ConfigError(f"{prefix}.lambda must be non-negative")
-        if omega_c <= (2.0 * math.pi / L) ** z_exp:
+        channel = BathChannel(axis=axis, **_read(_CHANNEL_SCALARS, entry, prefix + "."))
+        if values["omega_c"] <= (2.0 * math.pi / values["L"]) ** channel.z_exp:
             raise ConfigError(
                 f"bath.omega_c must exceed the smallest mode frequency "
                 f"(2*pi/L)^z_exp for {prefix}"
             )
-        channels.append(BathChannel(axis=axis, z_exp=z_exp, s_exp=s_exp, lam=lam))
+        channels.append(channel)
     axes = [c.axis for c in channels]
     if len(set(axes)) != len(axes):
         raise ConfigError("bath.channels must contain at most one channel per axis")
 
-    code = sections["code"]
-    code_name = code.get("name", "five_qubit")
+    code_name = sections["code"].get("name", "five_qubit")
     if code_name not in CODE_REGISTRY:
         raise ConfigError(
             f"code.name must be one of {sorted(CODE_REGISTRY)}, got {code_name!r}"
         )
-
-    layout = sections["layout"]
-    xi = _number(layout, "xi", "layout.xi", 1.0)
-    if xi <= 0:
-        raise ConfigError("layout.xi must be positive")
-    Xi = _number(layout, "Xi", "layout.Xi", 100.0)
-    if Xi <= 0:
-        raise ConfigError("layout.Xi must be positive")
-    D_x = _integer(layout, "D_x", "layout.D_x", 1)
-    if D_x < 0:
-        raise ConfigError("layout.D_x must be non-negative")
-    if D_x > D:
-        raise ConfigError("layout.D_x exceeds bath.D")
-    n_logical = _integer(layout, "N", "layout.N", 1)
-    if n_logical < 1:
-        raise ConfigError("layout.N must be at least 1")
-
-    criteria = sections["criteria"]
-    d_crit = _number(criteria, "D_crit", "criteria.D_crit", 0.01)
-    if not 0.0 < d_crit < 1.0:
-        raise ConfigError("criteria.D_crit must lie strictly between 0 and 1")
-    sigma = _number(criteria, "sigma_plus_abs", "criteria.sigma_plus_abs", 0.5)
-    if not 0.0 <= sigma <= 0.5:
-        raise ConfigError("criteria.sigma_plus_abs must lie in [0, 1/2]")
-
-    cal = sections["calibration"]
-    c_cal = _number(cal, "c_cal", "calibration.c_cal", 1.0)
-    b_cal = _number(cal, "b_cal", "calibration.b_cal", 1.0)
-    proportionality = _number(cal, "proportionality", "calibration.proportionality", 1.0)
-    for name, value in (("c_cal", c_cal), ("b_cal", b_cal), ("proportionality", proportionality)):
-        if value <= 0:
-            raise ConfigError(f"calibration.{name} must be positive")
-
-    budget = sections["budget"]
-    max_modes = _integer(budget, "max_modes", "budget.max_modes", 10_000_000)
-    if max_modes < 1:
-        raise ConfigError("budget.max_modes must be at least 1")
-
-    return RunConfig(
-        D=D,
-        L=L,
-        omega_c=omega_c,
-        channels=tuple(channels),
-        code_name=code_name,
-        xi=xi,
-        Xi=Xi,
-        D_x=D_x,
-        n_logical=n_logical,
-        delta=delta,
-        d_crit=d_crit,
-        sigma_plus_abs=sigma,
-        c_cal=c_cal,
-        b_cal=b_cal,
-        proportionality=proportionality,
-        max_modes=max_modes,
-    )
+    return RunConfig(channels=tuple(channels), code_name=code_name, **values)
 
 
 def default_config() -> RunConfig:

@@ -150,7 +150,8 @@ class EffectiveCoupling:
 
     @property
     def max_value(self) -> float:
-        return max(self.lambda_star.values()) if self.lambda_star else 0.0
+        """Largest |lambda*| over the channels (lambda* can be negative)."""
+        return max(map(abs, self.lambda_star.values()), default=0.0)
 
 
 def lambda_star(

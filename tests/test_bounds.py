@@ -358,6 +358,18 @@ class TestMmaxMulti:
             ]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize(
+        "s, lam, regime",
+        [(0.5, 1e-4, Regime.OHMIC), (0.3, 1e-4, Regime.SUB_OHMIC), (-1.0, 1e-12, Regime.STRONG_IR)],
+    )
+    def test_sign_of_lambda_star_is_irrelevant(self, s, lam, regime):
+        rep = zeta_and_regime(_ch(s=s), GEOM_1D, SumKind.W_SELF)
+        assert rep.regime == regime
+        inputs = _inputs(n_logical=4)
+        m = mmax_multi(rep, inputs, lam, GEOM_1D)
+        assert 1 <= m < math.inf
+        assert mmax_multi(rep, inputs, -lam, GEOM_1D) == m
+
     def test_zero_qubits_rejected(self):
         rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.W_SELF)
         with pytest.raises(ConfigError):
@@ -410,6 +422,14 @@ class TestHsDistance:
         couplings = EffectiveCoupling({"z": 0.5})
         with pytest.warns(UserWarning, match="perturbative"):
             hs_distance({"z": grid}, couplings, layout, 1.0)
+
+    def test_negative_lambda_star_counts_by_size(self, hs_setup):
+        _, grid, _ = hs_setup
+        couplings = EffectiveCoupling({"x": -0.1, "z": 1e-3})
+        assert couplings.max_value == 0.1
+        layout = regular_layout(16, Xi=200.0, D_x=1, xi=1.0)  # 0.1^2 * 16 > 0.1
+        with pytest.warns(UserWarning, match="perturbative"):
+            hs_distance({"x": grid, "z": grid}, couplings, layout, 1.0)
 
     def test_missing_grid(self, hs_setup):
         _, grid, layout = hs_setup

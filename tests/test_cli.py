@@ -317,6 +317,21 @@ class TestErrorPaths:
         infinite = [row[-1] for row in rows if row[0] == "single" or row[2] == "w_self"]
         assert infinite == ["inf"] * 3
 
+    def test_negative_lambda_star_register_bound(self, tmp_path, capsys):
+        # at s = 0.8 the renormalized x coupling is negative (about -1e-8)
+        import yaml
+
+        tree = {"bath": {"channels": [{"axis": "z", "s_exp": 0.8},
+                                      {"axis": "x", "s_exp": 0.8, "lambda": 1e-4}]}}
+        config = tmp_path / "negative.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        assert main(["--config", str(config), "--out", str(tmp_path), "lambda-star"]) == 0
+        assert float(_data_rows(_read(tmp_path / "lambda-star.csv"))[0].split(",")[-1]) < 0
+        assert main(["--config", str(config), "--out", str(tmp_path), "mmax"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        overall = _data_rows(_read(tmp_path / "mmax.csv"))[-1].split(",")[-1]
+        assert 0 < float(overall) < math.inf
+
     def test_code_check_fails_on_broken_code(self, tmp_path, capsys, monkeypatch):
         def broken():
             return StabilizerCode(

@@ -1,6 +1,9 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
 from qecbound import ConfigError, default_config, from_dict, load_config
 
@@ -23,6 +26,11 @@ class TestDefaults:
     def test_default_config_has_two_channels(self):
         cfg = default_config()
         assert sorted(ch.axis for ch in cfg.channels) == ["x", "z"]
+
+    def test_documented_block_is_the_default(self):
+        text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+        block = re.search(r"```yaml\n(.*?)```", text, re.S).group(1)
+        assert from_dict(yaml.safe_load(block)).config_hash() == default_config().config_hash()
 
     def test_omega_c_tracks_delta(self):
         cfg = from_dict({"qec": {"Delta": 0.5}})
@@ -109,6 +117,38 @@ class TestValidation:
     def test_nonpositive_delta(self):
         with pytest.raises(ConfigError, match=r"qec\.Delta"):
             from_dict({"qec": {"Delta": 0.0}})
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            ({"qec": {"Delta": 0.0}}, "qec.Delta must be positive"),
+            ({"bath": {"D": 4}}, "bath.D must be 1, 2 or 3"),
+            ({"bath": {"L": -1.0}}, "bath.L must be positive"),
+            ({"bath": {"omega_c": 0.0}}, "bath.omega_c must be positive"),
+            ({"layout": {"xi": 0.0}}, "layout.xi must be positive"),
+            ({"layout": {"Xi": -2.0}}, "layout.Xi must be positive"),
+            ({"layout": {"D_x": -1}}, "layout.D_x must be non-negative"),
+            ({"layout": {"N": 0}}, "layout.N must be at least 1"),
+            ({"criteria": {"D_crit": 0.0}}, "criteria.D_crit must lie strictly between 0 and 1"),
+            ({"criteria": {"sigma_plus_abs": -0.1}}, "criteria.sigma_plus_abs must lie in [0, 1/2]"),
+            ({"calibration": {"c_cal": 0.0}}, "calibration.c_cal must be positive"),
+            ({"calibration": {"b_cal": -1.0}}, "calibration.b_cal must be positive"),
+            ({"calibration": {"proportionality": 0.0}}, "calibration.proportionality must be positive"),
+            ({"budget": {"max_modes": 0}}, "budget.max_modes must be at least 1"),
+            ({"bath": {"channels": [{"axis": "z", "z_exp": 0.0}]}}, "bath.channels[0].z_exp must be positive"),
+            ({"bath": {"channels": [{"axis": "z", "lambda": -1.0}]}}, "bath.channels[0].lambda must be non-negative"),
+            ({"bath": {"channels": []}}, "bath.channels must be a non-empty list"),
+        ],
+    )
+    def test_range_message(self, tree, message):
+        with pytest.raises(ConfigError) as info:
+            from_dict(tree)
+        assert str(info.value) == message
+
+    def test_scalars_are_checked_before_channels_and_code(self):
+        tree = {"bath": {"channels": [{"axis": "y"}]}, "code": {"name": "steane"}, "budget": {"max_modes": 0}}
+        with pytest.raises(ConfigError, match=r"^budget\.max_modes must be at least 1$"):
+            from_dict(tree)
 
 
 class TestLoadConfig:
