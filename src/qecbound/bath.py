@@ -15,7 +15,8 @@ need for cos(k.d); a radial grid stores the table alone and supports only
 isotropic sums, but stays small even for 3-dimensional baths with tens of
 millions of modes.  Every time-dependent sum bins its static weights into
 shells once and then costs one cos (and one sin for an imaginary part) per
-shell and time point.
+shell and time point; on a 1-dimensional bath with z_exp = 1 the shell
+frequencies are the harmonics j * 2*pi/L, and O(sqrt(shells)) calls suffice.
 """
 
 from __future__ import annotations
@@ -172,19 +173,29 @@ class ModeGrid:
                                   "lexicographically negative, with weight = 2 * pairs per shell")
         return index
 
-    def _shell_weights(self, values: np.ndarray) -> np.ndarray:
-        """2 * |u|^2 / omega^2 * values summed per shell; values are per +-k pair.
+    def _shell_weights(self, values: np.ndarray) -> tuple:
+        """_shell_table of 2 * |u|^2 / omega^2 * values summed per shell; values are per +-k pair.
 
         |u|^2 / omega^2 is constant on a shell, so it multiplies the binned
         values and no pair-sized damping array is formed.
         """
         bins = np.bincount(self.shell_index, weights=values, minlength=len(self.omega))
-        return 2.0 * self.u2 / self.omega**2 * bins
+        return _shell_table(self, 2.0 * self.u2 / self.omega**2 * bins)
 
-    @cached_property
+    @property
     def shell_damping(self) -> np.ndarray:
         """weight * |u|^2 / omega^2 per shell."""
-        return self.u2 / self.omega**2 * self.weight
+        return self._damping_table[0]
+
+    @cached_property
+    def fundamental(self) -> float | None:
+        """omega_1 if shell j has omega bitwise j * omega_1 (any D = 1, z = 1 grid), else None."""
+        harmonics = self.omega[0] * np.arange(1, len(self.omega) + 1)
+        return float(self.omega[0]) if np.array_equal(self.omega, harmonics) else None
+
+    @cached_property
+    def _damping_table(self) -> tuple:
+        return _shell_table(self, self.u2 / self.omega**2 * self.weight)
 
     @property
     def static_sum(self) -> float:
@@ -338,20 +349,49 @@ def build_radial_mode_grid(
 #
 # Every time-dependent sum has the form sum_k w_k (1 - e^{i omega_k T}) with
 # static weights w_k.  omega is constant on a shell, so the weights are binned
-# into shells once and each time point costs O(shells).
+# into shells once and each time point costs a cos and a sin per shell, or
+# O(sqrt(shells)) of them where omega_j = j * omega_1 (ModeGrid.fundamental).
 
 
-def _oscillating_sum(grid: ModeGrid, weights: np.ndarray, T: float, imag: bool = True) -> complex:
-    """sum over shells of weights * (1 - e^{i omega T}), no prefactor.
+def _shell_table(grid: ModeGrid, weights: np.ndarray) -> tuple:
+    """(weights, None, None), or on a harmonic grid (weights, block, column sums of block).
+
+    Shell j = q*R + r of S sits at block[q, r], R = isqrt(S) + 1 >= sqrt(S + 1),
+    and block is 0 elsewhere; the weights returned are a view of block.
+    """
+    if grid.fundamental is None:
+        return weights, None, None
+    R = math.isqrt(len(weights)) + 1
+    flat = np.concatenate(([0.0], weights, np.zeros(-(len(weights) + 1) % R)))
+    block = flat.reshape(-1, R)
+    return flat[1 : len(weights) + 1], block, block.sum(axis=0)
+
+
+def _oscillating_sum(grid: ModeGrid, table: tuple, T: float, imag: bool = True) -> complex:
+    """sum over shells of weights * (1 - e^{i omega T}), no prefactor; table from _shell_table.
 
     The real part is sum weights * (1 - cos omega T), the imaginary part
-    -sum weights * sin omega T (skipped when imag is False).
+    -sum weights * sin omega T (skipped when imag is False).  On a harmonic grid
+    shell j = q*R + r has phase a + b (a = omega_{q*R} T, b = omega_r T), so one
+    contraction of block with (cos b, sin b) gives 1 - cos(a + b) = vers b +
+    cos b vers a + sin b sin a, vers x = 2 sin^2(x/2), and sin(a + b) = cos b sin a + sin b cos a.
     """
-    x = grid.omega * T
-    # einsum, not np.dot: a threaded BLAS dot keeps its idle threads spinning (~2x CPU)
-    im = -float(np.einsum("i,i->", weights, np.sin(x))) if imag else 0.0
-    re = float(np.einsum("i,i->", weights, np.subtract(1.0, np.cos(x, out=x), out=x)))
-    return complex(re, im)
+    weights, block, column_sums = table
+    # einsum, not np.dot or @: a threaded BLAS keeps its idle threads spinning (~2x CPU)
+    if block is None:
+        x = grid.omega * T
+        im = -float(np.einsum("i,i->", weights, np.sin(x))) if imag else 0.0
+        re = float(np.einsum("i,i->", weights, np.subtract(1.0, np.cos(x, out=x), out=x)))
+        return complex(re, im)
+    R = block.shape[1]  # a, b from the stored omega of shells q*R and r, rounded as omega * T is
+    a = np.concatenate(([0.0], grid.omega[R - 1 :: R])) * T
+    b = np.concatenate(([0.0], grid.omega[: R - 1])) * T
+    cos_sin_b = np.einsum("qr,kr->kq", block, [np.cos(b), np.sin(b)])
+    sin_a = np.sin(a)
+    re = np.einsum("r,r->", column_sums, 2.0 * np.sin(0.5 * b) ** 2) + np.einsum(
+        "kq,kq->", [2.0 * np.sin(0.5 * a) ** 2, sin_a], cos_sin_b)
+    im = -np.einsum("kq,kq->", [sin_a, np.cos(a)], cos_sin_b) if imag else 0.0
+    return complex(float(re), float(im))
 
 
 def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
@@ -363,7 +403,7 @@ def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
     """
     if T < 0:
         raise ValueError("time must be non-negative")
-    osc = _oscillating_sum(grid, grid.shell_damping, T, imag=False).real
+    osc = _oscillating_sum(grid, grid._damping_table, T, imag=False).real
     return grid.prefactor * lambda_star**2 * osc
 
 
@@ -387,10 +427,10 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     if d.shape != (grid.D,):
         raise DimensionError(f"positions must have dimension {grid.D}")
     if np.any(d):
-        weights = grid._shell_weights(np.cos(_phases(grid, d)))
+        table = grid._shell_weights(np.cos(_phases(grid, d)))
     else:
-        weights = grid.shell_damping
-    return grid.prefactor * _oscillating_sum(grid, weights, T)
+        table = grid._damping_table
+    return grid.prefactor * _oscillating_sum(grid, table, T)
 
 
 def _separations(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -455,10 +495,10 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
         pos = pos[:, None]
     if pos.shape[1] != grid.D:
         raise DimensionError(f"positions must have dimension {grid.D}")
-    weights = grid.memo(  # T-independent, so a time series over one register reuses it
+    table = grid.memo(  # T-independent, so a time series over one register reuses it
         "register", pos.tobytes(), lambda: grid._shell_weights(_structure_factor(grid, pos))
     )
-    return grid.prefactor * _oscillating_sum(grid, weights, T)
+    return grid.prefactor * _oscillating_sum(grid, table, T)
 
 
 # -- qubit geometry ----------------------------------------------------------

@@ -256,7 +256,7 @@ def from_dict(raw: Mapping[str, Any] | None) -> RunConfig:
         raise ConfigError("bath.channels must contain at most one channel per axis")
 
     code_name = sections["code"].get("name", "five_qubit")
-    if code_name not in CODE_REGISTRY:
+    if not isinstance(code_name, str) or code_name not in CODE_REGISTRY:
         raise ConfigError(
             f"code.name must be one of {sorted(CODE_REGISTRY)}, got {code_name!r}"
         )

@@ -312,10 +312,15 @@ class TestWSum:
 # -- per-mode references for the shell kernel ---------------------------------
 
 
+def _per_mode_osc(omega, T):
+    """1 - e^{i omega T} per mode as 2 sin^2(omega T/2) - i sin(omega T): exact at small omega T."""
+    return 2.0 * np.sin(0.5 * omega * T) ** 2 - 1j * np.sin(omega * T)
+
+
 def _per_mode_sum(grid, ch, d, T):
     """sum over modes of |u|^2/omega^2 e^{-i k.d} (1 - e^{i omega T}), no prefactor."""
     k, omega, u2 = grid_modes(grid, ch)
-    return np.sum(u2 / (omega * omega) * np.exp(-1j * (k @ d)) * (1.0 - np.exp(1j * omega * T)))
+    return np.sum(u2 / (omega * omega) * np.exp(-1j * (k @ d)) * _per_mode_osc(omega, T))
 
 
 def _ref_gamma(grid, ch, lam, T):
@@ -433,6 +438,97 @@ class TestShellKernel:
             tracemalloc.stop()
         assert grid.mode_count == 4000
         assert peak < 1_000_000
+
+
+def _ref_register(grid, ch, positions, T):
+    """w_sum per mode: prefactor * sum |u|^2/omega^2 |sum_x e^{i k.x}|^2 (1 - e^{i omega T})."""
+    k, omega, u2 = grid_modes(grid, ch)
+    factor = np.abs(np.exp(1j * (k @ positions.T)).sum(axis=1)) ** 2
+    return grid.prefactor * np.sum(u2 / (omega * omega) * factor * _per_mode_osc(omega, T))
+
+
+def _assert_parts_close(got, ref):
+    assert abs(got.real - ref.real) <= 1e-12 * abs(ref.real)
+    assert abs(got.imag - ref.imag) <= 1e-12 * abs(ref.imag)
+
+
+def _per_shell(grid, weights, T):
+    """The per-shell kernel: one cos and one sin per shell."""
+    x = grid.omega * T
+    re = float(np.einsum("i,i->", weights, 1.0 - np.cos(x)))
+    return complex(re, -float(np.einsum("i,i->", weights, np.sin(x))))
+
+
+# D = 1, z = 1: S = 1; S + 1 = 25 a perfect square; S + 1 = 31 not one; S = 125k
+_HARMONIC_CASES = [(shells, s) for shells in (1, 24, 30, 125_000) for s in (-0.5, 0.0, 0.25)]
+
+
+@pytest.fixture(scope="module", params=_HARMONIC_CASES, ids=lambda case: f"S{case[0]}-s{case[1]}")
+def harmonic_case(request):
+    shells, s = request.param
+    geom = BathGeometry(D=1, L=2 * math.pi * shells, omega_c=1.0)
+    ch = _ch(s=s)
+    # Besides T = 0: Delta = 1, omega_c T >> 2 pi, and T past the recurrence time L.  Not
+    # near a half recurrence L/2 * m: there the imaginary part nearly cancels, and at
+    # S = 125k float64 phases hold only ~1e-10 of it (an extended-precision sum shows it
+    # for the per-shell kernel too).
+    return ch, build_mode_grid(geom, ch), (1.0, 200.3, 1.37 * geom.L + 0.3)
+
+
+class TestHarmonicKernel:
+    """1-D linear-dispersion grids: every shell frequency is j * 2*pi/L, and the
+    sums take the harmonic path of bath._oscillating_sum."""
+
+    def test_fundamental_detected(self, harmonic_case):
+        _, grid, _ = harmonic_case
+        assert grid.fundamental == grid.omega[0] == 2.0 * math.pi / grid.L
+        assert len(grid.omega) == round(grid.L / (2.0 * math.pi))
+
+    def test_gamma(self, harmonic_case):
+        ch, grid, times = harmonic_case
+        assert gamma(grid, 0.03, 0.0) == 0.0
+        for T in times:
+            ref = _ref_gamma(grid, ch, 0.03, T)
+            _assert_parts_close(complex(gamma(grid, 0.03, T)), complex(ref))
+
+    def test_w_pair(self, harmonic_case):
+        ch, grid, times = harmonic_case
+        for x, y in (([2.3], [-1.1]), ([0.4], [0.4])):
+            assert w_pair(grid, x, y, 0.0) == 0j
+            for T in times:
+                _assert_parts_close(w_pair(grid, x, y, T), _ref_w_pair(grid, ch, x, y, T))
+
+    def test_w_sum(self, harmonic_case):
+        ch, grid, times = harmonic_case
+        positions = regular_layout(4, Xi=7.0, D_x=1, xi=0.5).padded_logical_positions(1) + 0.37
+        assert w_sum(grid, positions, 0.0) == 0j
+        for T in times:
+            _assert_parts_close(w_sum(grid, positions, T), _ref_register(grid, ch, positions, T))
+
+    @pytest.mark.parametrize(
+        "geom, z",
+        [
+            (BathGeometry(D=1, L=2 * math.pi * 300, omega_c=1.0), 1.2),
+            (BathGeometry(D=2, L=2 * math.pi * 12, omega_c=1.0), 1.0),
+            (BathGeometry(D=3, L=2 * math.pi * 6, omega_c=1.0), 1.0),
+        ],
+        ids=["D1-z1.2", "D2", "D3"],
+    )
+    def test_other_grids_keep_the_per_shell_kernel(self, geom, z):
+        grid = build_mode_grid(geom, _ch(z=z, s=0.25))
+        assert grid.fundamental is None
+        d = np.arange(1.0, geom.D + 1) * 0.7
+        positions = regular_layout(4, Xi=7.0, D_x=geom.D, xi=0.5).padded_logical_positions(geom.D)
+        pair_weights = grid._shell_weights(np.cos(bath._phases(grid, d)))[0]
+        register_weights = grid._shell_weights(bath._structure_factor(grid, positions))[0]
+        for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
+            assert gamma(grid, 0.03, T) == grid.prefactor * 0.03**2 * _per_shell(
+                grid, grid.shell_damping, T).real
+            assert w_pair(grid, d, np.zeros(geom.D), T) == grid.prefactor * _per_shell(
+                grid, pair_weights, T)
+            assert w_pair(grid, d, d, T) == grid.prefactor * _per_shell(grid, grid.shell_damping, T)
+            register = grid.prefactor * _per_shell(grid, register_weights, T)
+            assert w_sum(grid, positions, T) == register
 
 
 def _ref_a_matrix(grid, ch, offsets, scale):

@@ -537,6 +537,36 @@ class TestSharedGridSums:
         assert m == mmax_single(rep, _inputs(), lam, GEOM_1D, mode="numeric", grid=_unshared(grid))
 
 
+class TestSearchPins:
+    """The searches on a D = 1, z = 1 grid, whose sums take the harmonic path of
+    bath._oscillating_sum: M, c_cal and the number of gamma / w_sum evaluations
+    are those of the per-shell kernel the harmonic path replaced there."""
+
+    GEOM = BathGeometry(D=1, L=2 * math.pi * 3000, omega_c=1.0)
+    CASES = [  # (single-qubit lambda*, register lambda*, M, c_cal, gamma calls, M, w_sum calls)
+        (0.006, 1e-6, 838, 0.10421362674813692, 20, 1383, 22),
+        (0.012, 3e-6, 60, 0.11154192037077361, 12, 300, 18),
+        (0.025, 1e-5, 5, 0.1397542485937369, 6, 90, 14),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: f"lam{case[0]}")
+    def test_searches_unchanged(self, case, monkeypatch):
+        lam, lam_register, m_single, c_cal, n_gamma, m_multi, n_w_sum = case
+        grid = _unshared(build_mode_grid(self.GEOM, _ch(s=0.25)))
+        assert grid.fundamental is not None
+        rep = zeta_and_regime(_ch(s=0.25), self.GEOM, SumKind.SINGLE_DEPHASING)
+        inputs = _inputs(n_logical=8)
+        gammas = _counting(monkeypatch, bounds, "gamma")
+        w_sums = _counting(monkeypatch, bounds, "w_sum")
+        assert mmax_single(rep, inputs, lam, self.GEOM, mode="numeric", grid=grid) == m_single
+        assert calibrate_c_cal(rep, inputs, lam, self.GEOM, grid) == pytest.approx(c_cal, rel=1e-12)
+        assert (len(gammas), len(w_sums)) == (n_gamma, 0)
+        layout = regular_layout(8, Xi=100.0, D_x=1, xi=1.0)
+        couplings = EffectiveCoupling({"z": lam_register})
+        assert mmax_multi_numeric({"z": grid}, couplings, layout, inputs) == m_multi
+        assert (len(gammas), len(w_sums)) == (n_gamma, n_w_sum)
+
+
 class TestFitSlope:
     def test_exact_power_law(self):
         series = [(m, 3.0 * m**2) for m in range(1, 12)]

@@ -267,6 +267,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("name", [["five_qubit"], {"a": 1}], ids=["list", "mapping"])
+    def test_unhashable_code_name_exits_cleanly(self, tmp_path, capsys, name):
+        import yaml
+
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump({"code": {"name": name}}))
+        assert main(["--config", str(config), "--out", str(tmp_path), "eta"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: code.name must be one of ['five_qubit'], got {name!r}")
+        assert "Traceback" not in err
+
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["eta", "--frobnicate"])
