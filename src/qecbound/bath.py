@@ -33,45 +33,11 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .config import BathChannel, BathGeometry
 from .errors import CapabilityError, DegenerateInputError, DimensionError
 
 DEFAULT_MODE_BUDGET = 10_000_000
 _MEMO_ENTRIES = 8
-
-
-@dataclass(frozen=True)
-class BathChannel:
-    """One decoherence channel: axis label, exponents, bare coupling."""
-
-    axis: str
-    z_exp: float
-    s_exp: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.axis not in ("x", "z"):
-            raise ValueError(f"channel axis must be 'x' or 'z', got {self.axis!r}")
-        if self.z_exp <= 0:
-            raise ValueError("dynamical exponent z_exp must be positive")
-        if self.lam < 0:
-            raise ValueError("bare coupling must be non-negative")
-
-
-@dataclass(frozen=True)
-class BathGeometry:
-    """Spatial dimension, linear size and UV frequency cutoff of the bath."""
-
-    D: int
-    L: float
-    omega_c: float
-
-    def __post_init__(self) -> None:
-        if self.D not in (1, 2, 3):
-            raise ValueError("bath dimension D must be 1, 2 or 3")
-        if self.L <= 0:
-            raise ValueError("bath size L must be positive")
-        if self.omega_c <= 0:
-            raise ValueError("cutoff omega_c must be positive")
 
 
 @dataclass(eq=False)
@@ -370,8 +336,10 @@ def _shell_table(grid: ModeGrid, weights: np.ndarray) -> tuple:
 def _oscillating_sum(grid: ModeGrid, table: tuple, T: float, imag: bool = True) -> complex:
     """sum over shells of weights * (1 - e^{i omega T}), no prefactor; table from _shell_table.
 
-    The real part is sum weights * (1 - cos omega T), the imaginary part
-    -sum weights * sin omega T (skipped when imag is False).  On a harmonic grid
+    The real part is sum weights * (1 - cos omega T), formed as the versine
+    2 sin^2(omega T / 2), which keeps its relative accuracy where omega T is
+    small; the imaginary part is -sum weights * sin omega T (skipped when
+    imag is False).  On a harmonic grid
     shell j = q*R + r has phase a + b (a = omega_{q*R} T, b = omega_r T), so one
     contraction of block with (cos b, sin b) gives 1 - cos(a + b) = vers b +
     cos b vers a + sin b sin a, vers x = 2 sin^2(x/2), and sin(a + b) = cos b sin a + sin b cos a.
@@ -381,7 +349,7 @@ def _oscillating_sum(grid: ModeGrid, table: tuple, T: float, imag: bool = True) 
     if block is None:
         x = grid.omega * T
         im = -float(np.einsum("i,i->", weights, np.sin(x))) if imag else 0.0
-        re = float(np.einsum("i,i->", weights, np.subtract(1.0, np.cos(x, out=x), out=x)))
+        re = float(np.einsum("i,i->", weights, 2.0 * np.sin(0.5 * x) ** 2))
         return complex(re, im)
     R = block.shape[1]  # a, b from the stored omega of shells q*R and r, rounded as omega * T is
     a = np.concatenate(([0.0], grid.omega[R - 1 :: R])) * T
@@ -549,7 +517,7 @@ class QubitLayout:
                 f"intra-logical spacing xi={self.xi} is not small against "
                 f"inter-logical spacing Xi={self.Xi}; corrections dropped by the "
                 "coarse graining may be sizable",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to whoever built the layout
             )
 
     @property

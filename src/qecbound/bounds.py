@@ -27,7 +27,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bath import BathChannel, BathGeometry, ModeGrid, QubitLayout, gamma, gamma_infinity, w_sum
+from .bath import ModeGrid, QubitLayout, gamma, gamma_infinity, w_sum
+from .config import BathChannel, BathGeometry, BoundInput
 from .coupling import EffectiveCoupling
 from .errors import ConfigError, CriterionUnreachableError, CapabilityError
 
@@ -57,28 +58,6 @@ class RegimeReport:
     z_exp: float
     kind: SumKind
     regime: Regime
-
-
-@dataclass(frozen=True)
-class BoundInput:
-    """Criterion and calibration data shared by the bound formulas."""
-
-    d_crit: float
-    sigma_plus_abs: float
-    n_logical: int
-    delta: float
-    c_cal: float = 1.0
-    b_cal: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.d_crit < 1.0:
-            raise ValueError("distance criterion must lie strictly between 0 and 1")
-        if not 0.0 <= self.sigma_plus_abs <= 0.5:
-            raise ValueError("initial coherence |<sigma+>| must lie in [0, 1/2]")
-        if self.delta <= 0:
-            raise ValueError("correction period must be positive")
-        if self.n_logical < 0:
-            raise ValueError("logical-qubit count must be non-negative")
 
 
 def zeta_and_regime(

@@ -5,6 +5,10 @@ and writes one CSV file named after the subcommand (plus eta.txt for the
 table export).  Output files start with ``#`` comment lines echoing the
 artifact version and the configuration hash; identical configuration and
 flags produce byte-identical files.
+
+This module imports no numeric code: the handlers that compute import
+numpy and the bath, bounds and coupling modules when they run, so ``eta``,
+``code-check``, ``--help`` and every config error start without them.
 """
 
 from __future__ import annotations
@@ -14,25 +18,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping
 
 from . import __version__
-from .bath import build_mode_grid, gamma, gamma_infinity
-from .bounds import (
-    SumKind,
-    hs_distance,
-    mmax_multi,
-    mmax_multi_numeric,
-    mmax_single,
-    trace_distance_single,
-    zeta_and_regime,
-)
 from .config import RunConfig, default_config, load_config
-from .coupling import AMatrix, a_matrix, enumerate_eta, lambda_star
 from .errors import QecBoundError
-from .pauli import ErrorClass, classify, paulis_of_weight, syndrome, verify_distance
+from .pauli import ErrorClass, classify, enumerate_eta, paulis_of_weight, syndrome, verify_distance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SWEEP_TARGETS = ("lambda-star", "gamma", "distance", "mmax", "hs")
 # defaults of the optional flags: the parser shows them, and run_subcommand
@@ -56,7 +50,7 @@ class Output:
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return str(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):  # numpy float64 included
         v = float(value)
         if math.isinf(v):
             return "inf"
@@ -66,6 +60,11 @@ def _fmt(value: Any) -> str:
 
 def _pipeline(cfg: RunConfig):
     """Shared setup: code, table, grids, pair amplitudes, effective couplings."""
+    import numpy as np
+
+    from .bath import build_mode_grid
+    from .coupling import AMatrix, a_matrix, lambda_star
+
     geom = cfg.geometry()
     channels = cfg.channel_map()
     code = cfg.stabilizer_code()
@@ -92,6 +91,8 @@ def _dephasing_axis(cfg: RunConfig) -> str:
 
 
 def _times(flags: Mapping[str, Any]) -> np.ndarray:
+    import numpy as np
+
     t_max = float(flags["t_max"])
     steps = int(flags["steps"])
     if t_max < 0:
@@ -198,6 +199,8 @@ def _run_lambda_star(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 
 def _gamma_series(cfg: RunConfig, flags: Mapping[str, Any]):
     """The dephasing channel's axis, grid and lambda*, and (T, gamma(T)) per time."""
+    from .bath import gamma
+
     _, _, _, _, _, grids, couplings = _pipeline(cfg)
     axis = _dephasing_axis(cfg)
     grid, lam_star = grids[axis], couplings[axis]
@@ -206,6 +209,8 @@ def _gamma_series(cfg: RunConfig, flags: Mapping[str, Any]):
 
 
 def _run_gamma(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+    from .bounds import trace_distance_single
+
     axis, _, lam_star, series = _gamma_series(cfg, flags)
     rows = [(t, g, trace_distance_single(g, cfg.sigma_plus_abs)) for t, g in series]
     return [
@@ -220,6 +225,9 @@ def _run_gamma(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 
 
 def _run_distance(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+    from .bath import gamma_infinity
+    from .bounds import trace_distance_single
+
     axis, grid, lam_star, series = _gamma_series(cfg, flags)
     g_inf = gamma_infinity(grid, lam_star)
     saturation = trace_distance_single(g_inf, cfg.sigma_plus_abs)
@@ -241,6 +249,8 @@ def _run_distance(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 
 
 def _run_regimes(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+    from .bounds import SumKind, zeta_and_regime
+
     geom = cfg.geometry()
     rows = []
     for ch in cfg.channels:
@@ -259,6 +269,8 @@ def _run_regimes(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 
 
 def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+    from .bounds import SumKind, mmax_multi, mmax_multi_numeric, mmax_single, zeta_and_regime
+
     mode = str(flags["mode"])
     if mode not in ("asymptotic", "numeric"):
         raise QecBoundError(f"--mode must be 'numeric' or 'asymptotic', got {mode!r}")
@@ -314,6 +326,8 @@ def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 
 
 def _run_hs(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+    from .bounds import hs_distance
+
     _, _, _, _, layout, grids, couplings = _pipeline(cfg)
     rows = []
     for t in _times(flags):
@@ -331,6 +345,8 @@ def _run_hs(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 
 
 def _run_sweep(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+    import numpy as np
+
     param = flags.get("param")
     target = flags.get("target")
     if not param:

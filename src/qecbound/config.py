@@ -7,6 +7,10 @@ the config hash) and the known-key sets are all read from them; only the
 cross-key rules in ``from_dict`` are written out.  Every validation failure
 names the offending key path (e.g. ``bath.channels[0].lambda``); unknown
 keys are rejected.  Defaults are documented in docs/config.md.
+
+The plain value types a config hands to the library (BathChannel,
+BathGeometry, BoundInput) are defined here, so that loading and validating
+a config imports no numeric code; bath and bounds re-export them.
 """
 
 from __future__ import annotations
@@ -17,14 +21,15 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import yaml
 
-from .bath import BathChannel, BathGeometry, QubitLayout, regular_layout
-from .bounds import BoundInput
 from .errors import ConfigError
 from .pauli import StabilizerCode, five_qubit_code
+
+if TYPE_CHECKING:
+    from .bath import QubitLayout
 
 # codes are frozen, so each registered code is built once and shared
 CODE_REGISTRY: dict[str, Callable[[], StabilizerCode]] = {
@@ -122,6 +127,63 @@ def _read(rows: Mapping[str, _Row], data: Mapping[str, Any], prefix: str = "") -
 
 
 @dataclass(frozen=True)
+class BathChannel:
+    """One decoherence channel: axis label, exponents, bare coupling."""
+
+    axis: str
+    z_exp: float
+    s_exp: float
+    lam: float
+
+    def __post_init__(self) -> None:
+        if self.axis not in ("x", "z"):
+            raise ValueError(f"channel axis must be 'x' or 'z', got {self.axis!r}")
+        if self.z_exp <= 0:
+            raise ValueError("dynamical exponent z_exp must be positive")
+        if self.lam < 0:
+            raise ValueError("bare coupling must be non-negative")
+
+
+@dataclass(frozen=True)
+class BathGeometry:
+    """Spatial dimension, linear size and UV frequency cutoff of the bath."""
+
+    D: int
+    L: float
+    omega_c: float
+
+    def __post_init__(self) -> None:
+        if self.D not in (1, 2, 3):
+            raise ValueError("bath dimension D must be 1, 2 or 3")
+        if self.L <= 0:
+            raise ValueError("bath size L must be positive")
+        if self.omega_c <= 0:
+            raise ValueError("cutoff omega_c must be positive")
+
+
+@dataclass(frozen=True)
+class BoundInput:
+    """Criterion and calibration data shared by the bound formulas."""
+
+    d_crit: float
+    sigma_plus_abs: float
+    n_logical: int
+    delta: float
+    c_cal: float = 1.0
+    b_cal: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.d_crit < 1.0:
+            raise ValueError("distance criterion must lie strictly between 0 and 1")
+        if not 0.0 <= self.sigma_plus_abs <= 0.5:
+            raise ValueError("initial coherence |<sigma+>| must lie in [0, 1/2]")
+        if self.delta <= 0:
+            raise ValueError("correction period must be positive")
+        if self.n_logical < 0:
+            raise ValueError("logical-qubit count must be non-negative")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Fully validated configuration with every default filled in."""
 
@@ -161,6 +223,8 @@ class RunConfig:
         )
 
     def qubit_layout(self) -> QubitLayout:
+        from .bath import regular_layout  # numeric: imported by the runs that compute
+
         return regular_layout(
             n_logical=self.n_logical,
             Xi=self.Xi,

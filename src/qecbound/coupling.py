@@ -1,97 +1,25 @@
-"""Trivial-syndrome uncorrectable-error table and the renormalized coupling.
+"""Pair amplitudes and the renormalized coupling of a coarse-grained logical qubit.
 
-A third-order error process deposits one excitation on a single site through
-channel ``alpha`` and a correlated pair on two other sites through channel
-``beta``.  The entries enumerated here are the (alpha, beta, i, j, k)
-combinations for which the product sigma^alpha_i sigma^beta_j sigma^beta_k
-commutes with every generator yet acts as a logical operator, i.e. the
-lowest-order errors the code cannot see.  Site labels i, j, k are 1-based,
-matching the documented generator convention in :func:`qecbound.pauli.five_qubit_code`.
-
-Contracting the pair through the bath two-point function turns each entry
-into a dimensionless amplitude a_{beta,jk} and the whole table into the
-effective single-site coupling lambda*_alpha of the coarse-grained logical
-qubit.
+The table of third-order, trivial-syndrome logical errors is Pauli algebra
+and lives in :mod:`qecbound.pauli` (re-exported here).  Each entry
+(alpha, beta, i, j, k) deposits one excitation on site i through channel
+alpha and a correlated pair on sites j, k through channel beta.  Contracting
+the pair through the bath two-point function turns the entry into a
+dimensionless amplitude a_{beta,jk} and the whole table into the effective
+single-site coupling lambda*_alpha of the coarse-grained logical qubit.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .bath import BathChannel, ModeGrid, QubitLayout, _phases, _separations
-from .errors import ConfigError, DegenerateInputError, UnsupportedOrderError
-from .pauli import ErrorClass, PauliString, StabilizerCode, classify, multiply, verify_distance
-
-CHANNEL_AXES = ("x", "z")
-
-
-@dataclass(frozen=True)
-class EtaEntry:
-    """One nonzero table coefficient; j < k, all site labels 1-based."""
-
-    alpha: str
-    beta: str
-    i: int
-    j: int
-    k: int
-    logical_type: ErrorClass
-
-    def pauli(self, n: int) -> PauliString:
-        """The operator sigma^alpha_i sigma^beta_j sigma^beta_k on n qubits."""
-        letter = {"x": "X", "z": "Z"}
-        p = PauliString.single(n, self.i - 1, letter[self.alpha])
-        p = multiply(p, PauliString.single(n, self.j - 1, letter[self.beta]))
-        return multiply(p, PauliString.single(n, self.k - 1, letter[self.beta]))
-
-
-@dataclass(frozen=True)
-class EtaTable:
-    """All nonzero coefficients, sorted by (alpha, beta, i, j, k)."""
-
-    entries: tuple[EtaEntry, ...]
-
-    def for_alpha(self, alpha: str) -> tuple[EtaEntry, ...]:
-        return tuple(e for e in self.entries if e.alpha == alpha)
-
-    def index_set(self, alpha: str, beta: str) -> set[tuple[int, int, int]]:
-        return {(e.i, e.j, e.k) for e in self.entries if e.alpha == alpha and e.beta == beta}
-
-    def to_text(self) -> str:
-        """Plain-text export: one row per entry, columns alpha beta i j k logical_type."""
-        lines = ["alpha beta i j k logical_type"]
-        for e in self.entries:
-            lines.append(f"{e.alpha} {e.beta} {e.i} {e.j} {e.k} {e.logical_type.value}")
-        return "\n".join(lines) + "\n"
-
-
-@functools.lru_cache(maxsize=8)
-def enumerate_eta(code: StabilizerCode) -> EtaTable:
-    """Enumerate all trivial-syndrome logical-error triples of a distance-3 code.
-
-    Scans channel pairs (alpha, beta) in {x,z}^2 and distinct sites
-    (i; j < k), keeping products with zero syndrome that classify as
-    logical: 10 entries for the 5-qubit code.  Memoized: the table depends on the code alone.
-    """
-    if not verify_distance(code, 3):
-        raise UnsupportedOrderError(
-            "third-order enumeration requires a distance-3 code"
-        )
-    sites = range(1, code.n + 1)
-    entries = []
-    for alpha, beta in itertools.product(CHANNEL_AXES, repeat=2):
-        for i in sites:
-            for j, k in itertools.combinations([s for s in sites if s != i], 2):
-                entry = EtaEntry(alpha, beta, i, j, k, ErrorClass.DETECTABLE)
-                cls = classify(code, entry.pauli(code.n))
-                if cls.is_logical:
-                    entries.append(EtaEntry(alpha, beta, i, j, k, cls))
-    entries.sort(key=lambda e: (e.alpha, e.beta, e.i, e.j, e.k))
-    return EtaTable(tuple(entries))
+from .bath import ModeGrid, QubitLayout, _phases, _separations
+from .config import BathChannel
+from .errors import ConfigError, DegenerateInputError
+from .pauli import CHANNEL_AXES, EtaEntry, EtaTable, enumerate_eta  # noqa: F401 - re-exported
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,20 @@ with the per-qubit letter determined by (x_bit, z_bit): (0,0)=I, (1,0)=X,
 (0,1)=Z, (1,1)=Y.  The phase group is tracked exactly; this is what makes
 Y-type logical errors (Y = iXZ) distinguishable.
 
-Qubit positions are 0-based throughout this module.
+Qubit positions are 0-based throughout this module, except in the table of
+third-order logical errors at its end (EtaEntry, EtaTable, enumerate_eta),
+whose site labels are 1-based like the documented generator convention.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .errors import CapabilityError, DimensionError
+from .errors import CapabilityError, DimensionError, UnsupportedOrderError
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
@@ -305,3 +308,78 @@ def verify_distance(code: StabilizerCode, d: int) -> bool:
             if classify(code, p).is_logical:
                 return False
     return any(classify(code, p).is_logical for p in paulis_of_weight(code.n, d))
+
+
+# -- trivial-syndrome uncorrectable-error table ---------------------------------
+#
+# A third-order error process deposits one excitation on a single site through
+# channel alpha and a correlated pair on two other sites through channel beta.
+# The entries are the (alpha, beta, i, j, k) for which sigma^alpha_i
+# sigma^beta_j sigma^beta_k commutes with every generator yet acts as a
+# logical operator: the lowest-order errors the code cannot see.
+
+CHANNEL_AXES = ("x", "z")
+
+
+@dataclass(frozen=True)
+class EtaEntry:
+    """One nonzero table coefficient; j < k, all site labels 1-based."""
+
+    alpha: str
+    beta: str
+    i: int
+    j: int
+    k: int
+    logical_type: ErrorClass
+
+    def pauli(self, n: int) -> PauliString:
+        """The operator sigma^alpha_i sigma^beta_j sigma^beta_k on n qubits."""
+        letter = {"x": "X", "z": "Z"}
+        p = PauliString.single(n, self.i - 1, letter[self.alpha])
+        p = multiply(p, PauliString.single(n, self.j - 1, letter[self.beta]))
+        return multiply(p, PauliString.single(n, self.k - 1, letter[self.beta]))
+
+
+@dataclass(frozen=True)
+class EtaTable:
+    """All nonzero coefficients, sorted by (alpha, beta, i, j, k)."""
+
+    entries: tuple[EtaEntry, ...]
+
+    def for_alpha(self, alpha: str) -> tuple[EtaEntry, ...]:
+        return tuple(e for e in self.entries if e.alpha == alpha)
+
+    def index_set(self, alpha: str, beta: str) -> set[tuple[int, int, int]]:
+        return {(e.i, e.j, e.k) for e in self.entries if e.alpha == alpha and e.beta == beta}
+
+    def to_text(self) -> str:
+        """Plain-text export: one row per entry, columns alpha beta i j k logical_type."""
+        lines = ["alpha beta i j k logical_type"]
+        for e in self.entries:
+            lines.append(f"{e.alpha} {e.beta} {e.i} {e.j} {e.k} {e.logical_type.value}")
+        return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=8)
+def enumerate_eta(code: StabilizerCode) -> EtaTable:
+    """Enumerate all trivial-syndrome logical-error triples of a distance-3 code.
+
+    Scans channel pairs (alpha, beta) in {x,z}^2 and distinct sites
+    (i; j < k), keeping products with zero syndrome that classify as
+    logical: 10 entries for the 5-qubit code.  Memoized: the table depends on the code alone.
+    """
+    if not verify_distance(code, 3):
+        raise UnsupportedOrderError(
+            "third-order enumeration requires a distance-3 code"
+        )
+    sites = range(1, code.n + 1)
+    entries = []
+    for alpha, beta in itertools.product(CHANNEL_AXES, repeat=2):
+        for i in sites:
+            for j, k in itertools.combinations([s for s in sites if s != i], 2):
+                entry = EtaEntry(alpha, beta, i, j, k, ErrorClass.DETECTABLE)
+                cls = classify(code, entry.pauli(code.n))
+                if cls.is_logical:
+                    entries.append(EtaEntry(alpha, beta, i, j, k, cls))
+    entries.sort(key=lambda e: (e.alpha, e.beta, e.i, e.j, e.k))
+    return EtaTable(tuple(entries))

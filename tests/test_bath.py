@@ -453,9 +453,9 @@ def _assert_parts_close(got, ref):
 
 
 def _per_shell(grid, weights, T):
-    """The per-shell kernel: one cos and one sin per shell."""
+    """The per-shell kernel: one versine and one sin per shell."""
     x = grid.omega * T
-    re = float(np.einsum("i,i->", weights, 1.0 - np.cos(x)))
+    re = float(np.einsum("i,i->", weights, 2.0 * np.sin(0.5 * x) ** 2))
     return complex(re, -float(np.einsum("i,i->", weights, np.sin(x))))
 
 
@@ -529,6 +529,34 @@ class TestHarmonicKernel:
             assert w_pair(grid, d, d, T) == grid.prefactor * _per_shell(grid, grid.shell_damping, T)
             register = grid.prefactor * _per_shell(grid, register_weights, T)
             assert w_sum(grid, positions, T) == register
+
+
+def _versine_reference(grid, lam, T):
+    """gamma summed over the shells in extended precision, with the versine 2 sin^2(omega T/2).
+
+    A longdouble 1 - cos(omega T) is itself too coarse at omega T ~ 1e-4 to
+    check to 1e-12.
+    """
+    omega = grid.omega.astype(np.longdouble)
+    damping = grid.weight.astype(np.longdouble) * grid.u2.astype(np.longdouble) / omega**2
+    osc = np.sum(damping * 2 * np.sin(omega * np.longdouble(T) / 2) ** 2)
+    return np.longdouble(grid.prefactor) * np.longdouble(lam) ** 2 * osc
+
+
+@pytest.mark.parametrize(
+    "geom, z",
+    [
+        (BathGeometry(D=3, L=2 * math.pi * 40, omega_c=1.0), 1.0),
+        (BathGeometry(D=1, L=2 * math.pi * 200, omega_c=1.0), 1.2),
+    ],
+    ids=["D3", "D1-z1.2"],
+)
+@pytest.mark.parametrize("T", [1e-4, 1e-2])
+def test_per_shell_kernel_keeps_small_time_accuracy(geom, z, T):
+    grid = build_radial_mode_grid(geom, _ch(z=z))
+    assert grid.fundamental is None
+    ref = _versine_reference(grid, 0.03, T)
+    assert float(abs(gamma(grid, 0.03, T) - ref) / ref) <= 1e-12
 
 
 def _ref_a_matrix(grid, ch, offsets, scale):
@@ -661,8 +689,13 @@ class TestLayout:
         assert np.allclose(np.diff(phys), 2.0)
 
     def test_warns_when_scales_collide(self):
-        with pytest.warns(UserWarning, match="spacing"):
-            regular_layout(2, Xi=5.0, D_x=1, xi=1.0)
+        with pytest.warns(UserWarning, match="spacing") as record:
+            regular_layout(2, Xi=3.0, D_x=1, xi=0.5)
+        # reported at a source line, not inside the dataclass-generated __init__
+        assert record[0].filename.endswith(".py")
+        with pytest.warns(UserWarning, match="spacing") as record:
+            QubitLayout(np.zeros((2, 1)), np.zeros((5, 1)), xi=1.0, Xi=5.0, D_x=1)
+        assert record[0].filename == __file__
 
     def test_padding(self):
         layout = regular_layout(2, Xi=100.0, D_x=1, xi=1.0)

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qecbound
 from qecbound import PauliString, StabilizerCode, default_config, from_dict
 from qecbound.cli import _pipeline, main, run_subcommand
 from qecbound.config import CODE_REGISTRY
@@ -385,3 +389,91 @@ class TestRunSubcommand:
         cfg = from_dict({"bath": {"channels": [{"axis": "z"}]}})
         outputs = run_subcommand("mmax", cfg, {"mode": "asymptotic"})
         assert outputs[0].summary["mmax_overall"] == math.inf
+
+
+ROOT = Path(__file__).resolve().parent.parent
+NUMERIC_MODULES = ("numpy", "qecbound.bath", "qecbound.bounds", "qecbound.coupling")
+
+
+def _fresh_interpreter(code):
+    """Run code in a new interpreter with src on the path, from the repository root."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+class TestImportLayers:
+    """The CLI, config loading and the Pauli/eta layer import no numeric code."""
+
+    def _assert_numpy_free(self, code):
+        check = f"import sys\n{code}\nassert not set({NUMERIC_MODULES!r}) & set(sys.modules)"
+        proc = _fresh_interpreter(check)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    def test_loading_a_config(self):
+        self._assert_numpy_free("import qecbound.cli\nfrom qecbound.config import load_config\n"
+                                "load_config('docs/example-config.yaml')")
+
+    @pytest.mark.parametrize("cmd", ["eta", "code-check"])
+    def test_algebra_subcommands(self, tmp_path, cmd):
+        self._assert_numpy_free(f"from qecbound.cli import main\n"
+                                f"assert main(['--out', {str(tmp_path)!r}, {cmd!r}]) == 0")
+        assert (tmp_path / f"{cmd}.csv").is_file()
+
+    def test_config_error(self):
+        proc = self._assert_numpy_free("from qecbound.cli import main\n"
+                                       "assert main(['--config', '/nonexistent.yaml', 'eta']) == 1")
+        assert proc.stderr.startswith("error:")
+
+    def test_help(self):
+        self._assert_numpy_free("from qecbound.cli import main\ntry:\n    main(['--help'])\n"
+                                "except SystemExit as exc:\n    assert exc.code == 0")
+
+
+PUBLIC_API = [
+    "AMatrix", "BathChannel", "BathGeometry", "BoundInput", "CapabilityError", "ConfigError",
+    "CriterionUnreachableError", "DegenerateInputError", "DimensionError", "EffectiveCoupling",
+    "ErrorClass", "EtaEntry", "EtaTable", "ModeGrid", "PauliString", "QecBoundError",
+    "QubitLayout", "Regime", "RegimeReport", "RunConfig", "StabilizerCode", "SumKind",
+    "Syndrome", "UnsupportedOrderError", "__version__", "a_matrix", "build_mode_grid",
+    "build_radial_mode_grid", "calibrate_c_cal", "classify", "commutes", "d_sat",
+    "default_config", "enumerate_eta", "fit_loglog_slope", "five_qubit_code", "from_dict",
+    "gamma", "gamma_asymptotic", "gamma_infinity", "hs_distance", "lambda_star",
+    "lattice_sites", "load_config", "mmax_multi", "mmax_multi_numeric", "mmax_single",
+    "multiply", "paulis_of_weight", "regular_layout", "syndrome", "trace_distance_single",
+    "verify_distance", "w_pair", "w_sum", "w_sum_asymptotic", "zeta_and_regime",
+]
+
+
+class TestPublicApi:
+    def test_every_name_resolves(self):
+        assert sorted(qecbound.__all__) == PUBLIC_API
+        for name in PUBLIC_API:
+            getattr(qecbound, name)
+        assert set(PUBLIC_API) <= set(dir(qecbound))
+        with pytest.raises(AttributeError):
+            qecbound.no_such_name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from qecbound import *", namespace)
+        assert set(PUBLIC_API) <= set(namespace)
+
+    def test_names_resolve_at_each_access(self, monkeypatch):
+        from qecbound import bath
+
+        monkeypatch.setattr(bath, "gamma", lambda *args: "swapped")
+        assert qecbound.gamma(None, 0.0, 0.0) == "swapped"
+        monkeypatch.undo()
+        assert qecbound.gamma is bath.gamma
+        assert "gamma" not in vars(qecbound)
+
+    def test_moved_types_keep_their_old_homes(self):
+        from qecbound import bath, bounds, config, coupling, pauli
+
+        assert coupling.enumerate_eta is pauli.enumerate_eta
+        assert coupling.EtaTable is pauli.EtaTable and coupling.EtaEntry is pauli.EtaEntry
+        assert bath.BathChannel is config.BathChannel
+        assert bath.BathGeometry is config.BathGeometry
+        assert bounds.BoundInput is config.BoundInput
