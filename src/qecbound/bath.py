@@ -17,6 +17,12 @@ millions of modes.  Every time-dependent sum bins its static weights into
 shells once and then costs one cos (and one sin for an imaginary part) per
 shell and time point; on a 1-dimensional bath with z_exp = 1 the shell
 frequencies are the harmonics j * 2*pi/L, and O(sqrt(shells)) calls suffice.
+The register structure factor |sum_x e^{i k.x}|^2 behind w_sum costs one cos
+pass over the +-k pairs per distinct separation of the positions, except on
+a product layout (every combination of per-axis coordinates, as a regular
+array of side**D_x qubits is): there it is a product of per-axis factors,
+each tabulated over the 2 n_max + 1 integer values of n_a, and each pair
+costs one gather and multiply per axis with more than one coordinate.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import threading
 import warnings
 from collections import OrderedDict
@@ -395,10 +402,15 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     if d.shape != (grid.D,):
         raise DimensionError(f"positions must have dimension {grid.D}")
     if np.any(d):
-        table = grid._shell_weights(np.cos(_phases(grid, d)))
+        table = grid._shell_weights(np.cos(_phases(grid._dense_n(), grid.L, d)))
     else:
         table = grid._damping_table
     return grid.prefactor * _oscillating_sum(grid, table, T)
+
+
+def _quanta(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """values in units of 1e-12 of pos's largest coordinate, rounded: equal quanta are one value."""
+    return np.rint(values / (1e-12 * max(1.0, float(np.abs(pos).max()))))
 
 
 def _separations(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -409,23 +421,34 @@ def _separations(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (mult[0] the coincident ones); index[i, j] = index[j, i] is the pair's
     separation, 0 on the diagonal.  Differences that agree to 1e-12 of the
     largest coordinate are one separation, so rounding does not split them.
+    The tables of the 8 most recent position sets are kept, read-only: a
+    sweep that rebuilds the grid keeps its offsets.
     """
-    n, D = pos.shape
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    return _separation_table(pos.tobytes(), pos.shape)
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _separation_table(data: bytes, shape: tuple[int, ...]) -> tuple:
+    pos = np.frombuffer(data).reshape(shape)
+    n, D = shape
     i, j = np.triu_indices(n, 1)  # the pairs i < j, row by row
     diff = pos[i] - pos[j]
-    quanta = np.rint(diff / (1e-12 * max(1.0, float(np.abs(pos).max()))))
     keys, seps = {(0.0,) * D: 0}, [np.zeros(D)]
     index = np.zeros((n, n), dtype=np.intp)
-    for a, b, d, q in zip(i, j, diff, quanta):
+    for a, b, d, q in zip(i, j, diff, _quanta(diff, pos)):
         index[a, b] = index[b, a] = keys.setdefault(max(tuple(q), tuple(-q)), len(keys))
         if len(keys) > len(seps):
             seps.append(d)
-    return np.array(seps), np.bincount(index[i, j], minlength=len(seps)), index
+    table = np.array(seps), np.bincount(index[i, j], minlength=len(seps)), index
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
-def _phases(grid: ModeGrid, d: np.ndarray) -> np.ndarray:
-    """k.d per +-k pair, d != 0: a multiply-add per nonzero d_j over column j of n."""
-    n, scale = grid._dense_n(), (2.0 * math.pi / grid.L) * d
+def _phases(n: np.ndarray, L: float, d: np.ndarray) -> np.ndarray:
+    """k.d per integer vector n, k = (2*pi/L)*n, d != 0: a multiply-add per nonzero d_j."""
+    scale = (2.0 * math.pi / L) * d
     first, *rest = np.flatnonzero(d)
     phase = n[:, first] * scale[first]
     for j in rest:
@@ -433,20 +456,62 @@ def _phases(grid: ModeGrid, d: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
-    """|sum_x e^{i k.x}|^2 per +-k pair of a dense grid, in separation form.
+def _separation_sum(n: np.ndarray, L: float, pos: np.ndarray) -> np.ndarray:
+    """|sum_x e^{i k.x}|^2 per integer vector n (k = (2*pi/L)*n), in separation form.
 
     The square is N + 2 sum_d m_d cos(k.d) over the distinct separations d
     of the pairs x < y (see _separations), which is real and exact for any
-    positions; coincident pairs add the constant 2 m_0.  It is even in k,
-    so one value stands for both modes of a pair.
+    positions; coincident pairs add the constant 2 m_0.  It is even in k.
     """
     seps, mult, _ = _separations(pos)
-    total = np.full(len(grid._dense_n()), len(pos) + 2.0 * mult[0])
+    total = np.full(len(n), len(pos) + 2.0 * mult[0])
     for d, m in zip(seps[1:], mult[1:]):
-        phase = _phases(grid, d)
+        phase = _phases(n, L, d)
         total += np.multiply(np.cos(phase, out=phase), 2.0 * m, out=phase)
     return total
+
+
+def _product_axes(pos: np.ndarray) -> list[np.ndarray] | None:
+    """Each axis's distinct coordinates if the positions are exactly their product grid, else None.
+
+    That is the case when the positions are distinct and N is the product
+    of the per-axis counts.  Coordinates that agree to 1e-12 of the largest
+    one are equal, as in _separations; each axis keeps them in order of
+    first appearance, so on D = 1 they are the positions themselves.
+    """
+    quanta = _quanta(pos, pos)
+    axes = []
+    for q, column in zip(quanta.T, pos.T):
+        first = np.unique(q, return_index=True)[1]
+        axes.append(column[np.sort(first)])
+    distinct = len({tuple(row) for row in quanta.tolist()}) == len(pos)
+    return axes if distinct and math.prod(map(len, axes)) == len(pos) else None
+
+
+def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
+    """|sum_x e^{i k.x}|^2 per +-k pair of a dense grid.
+
+    On a product layout (see _product_axes) the square factorizes over the
+    axes, S(k) = prod_a F_a(n_a), with F_a the separation sum of axis a's
+    coordinates alone.  F_a is evaluated once per integer between the least
+    and the largest n_a of the grid (0 included), O(n_max) cos calls per
+    distinct 1-D separation, and gathered per pair; an axis with one
+    coordinate (a padded one included) contributes 1.  Other layouts take
+    the separation sum over the +-k pairs, one cos pass per distinct
+    separation of the positions.  Either way one value stands for both
+    modes of a pair.
+    """
+    n = grid._dense_n()
+    axes = _product_axes(pos)
+    if axes is None:
+        return _separation_sum(n, grid.L, pos)
+    total = np.ones(1)  # broadcast: no pair-sized array until the first factor
+    for column, coords in zip(n.T, axes):
+        if len(coords) > 1:
+            lo = int(column.min(initial=0))
+            values = np.arange(lo, int(column.max(initial=0)) + 1)[:, None]
+            total = total * _separation_sum(values, grid.L, coords[:, None])[column - lo]
+    return np.broadcast_to(total, len(n))
 
 
 def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
@@ -493,6 +558,20 @@ def lattice_sites(count: int, dims: int) -> np.ndarray:
     return sites - sites.mean(axis=0)
 
 
+def _caller_stacklevel() -> int:
+    """The warnings stacklevel, seen from the calling function, of the first frame outside qecbound.
+
+    Frames of the package's modules are skipped, and so is a dataclass's
+    generated __init__, which runs in its module's globals; a warning is
+    then reported at the user's line, however deep the call.
+    """
+    package = __name__.partition(".")[0]
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == package:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(eq=False)
 class QubitLayout:
     """Positions of logical qubits and of the physical sites inside one.
@@ -517,7 +596,7 @@ class QubitLayout:
                 f"intra-logical spacing xi={self.xi} is not small against "
                 f"inter-logical spacing Xi={self.Xi}; corrections dropped by the "
                 "coarse graining may be sizable",
-                stacklevel=3,  # past the dataclass __init__, to whoever built the layout
+                stacklevel=_caller_stacklevel(),
             )
 
     @property

@@ -9,12 +9,17 @@ flags produce byte-identical files.
 This module imports no numeric code: the handlers that compute import
 numpy and the bath, bounds and coupling modules when they run, so ``eta``,
 ``code-check``, ``--help`` and every config error start without them.
+:func:`main` runs OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is
+already set: qecbound calls no BLAS routine, and an idle OpenBLAS worker
+thread spins after numpy is imported, adding CPU time to every run that
+computes.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -456,6 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any handler imports numpy
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

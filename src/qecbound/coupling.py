@@ -45,9 +45,9 @@ def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
     Twice the sum over the +-k pairs of a dense grid: one cos pass per
     distinct separation.  Radial and malformed grids raise (see ModeGrid).
     """
-    w = 2.0 * grid.u2[grid.shell_index]
+    w, n = 2.0 * grid.u2[grid.shell_index], grid.n
     seps, _, index = _separations(positions)
-    sums = [np.sum(w)] + [np.einsum("i,i->", w, np.cos(_phases(grid, d))) for d in seps[1:]]
+    sums = [np.sum(w)] + [np.einsum("i,i->", w, np.cos(_phases(n, grid.L, d))) for d in seps[1:]]
     return np.array(sums)[index]  # separation 0 is the on-site sum
 
 

@@ -21,6 +21,7 @@ from qecbound import (
     a_matrix,
     build_mode_grid,
     build_radial_mode_grid,
+    default_config,
     gamma,
     gamma_infinity,
     lattice_sites,
@@ -519,7 +520,7 @@ class TestHarmonicKernel:
         assert grid.fundamental is None
         d = np.arange(1.0, geom.D + 1) * 0.7
         positions = regular_layout(4, Xi=7.0, D_x=geom.D, xi=0.5).padded_logical_positions(geom.D)
-        pair_weights = grid._shell_weights(np.cos(bath._phases(grid, d)))[0]
+        pair_weights = grid._shell_weights(np.cos(bath._phases(grid.n, grid.L, d)))[0]
         register_weights = grid._shell_weights(bath._structure_factor(grid, positions))[0]
         for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
             assert gamma(grid, 0.03, T) == grid.prefactor * 0.03**2 * _per_shell(
@@ -644,6 +645,51 @@ class TestPlusMinusFold:
         assert np.array_equal(2 * np.bincount(grid.shell_index), grid.weight)
 
 
+_PRODUCT_CASES = [  # (grid geometry, z, positions): each a full product of per-axis coordinates
+    (BathGeometry(D=2, L=2 * math.pi * 12, omega_c=1.0), 1.0,
+     regular_layout(16, Xi=7.0, D_x=2, xi=0.5).padded_logical_positions(2)),
+    (BathGeometry(D=3, L=2 * math.pi * 6, omega_c=1.0), 1.0,
+     regular_layout(9, Xi=7.0, D_x=2, xi=0.5).padded_logical_positions(3) + 0.37),
+    (BathGeometry(D=2, L=2 * math.pi * 12, omega_c=1.0), 1.3,
+     regular_layout(4, Xi=7.0, D_x=1, xi=0.5).padded_logical_positions(2)),
+    (BathGeometry(D=1, L=2 * math.pi * 300, omega_c=1.0), 1.2,
+     regular_layout(6, Xi=7.0, D_x=1, xi=0.5).padded_logical_positions(1)),
+]
+_PAIR_CASES = [  # (grid geometry, positions): no product grid, so the separation sum
+    (BathGeometry(D=2, L=2 * math.pi * 12, omega_c=1.0),
+     regular_layout(5, Xi=7.0, D_x=2, xi=0.5).padded_logical_positions(2)),
+    (BathGeometry(D=3, L=2 * math.pi * 6, omega_c=1.0),
+     regular_layout(4, Xi=7.0, D_x=0, xi=0.5).padded_logical_positions(3)),
+]
+
+
+class TestStructureFactor:
+    """The register structure factor: per axis on product layouts, per separation otherwise."""
+
+    @pytest.mark.parametrize("geom, z, positions", _PRODUCT_CASES,
+                             ids=["4x4-D2", "3x3-D3-padded", "Dx1-D2", "D1"])
+    def test_product_layouts_factorize(self, geom, z, positions):
+        ch = _ch(z=z, s=0.25)
+        grid = build_mode_grid(geom, ch)
+        axes = bath._product_axes(positions)
+        assert axes is not None and math.prod(map(len, axes)) == len(positions)
+        direct = bath._separation_sum(grid.n, grid.L, positions)
+        np.testing.assert_allclose(bath._structure_factor(grid, positions), direct,
+                                   rtol=0, atol=1e-12 * len(positions) ** 2)
+        for T in (3.7, 2.5 * geom.L + 0.9):
+            _assert_parts_close(w_sum(grid, positions, T), _ref_register(grid, ch, positions, T))
+
+    @pytest.mark.parametrize("geom, positions", _PAIR_CASES, ids=["N5-Dx2", "coincident"])
+    def test_other_layouts_take_the_separation_sum(self, geom, positions):
+        ch = _ch(s=0.25)
+        grid = build_mode_grid(geom, ch)
+        assert bath._product_axes(positions) is None
+        assert np.array_equal(bath._structure_factor(grid, positions),
+                              bath._separation_sum(grid.n, grid.L, positions))
+        for T in (3.7, 2.5 * geom.L + 0.9):
+            _assert_parts_close(w_sum(grid, positions, T), _ref_register(grid, ch, positions, T))
+
+
 class TestSeparations:
     def test_square_register_has_one_entry_per_lattice_separation(self):
         # 4 x 4 sites: separations (a, b) * Xi, a in 0..3, b in -3..3, folded: 24 besides 0;
@@ -655,6 +701,13 @@ class TestSeparations:
         for i, j in itertools.combinations(range(16), 2):
             d, sep = pos[i] - pos[j], seps[index[i, j]]
             assert np.allclose(d, sep, rtol=0, atol=1e-9) or np.allclose(d, -sep, rtol=0, atol=1e-9)
+
+    def test_memoized_per_position_set_and_read_only(self):
+        pos = regular_layout(5, Xi=3.0, D_x=2, xi=0.1).padded_offsets(3)
+        table = bath._separations(pos)
+        assert bath._separations(pos.copy()) is table  # keyed on the values, not the array
+        assert bath._separations(pos[:, :2]) is not table
+        assert not any(array.flags.writeable for array in table)
 
     def test_coincident_pair_and_equal_lengths(self):
         pos = _irregular_register(3)
@@ -689,13 +742,15 @@ class TestLayout:
         assert np.allclose(np.diff(phys), 2.0)
 
     def test_warns_when_scales_collide(self):
-        with pytest.warns(UserWarning, match="spacing") as record:
-            regular_layout(2, Xi=3.0, D_x=1, xi=0.5)
-        # reported at a source line, not inside the dataclass-generated __init__
-        assert record[0].filename.endswith(".py")
-        with pytest.warns(UserWarning, match="spacing") as record:
-            QubitLayout(np.zeros((2, 1)), np.zeros((5, 1)), xi=1.0, Xi=5.0, D_x=1)
-        assert record[0].filename == __file__
+        for build in (
+            lambda: QubitLayout(np.zeros((2, 1)), np.zeros((5, 1)), xi=1.0, Xi=5.0, D_x=1),
+            lambda: regular_layout(2, Xi=3.0, D_x=1, xi=0.5),
+            lambda: default_config().with_value("layout.Xi", 3.0).qubit_layout(),
+        ):
+            with pytest.warns(UserWarning, match="spacing") as record:
+                build()
+            # reported at the caller's line, not inside qecbound or the dataclass-generated __init__
+            assert len(record) == 1 and record[0].filename == __file__
 
     def test_padding(self):
         layout = regular_layout(2, Xi=100.0, D_x=1, xi=1.0)

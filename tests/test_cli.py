@@ -395,11 +395,15 @@ ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_MODULES = ("numpy", "qecbound.bath", "qecbound.bounds", "qecbound.coupling")
 
 
-def _fresh_interpreter(code):
-    """Run code in a new interpreter with src on the path, from the repository root."""
+def _fresh_interpreter(code, **env):
+    """Run code in a new interpreter with src on the path, from the repository root.
+
+    Keyword arguments set environment variables; None unsets one.
+    """
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=ROOT, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    env = {**os.environ, **env, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT,
+                          env={k: v for k, v in env.items() if v is not None}, timeout=120)
 
 
 class TestImportLayers:
@@ -429,6 +433,26 @@ class TestImportLayers:
     def test_help(self):
         self._assert_numpy_free("from qecbound.cli import main\ntry:\n    main(['--help'])\n"
                                 "except SystemExit as exc:\n    assert exc.code == 0")
+
+
+class TestBlasThreads:
+    """The CLI runs OpenBLAS single-threaded unless the variable is set; the library does not."""
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+    def test_cli_default(self, tmp_path, preset, want):
+        proc = _fresh_interpreter(
+            "import os, sys\nfrom qecbound.cli import main\n"
+            f"assert main(['--out', {str(tmp_path)!r}, 'lambda-star']) == 0\n"
+            f"assert 'numpy' in sys.modules and os.environ['OPENBLAS_NUM_THREADS'] == {want!r}",
+            OPENBLAS_NUM_THREADS=preset)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_library_sets_nothing(self):
+        proc = _fresh_interpreter("import os, sys, qecbound\nqecbound.w_sum\n"
+                                  "assert 'numpy' in sys.modules\n"
+                                  "assert 'OPENBLAS_NUM_THREADS' not in os.environ",
+                                  OPENBLAS_NUM_THREADS=None)
+        assert proc.returncode == 0, proc.stderr
 
 
 PUBLIC_API = [
