@@ -9,20 +9,20 @@ for nonzero integer vectors n, cut off at omega <= omega_c.
 
 Dispersion and coupling weight depend only on |k|, so the modes group into
 shells, one per distinct |n|**2, and every sum here is even in k.  A grid is
-therefore a shell table: omega, |u|**2 and the mode count of each shell.  A
-dense grid adds one integer vector per +-k pair, which the position sums
-need for cos(k.d); a radial grid stores the table alone and supports only
-isotropic sums, but stays small even for 3-dimensional baths with tens of
-millions of modes.  Every time-dependent sum bins its static weights into
-shells once and then costs one cos (and one sin for an imaginary part) per
-shell and time point; on a 1-dimensional bath with z_exp = 1 the shell
+therefore a shell table: omega, |u|**2 and the mode count of each shell.  On
+D = 1 shell j is the one +-k pair n = +-(j + 1), and the table serves every
+sum.  For D >= 2 a dense grid adds one integer vector per pair, which the
+position sums need for cos(k.d); a radial grid stores the table alone and
+supports only isotropic sums, but stays small even for 3-dimensional baths
+with tens of millions of modes.  Every time-dependent sum bins its static
+weights into shells once and then costs one cos (and one sin for an
+imaginary part) per shell and time point; on D = 1 with z_exp = 1 the shell
 frequencies are the harmonics j * 2*pi/L, and O(sqrt(shells)) calls suffice.
-The register structure factor |sum_x e^{i k.x}|^2 behind w_sum costs one cos
-pass over the +-k pairs per distinct separation of the positions, except on
-a product layout (every combination of per-axis coordinates, as a regular
-array of side**D_x qubits is): there it is a product of per-axis factors,
-each tabulated over the 2 n_max + 1 integer values of n_a, and each pair
-costs one gather and multiply per axis with more than one coordinate.
+Every position sum makes one cos pass per distinct separation d, summing
+cos(k.d) per shell (_shell_cos), except the structure factor of w_sum on a
+D >= 2 product layout (every combination of per-axis coordinates, as a
+regular array of side**D_x qubits is): a product of per-axis factors, each
+tabulated over the integer values of n_a and gathered per pair.
 """
 
 from __future__ import annotations
@@ -45,21 +45,25 @@ from .errors import CapabilityError, DegenerateInputError, DimensionError
 
 DEFAULT_MODE_BUDGET = 10_000_000
 _MEMO_ENTRIES = 8
+_NOT_A_PAIR_TABLE = ("grid is not a +-k pair table: every stored n must be lexicographically "
+                     "negative, with weight = 2 * pairs per shell (2 per shell on D = 1)")
 
 
 @dataclass(eq=False)
 class ModeGrid:
-    """Momentum lattice of one channel spectrum: a shell table, and +-k pair vectors if dense.
+    """Momentum lattice of one channel spectrum: a shell table, and pair vectors if D >= 2 dense.
 
     omega, u2 and weight are per shell, one entry per distinct |n|^2 in
-    increasing order; weight is the number of modes in the shell.  A dense
-    grid also stores n, one integer vector per +-k pair (k = (2*pi/L)*n):
-    the lexicographically negative one, in lexicographic order.  Every sum
-    is even in k, so a pair stands for both of its modes; a radial grid
-    (n None) serves only the isotropic sums.  A hand-built dense grid is
-    checked once, by shell_index: each stored n must be lexicographically
-    negative and twice the pair count of each shell must equal its weight.
-    A grid failing this raises ArithmeticError on every position sum.
+    increasing order; weight is the number of modes in the shell.  Every sum
+    is even in k, so a +-k pair stands for both of its modes.  On D = 1 shell
+    j is the pair n = +-(j + 1).  A D >= 2 dense grid also stores n, one
+    integer vector per pair (k = (2*pi/L)*n): the lexicographically negative
+    one, in lexicographic order.  is_radial means n is None: every D = 1 grid,
+    which serves every sum, and a D >= 2 radial grid, which serves only the
+    isotropic ones.  Position sums check a hand-built grid: each D = 1 weight
+    must be 2; on D >= 2 shell_index checks once that each stored n is
+    lexicographically negative and that twice the pair count of each shell is
+    its weight.  A grid failing this raises ArithmeticError on every position sum.
 
     A grid reads only the geometry, the exponents (z_exp, s_exp) and the
     mode budget, never the channel axis or coupling.  build_mode_grid and
@@ -121,39 +125,26 @@ class ModeGrid:
     def is_radial(self) -> bool:
         return self.n is None
 
-    def _dense_n(self) -> np.ndarray:
-        if self.n is None:
-            raise CapabilityError("radial grid does not store mode vectors; build a dense "
-                                  "grid for position-dependent sums")
-        return self.n
-
     @cached_property
     def shell_index(self) -> np.ndarray:
-        """Shell of each stored +-k pair of a dense grid; raises on every access unless valid.
+        """Shell of each +-k pair of a D >= 2 dense grid; raises on every access unless valid.
 
         Shells number the distinct |n|^2 in increasing order, looked up in
-        a table over |n| (D = 1) or |n|^2 (D >= 2); no sort is needed.
+        a table over |n|^2; no sort is needed.
         """
-        n = self._dense_n()
-        key = np.abs(n[:, 0]) if self.D == 1 else np.einsum("ij,ij->i", n, n)
+        n = self.n
+        if n is None:
+            raise CapabilityError("radial grid does not store mode vectors; build a dense "
+                                  "grid for position-dependent sums")
+        key = np.einsum("ij,ij->i", n, n)
         present = np.zeros(int(key.max(initial=0)) + 1, dtype=bool)
         present[key] = True
         index = np.cumsum(present, dtype=np.int32)[key]
         index -= 1
         leading = n[np.arange(len(n)), np.argmax(n != 0, axis=1)]  # first nonzero component
         if np.any(leading >= 0) or not np.array_equal(2 * np.bincount(index), self.weight):
-            raise ArithmeticError("grid is not a +-k pair table: every stored n must be "
-                                  "lexicographically negative, with weight = 2 * pairs per shell")
+            raise ArithmeticError(_NOT_A_PAIR_TABLE)
         return index
-
-    def _shell_weights(self, values: np.ndarray) -> tuple:
-        """_shell_table of 2 * |u|^2 / omega^2 * values summed per shell; values are per +-k pair.
-
-        |u|^2 / omega^2 is constant on a shell, so it multiplies the binned
-        values and no pair-sized damping array is formed.
-        """
-        bins = np.bincount(self.shell_index, weights=values, minlength=len(self.omega))
-        return _shell_table(self, 2.0 * self.u2 / self.omega**2 * bins)
 
     @property
     def shell_damping(self) -> np.ndarray:
@@ -303,9 +294,10 @@ def build_mode_grid(
 ) -> ModeGrid:
     """Dense grid: the shell table of the modes with omega(|k|) <= omega_c, and one n per +-k pair.
 
-    Channels with equal exponents get the same instance (see ModeGrid).
+    Channels with equal exponents get the same instance (see ModeGrid); on
+    D = 1 it is the radial grid, which serves every sum there.
     """
-    return _shared_grid(geom, ch.z_exp, ch.s_exp, max_modes, False)
+    return _shared_grid(geom, ch.z_exp, ch.s_exp, max_modes, geom.D == 1)
 
 
 def build_radial_mode_grid(
@@ -394,7 +386,7 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
 
     Symmetric under x <-> y; complex in general (the x = y imaginary part is
     -prefactor * sum (|u|^2/omega^2) sin(omega T)).  For x != y the sum runs
-    over the +-k pairs of a dense grid, so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.
+    over the +-k pairs (see _shell_cos), so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.
     """
     if T < 0:
         raise ValueError("time must be non-negative")
@@ -402,7 +394,7 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     if d.shape != (grid.D,):
         raise DimensionError(f"positions must have dimension {grid.D}")
     if np.any(d):
-        table = grid._shell_weights(np.cos(_phases(grid._dense_n(), grid.L, d)))
+        table = _shell_table(grid, 2.0 * grid.u2 / grid.omega**2 * _shell_cos(grid, d))
     else:
         table = grid._damping_table
     return grid.prefactor * _oscillating_sum(grid, table, T)
@@ -446,29 +438,30 @@ def _separation_table(data: bytes, shape: tuple[int, ...]) -> tuple:
     return table
 
 
-def _phases(n: np.ndarray, L: float, d: np.ndarray) -> np.ndarray:
-    """k.d per integer vector n, k = (2*pi/L)*n, d != 0: a multiply-add per nonzero d_j."""
-    scale = (2.0 * math.pi / L) * d
-    first, *rest = np.flatnonzero(d)
-    phase = n[:, first] * scale[first]
-    for j in rest:
-        phase += n[:, j] * scale[j]
-    return phase
+def _shell_cos(grid: ModeGrid, d: np.ndarray) -> np.ndarray:
+    """Per shell, cos(k.d) summed over the shell's +-k pairs; d = 0 gives the pair counts.
 
-
-def _separation_sum(n: np.ndarray, L: float, pos: np.ndarray) -> np.ndarray:
-    """|sum_x e^{i k.x}|^2 per integer vector n (k = (2*pi/L)*n), in separation form.
-
-    The square is N + 2 sum_d m_d cos(k.d) over the distinct separations d
-    of the pairs x < y (see _separations), which is real and exact for any
-    positions; coincident pairs add the constant 2 m_0.  It is even in k.
+    On D = 1 shell j is the pair n = +-(j + 1), so k is read from the shell
+    number; on D >= 2 the stored pairs are binned with shell_index.  Raises
+    ArithmeticError unless the grid is a pair table (see ModeGrid), and
+    CapabilityError on a D >= 2 radial grid.
     """
-    seps, mult, _ = _separations(pos)
-    total = np.full(len(n), len(pos) + 2.0 * mult[0])
-    for d, m in zip(seps[1:], mult[1:]):
-        phase = _phases(n, L, d)
-        total += np.multiply(np.cos(phase, out=phase), 2.0 * m, out=phase)
-    return total
+    if grid.D > 1:
+        index = grid.shell_index  # checked before any pair-sized array is formed
+    elif np.any(grid.weight != 2.0):
+        raise ArithmeticError(_NOT_A_PAIR_TABLE)
+    if not np.any(d):
+        return 0.5 * grid.weight
+    scale = (2.0 * math.pi / grid.L) * d
+    if grid.D == 1:
+        phase = np.arange(1.0, len(grid.weight) + 1.0)
+        phase *= scale[0]
+        return np.cos(phase, out=phase)
+    first, *rest = np.flatnonzero(d)  # k.d from the integer columns: a multiply-add per nonzero d_j
+    phase = grid.n[:, first] * scale[first]
+    for j in rest:
+        phase += grid.n[:, j] * scale[j]
+    return np.bincount(index, weights=np.cos(phase, out=phase), minlength=len(grid.weight))
 
 
 def _product_axes(pos: np.ndarray) -> list[np.ndarray] | None:
@@ -477,7 +470,7 @@ def _product_axes(pos: np.ndarray) -> list[np.ndarray] | None:
     That is the case when the positions are distinct and N is the product
     of the per-axis counts.  Coordinates that agree to 1e-12 of the largest
     one are equal, as in _separations; each axis keeps them in order of
-    first appearance, so on D = 1 they are the positions themselves.
+    first appearance.
     """
     quanta = _quanta(pos, pos)
     axes = []
@@ -489,29 +482,33 @@ def _product_axes(pos: np.ndarray) -> list[np.ndarray] | None:
 
 
 def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
-    """|sum_x e^{i k.x}|^2 per +-k pair of a dense grid.
+    """Per shell, |sum_x e^{i k.x}|^2 summed over the shell's +-k pairs.
 
-    On a product layout (see _product_axes) the square factorizes over the
-    axes, S(k) = prod_a F_a(n_a), with F_a the separation sum of axis a's
-    coordinates alone.  F_a is evaluated once per integer between the least
-    and the largest n_a of the grid (0 included), O(n_max) cos calls per
-    distinct 1-D separation, and gathered per pair; an axis with one
-    coordinate (a padded one included) contributes 1.  Other layouts take
-    the separation sum over the +-k pairs, one cos pass per distinct
-    separation of the positions.  Either way one value stands for both
-    modes of a pair.
+    The square is N + 2 sum_d m_d cos(k.d) over the distinct separations d
+    of the pairs x < y (see _separations), which is real and exact for any
+    positions; coincident pairs add 2 m_0.  That is one _shell_cos per
+    distinct separation.  On D >= 2 a product layout of more than one
+    position (see _product_axes) factorizes over the axes instead: S(k) =
+    prod_a |sum_c e^{i k_a c}|^2 over axis a's coordinates c, each factor
+    tabulated once per integer between the least and the largest n_a of the
+    grid (0 included), gathered per pair and binned into shells; an axis
+    with one coordinate (a padded one included) contributes 1.
     """
-    n = grid._dense_n()
-    axes = _product_axes(pos)
+    axes = _product_axes(pos) if grid.D > 1 and len(pos) > 1 else None
     if axes is None:
-        return _separation_sum(n, grid.L, pos)
-    total = np.ones(1)  # broadcast: no pair-sized array until the first factor
-    for column, coords in zip(n.T, axes):
+        seps, mult, _ = _separations(pos)
+        total = (len(pos) + 2.0 * mult[0]) * _shell_cos(grid, seps[0])
+        for d, m in zip(seps[1:], mult[1:]):
+            cos = _shell_cos(grid, d)
+            total += np.multiply(cos, 2.0 * m, out=cos)
+        return total
+    index, total = grid.shell_index, 1.0  # the index first, before any pair-sized factor
+    for column, coords in zip(grid.n.T, axes):
         if len(coords) > 1:
             lo = int(column.min(initial=0))
-            values = np.arange(lo, int(column.max(initial=0)) + 1)[:, None]
-            total = total * _separation_sum(values, grid.L, coords[:, None])[column - lo]
-    return np.broadcast_to(total, len(n))
+            k = (2.0 * math.pi / grid.L) * np.arange(lo, int(column.max(initial=0)) + 1)
+            total = total * (np.abs(np.exp(1j * np.outer(k, coords)).sum(axis=1)) ** 2)[column - lo]
+    return np.bincount(index, weights=total, minlength=len(grid.weight))
 
 
 def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
@@ -529,7 +526,8 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
     if pos.shape[1] != grid.D:
         raise DimensionError(f"positions must have dimension {grid.D}")
     table = grid.memo(  # T-independent, so a time series over one register reuses it
-        "register", pos.tobytes(), lambda: grid._shell_weights(_structure_factor(grid, pos))
+        "register", pos.tobytes(),
+        lambda: _shell_table(grid, 2.0 * grid.u2 / grid.omega**2 * _structure_factor(grid, pos)),
     )
     return grid.prefactor * _oscillating_sum(grid, table, T)
 

@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bath import ModeGrid, QubitLayout, gamma, gamma_infinity, w_sum
+from .bath import ModeGrid, QubitLayout, _caller_stacklevel, gamma, gamma_infinity, w_sum
 from .config import BathChannel, BathGeometry, BoundInput
 from .coupling import EffectiveCoupling
 from .errors import ConfigError, CriterionUnreachableError, CapabilityError
@@ -364,7 +364,7 @@ def hs_distance(
     if strongest**2 * n > 0.1:
         warnings.warn(
             f"perturbative bound stretched: (max lambda*)^2 * N = {strongest**2 * n:.3g} > 0.1",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     acc = 0.0
     for grid, lam2 in _lam2_by_grid(grids, couplings).items():

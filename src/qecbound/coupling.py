@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bath import ModeGrid, QubitLayout, _phases, _separations
+from .bath import ModeGrid, QubitLayout, _separations, _shell_cos
 from .config import BathChannel
 from .errors import ConfigError, DegenerateInputError
 from .pauli import CHANNEL_AXES, EtaEntry, EtaTable, enumerate_eta  # noqa: F401 - re-exported
@@ -42,13 +42,12 @@ class AMatrix:
 def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
     """sum_k |u_k|^2 cos(k.(x_i - x_j)) for every site pair (i, j), no coupling scale.
 
-    Twice the sum over the +-k pairs of a dense grid: one cos pass per
-    distinct separation.  Radial and malformed grids raise (see ModeGrid).
+    Twice |u|^2 times cos summed over each shell's +-k pairs (_shell_cos):
+    one cos pass per distinct separation, separation 0 the on-site sum.
+    D >= 2 radial grids and malformed grids raise (see ModeGrid).
     """
-    w, n = 2.0 * grid.u2[grid.shell_index], grid.n
     seps, _, index = _separations(positions)
-    sums = [np.sum(w)] + [np.einsum("i,i->", w, np.cos(_phases(n, grid.L, d))) for d in seps[1:]]
-    return np.array(sums)[index]  # separation 0 is the on-site sum
+    return 2.0 * np.array([np.einsum("i,i->", grid.u2, _shell_cos(grid, d)) for d in seps])[index]
 
 
 def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: float) -> AMatrix:

@@ -36,11 +36,18 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     return out
 
 
-def grid_modes(grid, ch):
-    """(k, omega, |u|^2) of every mode of a dense grid, rebuilt from the stored n and -n.
+def grid_modes(geom, ch):
+    """(k, omega, |u|^2) of every mode of the (geom, ch) lattice, enumerated by brute force.
 
-    omega and |u|^2 come from |k| and the channel exponents, not from the grid's shell table.
+    Every nonzero integer vector n of the cube around the cutoff sphere is
+    kept when |k| = (2 pi/L)|n| <= omega_c^(1/z_exp); nothing is read from a
+    grid, so a grid's shell table and vectors are checked against this.
     """
-    n = np.concatenate([grid.n, -grid.n])
-    norm = (2.0 * math.pi / grid.L) * np.sqrt(np.einsum("ij,ij->i", n, n).astype(float))
-    return (2.0 * math.pi / grid.L) * n, norm**ch.z_exp, norm ** (2.0 * ch.s_exp)
+    dk = 2.0 * math.pi / geom.L
+    radius = geom.omega_c ** (1.0 / ch.z_exp) / dk
+    side = np.arange(-int(radius) - 1, int(radius) + 2)
+    n = np.stack(np.meshgrid(*[side] * geom.D, indexing="ij"), axis=-1).reshape(-1, geom.D)
+    m2 = np.einsum("ij,ij->i", n, n)
+    keep = (m2 > 0) & (m2 <= radius**2 * (1.0 + 1e-9))
+    norm = dk * np.sqrt(m2[keep].astype(float))
+    return dk * n[keep], norm**ch.z_exp, norm ** (2.0 * ch.s_exp)

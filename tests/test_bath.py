@@ -42,8 +42,8 @@ class TestGridConstruction:
     def test_minimal_1d_grid(self):
         geom = BathGeometry(D=1, L=2 * math.pi, omega_c=1.0)
         grid = build_mode_grid(geom, _ch())
-        assert grid.mode_count == 2
-        assert sorted(np.concatenate([grid.n, -grid.n])[:, 0].tolist()) == [-1, 1]
+        assert grid.mode_count == 2 and grid.n is None  # one shell: the pair n = +-1
+        assert np.array_equal(grid.weight, [2.0])
         assert np.allclose(grid.omega, 1.0)
 
     def test_1d_count(self):
@@ -58,8 +58,11 @@ class TestGridConstruction:
             geom = BathGeometry(D=D, L=rng.uniform(10, 30), omega_c=rng.uniform(0.8, 2.0))
             ch = _ch(z=rng.uniform(0.5, 2.0))
             grid = build_mode_grid(geom, ch)
-            vectors = {tuple(v) for v in np.concatenate([grid.n, -grid.n]).tolist()}
             ball = _pencil_vectors(D, bath._lattice_extent(geom, ch.z_exp))
+            if D == 1:  # the shell table alone: shell j is the pair n = +-(j + 1)
+                assert grid.n is None and np.array_equal(grid.weight, np.full(len(ball) // 2, 2.0))
+                continue
+            vectors = {tuple(v) for v in np.concatenate([grid.n, -grid.n]).tolist()}
             assert len(vectors) == 2 * len(grid.n) == len(ball)
             assert vectors == {tuple(v) for v in ball.tolist()}
 
@@ -86,7 +89,7 @@ class TestGridConstruction:
             ch = _ch(z=1.2, s=0.3)
             dense = build_mode_grid(geom, ch)
             radial = build_radial_mode_grid(geom, ch)
-            assert radial.is_radial and not dense.is_radial
+            assert radial.is_radial and dense.is_radial == (D == 1)
             assert radial.mode_count == dense.mode_count
             # D = 1 stores one record per shell either way
             assert radial.stored_count <= dense.stored_count
@@ -107,15 +110,16 @@ class TestGridConstruction:
                 assert np.array_equal(got, want[: len(want) // 2])
 
     def test_radial_refuses_positions(self):
-        geom = BathGeometry(D=1, L=30.0, omega_c=1.0)
+        geom = BathGeometry(D=2, L=30.0, omega_c=1.0)
         grid = build_radial_mode_grid(geom, _ch())
         with pytest.raises(CapabilityError, match="dense"):
-            w_pair(grid, [1.0], [0.0], 1.0)
+            w_pair(grid, [1.0, 0.0], [0.0, 0.0], 1.0)
 
     def test_radial_refuses_every_position_sum(self):
         geom = BathGeometry(D=2, L=30.0, omega_c=1.0)
         grid = build_radial_mode_grid(geom, _ch())
-        register = regular_layout(2, Xi=3.0, D_x=1, xi=0.5)
+        with pytest.warns(UserWarning, match="coarse graining"):
+            register = regular_layout(2, Xi=3.0, D_x=1, xi=0.5)
         for call in (
             lambda: w_pair(grid, [1.0, 0.0], [0.0, 0.0], 1.0),
             lambda: w_sum(grid, register.padded_logical_positions(2), 1.0),
@@ -318,22 +322,26 @@ def _per_mode_osc(omega, T):
     return 2.0 * np.sin(0.5 * omega * T) ** 2 - 1j * np.sin(omega * T)
 
 
-def _per_mode_sum(grid, ch, d, T):
+def _prefactor(geom):
+    return (2.0 * math.pi / geom.L) ** geom.D
+
+
+def _per_mode_sum(geom, ch, d, T):
     """sum over modes of |u|^2/omega^2 e^{-i k.d} (1 - e^{i omega T}), no prefactor."""
-    k, omega, u2 = grid_modes(grid, ch)
+    k, omega, u2 = grid_modes(geom, ch)
     return np.sum(u2 / (omega * omega) * np.exp(-1j * (k @ d)) * _per_mode_osc(omega, T))
 
 
-def _ref_gamma(grid, ch, lam, T):
-    return grid.prefactor * lam**2 * _per_mode_sum(grid, ch, np.zeros(grid.D), T).real
+def _ref_gamma(geom, ch, lam, T):
+    return _prefactor(geom) * lam**2 * _per_mode_sum(geom, ch, np.zeros(geom.D), T).real
 
 
-def _ref_w_pair(grid, ch, x, y, T):
-    return grid.prefactor * _per_mode_sum(grid, ch, np.asarray(x) - np.asarray(y), T)
+def _ref_w_pair(geom, ch, x, y, T):
+    return _prefactor(geom) * _per_mode_sum(geom, ch, np.asarray(x) - np.asarray(y), T)
 
 
-def _ref_w_sum(grid, ch, positions, T):
-    return sum(_ref_w_pair(grid, ch, x, y, T) for x in positions for y in positions)
+def _ref_w_sum(geom, ch, positions, T):
+    return sum(_ref_w_pair(geom, ch, x, y, T) for x in positions for y in positions)
 
 
 def _assert_close(got, ref):
@@ -374,21 +382,24 @@ def shell_case(request):
 
 class TestShellKernel:
     def test_shells_partition_the_modes(self, shell_case):
-        _, grid, _ = shell_case
-        m2 = np.sum(grid.n * grid.n, axis=1)
-        order = np.unique(m2)
+        geom, grid, _ = shell_case
+        order, counts = np.unique(_mode_m2(geom, _SHELL_CH), return_counts=True)
         assert len(grid.omega) == len(order) < grid.mode_count
-        assert np.array_equal(order[grid.shell_index], m2)
-        assert np.array_equal(grid.weight, 2 * np.bincount(grid.shell_index))
+        assert np.array_equal(grid.weight, counts)
+        if geom.D == 1:
+            assert grid.n is None and np.array_equal(order, np.arange(1, len(order) + 1) ** 2)
+        else:
+            assert np.array_equal(order[grid.shell_index], np.sum(grid.n * grid.n, axis=1))
+            assert np.array_equal(grid.weight, 2 * np.bincount(grid.shell_index))
         k = (2.0 * math.pi / grid.L) * np.sqrt(order.astype(float))
         np.testing.assert_allclose(grid.omega, k**_SHELL_CH.z_exp, rtol=1e-15)
         np.testing.assert_allclose(grid.u2, k ** (2.0 * _SHELL_CH.s_exp), rtol=1e-15)
 
     def test_gamma(self, shell_case):
-        _, grid, times = shell_case
+        geom, grid, times = shell_case
         assert gamma(grid, 0.03, 0.0) == 0.0
         for T in times:
-            _assert_close(gamma(grid, 0.03, T), _ref_gamma(grid, _SHELL_CH, 0.03, T))
+            _assert_close(gamma(grid, 0.03, T), _ref_gamma(geom, _SHELL_CH, 0.03, T))
 
     def test_static_sum(self, shell_case):
         _, grid, _ = shell_case
@@ -403,7 +414,7 @@ class TestShellKernel:
         for a, b in ((x, y), (x, x)):
             assert w_pair(grid, a, b, 0.0) == 0j
             for T in times:
-                _assert_close(w_pair(grid, a, b, T), _ref_w_pair(grid, _SHELL_CH, a, b, T))
+                _assert_close(w_pair(grid, a, b, T), _ref_w_pair(geom, _SHELL_CH, a, b, T))
 
     def test_w_sum(self, shell_case):
         geom, grid, times = shell_case
@@ -415,16 +426,18 @@ class TestShellKernel:
         for positions in position_sets:
             assert w_sum(grid, positions, 0.0) == 0j
             for T in times:
-                _assert_close(w_sum(grid, positions, T), _ref_w_sum(grid, _SHELL_CH, positions, T))
+                _assert_close(w_sum(grid, positions, T), _ref_w_sum(geom, _SHELL_CH, positions, T))
 
     def test_radial_grid_holds_the_dense_shells(self):
         for _, geom in _SHELL_CASES:
             dense = build_mode_grid(geom, _SHELL_CH)
             radial = build_radial_mode_grid(geom, _SHELL_CH)
+            assert (radial is dense) == (geom.D == 1)
             assert radial.mode_count == dense.mode_count
             for array in ("omega", "u2", "weight"):
                 assert np.array_equal(getattr(radial, array), getattr(dense, array))
-            assert np.array_equal(radial.weight, 2 * np.bincount(dense.shell_index))
+            if geom.D > 1:
+                assert np.array_equal(radial.weight, 2 * np.bincount(dense.shell_index))
             assert np.array_equal(radial.shell_damping, dense.shell_damping)
             for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
                 assert gamma(radial, 0.03, T) == gamma(dense, 0.03, T)
@@ -441,11 +454,25 @@ class TestShellKernel:
         assert peak < 1_000_000
 
 
-def _ref_register(grid, ch, positions, T):
+def _ref_register(geom, ch, positions, T):
     """w_sum per mode: prefactor * sum |u|^2/omega^2 |sum_x e^{i k.x}|^2 (1 - e^{i omega T})."""
-    k, omega, u2 = grid_modes(grid, ch)
+    k, omega, u2 = grid_modes(geom, ch)
     factor = np.abs(np.exp(1j * (k @ positions.T)).sum(axis=1)) ** 2
-    return grid.prefactor * np.sum(u2 / (omega * omega) * factor * _per_mode_osc(omega, T))
+    return _prefactor(geom) * np.sum(u2 / (omega * omega) * factor * _per_mode_osc(omega, T))
+
+
+def _mode_m2(geom, ch):
+    """|n|^2 of every mode of the brute-force enumeration."""
+    k = grid_modes(geom, ch)[0] * (geom.L / (2.0 * math.pi))
+    return np.rint(np.einsum("ij,ij->i", k, k)).astype(np.int64)
+
+
+def _ref_shell_factor(geom, ch, positions):
+    """Per shell, |sum_x e^{i k.x}|^2 summed over half the shell's modes, from the enumeration."""
+    k = grid_modes(geom, ch)[0]
+    shells = np.unique(_mode_m2(geom, ch), return_inverse=True)[1]
+    factor = np.abs(np.exp(1j * (k @ positions.T)).sum(axis=1)) ** 2
+    return 0.5 * np.bincount(shells, weights=factor)
 
 
 def _assert_parts_close(got, ref):
@@ -473,7 +500,7 @@ def harmonic_case(request):
     # near a half recurrence L/2 * m: there the imaginary part nearly cancels, and at
     # S = 125k float64 phases hold only ~1e-10 of it (an extended-precision sum shows it
     # for the per-shell kernel too).
-    return ch, build_mode_grid(geom, ch), (1.0, 200.3, 1.37 * geom.L + 0.3)
+    return geom, ch, build_mode_grid(geom, ch), (1.0, 200.3, 1.37 * geom.L + 0.3)
 
 
 class TestHarmonicKernel:
@@ -481,30 +508,30 @@ class TestHarmonicKernel:
     sums take the harmonic path of bath._oscillating_sum."""
 
     def test_fundamental_detected(self, harmonic_case):
-        _, grid, _ = harmonic_case
+        _, _, grid, _ = harmonic_case
         assert grid.fundamental == grid.omega[0] == 2.0 * math.pi / grid.L
         assert len(grid.omega) == round(grid.L / (2.0 * math.pi))
 
     def test_gamma(self, harmonic_case):
-        ch, grid, times = harmonic_case
+        geom, ch, grid, times = harmonic_case
         assert gamma(grid, 0.03, 0.0) == 0.0
         for T in times:
-            ref = _ref_gamma(grid, ch, 0.03, T)
+            ref = _ref_gamma(geom, ch, 0.03, T)
             _assert_parts_close(complex(gamma(grid, 0.03, T)), complex(ref))
 
     def test_w_pair(self, harmonic_case):
-        ch, grid, times = harmonic_case
+        geom, ch, grid, times = harmonic_case
         for x, y in (([2.3], [-1.1]), ([0.4], [0.4])):
             assert w_pair(grid, x, y, 0.0) == 0j
             for T in times:
-                _assert_parts_close(w_pair(grid, x, y, T), _ref_w_pair(grid, ch, x, y, T))
+                _assert_parts_close(w_pair(grid, x, y, T), _ref_w_pair(geom, ch, x, y, T))
 
     def test_w_sum(self, harmonic_case):
-        ch, grid, times = harmonic_case
+        geom, ch, grid, times = harmonic_case
         positions = regular_layout(4, Xi=7.0, D_x=1, xi=0.5).padded_logical_positions(1) + 0.37
         assert w_sum(grid, positions, 0.0) == 0j
         for T in times:
-            _assert_parts_close(w_sum(grid, positions, T), _ref_register(grid, ch, positions, T))
+            _assert_parts_close(w_sum(grid, positions, T), _ref_register(geom, ch, positions, T))
 
     @pytest.mark.parametrize(
         "geom, z",
@@ -520,8 +547,8 @@ class TestHarmonicKernel:
         assert grid.fundamental is None
         d = np.arange(1.0, geom.D + 1) * 0.7
         positions = regular_layout(4, Xi=7.0, D_x=geom.D, xi=0.5).padded_logical_positions(geom.D)
-        pair_weights = grid._shell_weights(np.cos(bath._phases(grid.n, grid.L, d)))[0]
-        register_weights = grid._shell_weights(bath._structure_factor(grid, positions))[0]
+        pair_weights = 2.0 * grid.u2 / grid.omega**2 * bath._shell_cos(grid, d)
+        register_weights = 2.0 * grid.u2 / grid.omega**2 * bath._structure_factor(grid, positions)
         for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
             assert gamma(grid, 0.03, T) == grid.prefactor * 0.03**2 * _per_shell(
                 grid, grid.shell_damping, T).real
@@ -560,8 +587,8 @@ def test_per_shell_kernel_keeps_small_time_accuracy(geom, z, T):
     assert float(abs(gamma(grid, 0.03, T) - ref) / ref) <= 1e-12
 
 
-def _ref_a_matrix(grid, ch, offsets, scale):
-    k, _, u2 = grid_modes(grid, ch)
+def _ref_a_matrix(geom, ch, offsets, scale):
+    k, _, u2 = grid_modes(geom, ch)
     return np.array(
         [[scale * np.sum(u2 * np.exp(-1j * (k @ (a - b)))).real for b in offsets] for a in offsets]
     )
@@ -592,11 +619,11 @@ class TestPlusMinusFold:
         positions = register.padded_logical_positions(3)
         assert not positions[:, D_x:].any()  # every separation has zero components
         for T in (3.7, 2.5 * geom.L + 0.9):
-            _assert_close(w_sum(grid, positions, T), _ref_w_sum(grid, ch, positions, T))
+            _assert_close(w_sum(grid, positions, T), _ref_w_sum(geom, ch, positions, T))
             x, y = positions[0], positions[-1]
-            _assert_close(w_pair(grid, x, y, T), _ref_w_pair(grid, ch, x, y, T))
+            _assert_close(w_pair(grid, x, y, T), _ref_w_pair(geom, ch, x, y, T))
         offsets = register.padded_offsets(3)
-        ref = _ref_a_matrix(grid, ch, offsets, (ch.lam * 1.5) ** 2)
+        ref = _ref_a_matrix(geom, ch, offsets, (ch.lam * 1.5) ** 2)
         got = a_matrix(grid, register, ch, delta=1.5).values
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * ref[0, 0])
 
@@ -639,10 +666,60 @@ class TestPlusMinusFold:
     def test_every_built_grid_is_a_pair_table(self, D, size, omega_c, z, s):
         geom = BathGeometry(D=D, L=2 * math.pi * size, omega_c=omega_c)
         grid = build_mode_grid(geom, _ch(z=z, s=s))
+        if D == 1:  # shell j is the pair n = +-(j + 1), and no vector is stored
+            assert grid.n is None and np.all(grid.weight == 2.0)
+            return
         vectors = [tuple(v) for v in grid.n.tolist()]
         assert all(next(c for c in v if c) < 0 for v in vectors)  # lexicographically negative
         assert len(set(vectors)) == len(vectors)
         assert np.array_equal(2 * np.bincount(grid.shell_index), grid.weight)
+
+
+_LINE_GEOM = BathGeometry(D=1, L=2 * math.pi * 50, omega_c=1.0)
+_LINE_LAYOUTS = {  # offsets and logical positions: a product layout, and one with coincident sites
+    "product": QubitLayout(np.arange(4.0)[:, None] * 7.0 + 0.37,
+                           np.arange(5.0)[:, None] * 0.5 - 1.0, xi=0.5, Xi=7.0, D_x=1),
+    "coincident": QubitLayout([[0.37], [0.37], [7.37]], np.zeros((3, 1)), xi=0.0, Xi=7.0, D_x=1),
+}
+
+
+class TestShellTableGrid:
+    """D = 1: shell j is the pair n = +-(j + 1), so the shell table serves every position sum."""
+
+    @pytest.mark.parametrize("z", [1.0, 1.2], ids=["harmonic", "per-shell"])
+    @pytest.mark.parametrize("kind", list(_LINE_LAYOUTS))
+    def test_position_sums_match_the_enumeration(self, z, kind):
+        ch, layout = _ch(z=z, s=0.25, lam=0.2), _LINE_LAYOUTS[kind]
+        grid = build_mode_grid(_LINE_GEOM, ch)
+        assert grid is build_radial_mode_grid(_LINE_GEOM, ch) and grid.n is None
+        assert (grid.fundamental is not None) == (z == 1.0)
+        offsets = layout.padded_offsets(1)
+        ref = _ref_a_matrix(_LINE_GEOM, ch, offsets, (ch.lam * 1.5) ** 2)
+        got = a_matrix(grid, layout, ch, delta=1.5).values
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * ref[0, 0])
+        positions = layout.padded_logical_positions(1)
+        for T in (3.7, 2.5 * _LINE_GEOM.L + 0.9):
+            _assert_close(w_sum(grid, positions, T), _ref_w_sum(_LINE_GEOM, ch, positions, T))
+            for x, y in ((positions[0], positions[-1]), (positions[0], positions[1])):
+                _assert_close(w_pair(grid, x, y, T), _ref_w_pair(_LINE_GEOM, ch, x, y, T))
+
+    @pytest.mark.parametrize("z", [1.0, 1.2], ids=["harmonic", "per-shell"])
+    def test_shell_weight_other_than_two_rejected_by_every_position_sum(self, z):
+        grid = build_mode_grid(_LINE_GEOM, _ch(z=z))
+        weight = np.array(grid.weight)
+        weight[3] = 4.0
+        malformed = ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight)
+        for layout in _LINE_LAYOUTS.values():
+            positions = layout.padded_logical_positions(1)
+            for _ in range(2):  # a failed check is not memoized
+                with pytest.raises(ArithmeticError, match="pair table"):
+                    a_matrix(malformed, layout, _ch(), delta=1.0)
+                with pytest.raises(ArithmeticError, match="pair table"):
+                    w_sum(malformed, positions, 1.0)
+                with pytest.raises(ArithmeticError, match="pair table"):
+                    w_sum(malformed, positions[:1], 1.0)  # one site: no separation to form
+                with pytest.raises(ArithmeticError, match="pair table"):
+                    w_pair(malformed, positions[0], positions[-1], 1.0)
 
 
 _PRODUCT_CASES = [  # (grid geometry, z, positions): each a full product of per-axis coordinates
@@ -652,42 +729,60 @@ _PRODUCT_CASES = [  # (grid geometry, z, positions): each a full product of per-
      regular_layout(9, Xi=7.0, D_x=2, xi=0.5).padded_logical_positions(3) + 0.37),
     (BathGeometry(D=2, L=2 * math.pi * 12, omega_c=1.0), 1.3,
      regular_layout(4, Xi=7.0, D_x=1, xi=0.5).padded_logical_positions(2)),
-    (BathGeometry(D=1, L=2 * math.pi * 300, omega_c=1.0), 1.2,
+]
+_PAIR_CASES = [  # (grid geometry, z, positions): the separation form over shells
+    (BathGeometry(D=2, L=2 * math.pi * 12, omega_c=1.0), 1.0,
+     regular_layout(5, Xi=7.0, D_x=2, xi=0.5).padded_logical_positions(2)),
+    (BathGeometry(D=3, L=2 * math.pi * 6, omega_c=1.0), 1.0,
+     regular_layout(4, Xi=7.0, D_x=0, xi=0.5).padded_logical_positions(3)),
+    (BathGeometry(D=1, L=2 * math.pi * 300, omega_c=1.0), 1.2,  # a product layout, but D = 1
      regular_layout(6, Xi=7.0, D_x=1, xi=0.5).padded_logical_positions(1)),
 ]
-_PAIR_CASES = [  # (grid geometry, positions): no product grid, so the separation sum
-    (BathGeometry(D=2, L=2 * math.pi * 12, omega_c=1.0),
-     regular_layout(5, Xi=7.0, D_x=2, xi=0.5).padded_logical_positions(2)),
-    (BathGeometry(D=3, L=2 * math.pi * 6, omega_c=1.0),
-     regular_layout(4, Xi=7.0, D_x=0, xi=0.5).padded_logical_positions(3)),
-]
+
+
+def _separation_form(grid, positions):
+    """N + 2 sum_d m_d cos(k.d) per shell, one bath._shell_cos per distinct separation."""
+    seps, mult, _ = bath._separations(positions)
+    total = (len(positions) + 2.0 * mult[0]) * bath._shell_cos(grid, seps[0])
+    for d, m in zip(seps[1:], mult[1:]):
+        total = total + 2.0 * m * bath._shell_cos(grid, d)
+    return total
+
+
+def _assert_shell_factor(geom, ch, grid, positions):
+    """The per-shell structure factor against the enumeration, to 1e-12 of each shell's largest."""
+    got, want = bath._structure_factor(grid, positions), _ref_shell_factor(geom, ch, positions)
+    assert np.all(np.abs(got - want) <= 1e-12 * len(positions) ** 2 * grid.weight)
 
 
 class TestStructureFactor:
-    """The register structure factor: per axis on product layouts, per separation otherwise."""
+    """The register structure factor: per axis on D >= 2 product layouts, else per separation."""
 
     @pytest.mark.parametrize("geom, z, positions", _PRODUCT_CASES,
-                             ids=["4x4-D2", "3x3-D3-padded", "Dx1-D2", "D1"])
+                             ids=["4x4-D2", "3x3-D3-padded", "Dx1-D2"])
     def test_product_layouts_factorize(self, geom, z, positions):
         ch = _ch(z=z, s=0.25)
         grid = build_mode_grid(geom, ch)
         axes = bath._product_axes(positions)
         assert axes is not None and math.prod(map(len, axes)) == len(positions)
-        direct = bath._separation_sum(grid.n, grid.L, positions)
-        np.testing.assert_allclose(bath._structure_factor(grid, positions), direct,
-                                   rtol=0, atol=1e-12 * len(positions) ** 2)
+        _assert_shell_factor(geom, ch, grid, positions)
+        np.testing.assert_allclose(bath._structure_factor(grid, positions),
+                                   _separation_form(grid, positions),
+                                   rtol=0, atol=1e-12 * len(positions) ** 2 * grid.weight.max())
         for T in (3.7, 2.5 * geom.L + 0.9):
-            _assert_parts_close(w_sum(grid, positions, T), _ref_register(grid, ch, positions, T))
+            _assert_parts_close(w_sum(grid, positions, T), _ref_register(geom, ch, positions, T))
 
-    @pytest.mark.parametrize("geom, positions", _PAIR_CASES, ids=["N5-Dx2", "coincident"])
-    def test_other_layouts_take_the_separation_sum(self, geom, positions):
-        ch = _ch(s=0.25)
+    @pytest.mark.parametrize("geom, z, positions", _PAIR_CASES,
+                             ids=["N5-Dx2", "coincident", "D1-product"])
+    def test_other_layouts_take_the_separation_sum(self, geom, z, positions):
+        ch = _ch(z=z, s=0.25)
         grid = build_mode_grid(geom, ch)
-        assert bath._product_axes(positions) is None
-        assert np.array_equal(bath._structure_factor(grid, positions),
-                              bath._separation_sum(grid.n, grid.L, positions))
+        assert (bath._product_axes(positions) is None) == (geom.D > 1)
+        want = _separation_form(grid, positions)
+        assert np.array_equal(bath._structure_factor(grid, positions), want)
+        _assert_shell_factor(geom, ch, grid, positions)
         for T in (3.7, 2.5 * geom.L + 0.9):
-            _assert_parts_close(w_sum(grid, positions, T), _ref_register(grid, ch, positions, T))
+            _assert_parts_close(w_sum(grid, positions, T), _ref_register(geom, ch, positions, T))
 
 
 class TestSeparations:

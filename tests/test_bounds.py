@@ -423,6 +423,18 @@ class TestHsDistance:
         with pytest.warns(UserWarning, match="perturbative"):
             hs_distance({"z": grid}, couplings, layout, 1.0)
 
+    def test_perturbative_warning_names_the_caller(self, hs_setup):
+        _, grid, layout = hs_setup
+        couplings = EffectiveCoupling({"z": 0.5})
+        for call in (
+            lambda: hs_distance({"z": grid}, couplings, layout, 1.0),
+            lambda: mmax_multi_numeric({"z": grid}, couplings, layout, _inputs()),
+        ):
+            with pytest.warns(UserWarning, match="perturbative") as record:
+                call()
+            # reported at the line here, not inside qecbound.bounds (as from mmax_multi_numeric)
+            assert {w.filename for w in record} == {__file__}
+
     def test_negative_lambda_star_counts_by_size(self, hs_setup):
         _, grid, _ = hs_setup
         couplings = EffectiveCoupling({"x": -0.1, "z": 1e-3})

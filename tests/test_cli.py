@@ -218,7 +218,7 @@ class TestPipelineStages:
         cfg = from_dict(SMALL_BATH)
         flags = {"param": param, "from_": 1e-4, "to": 5e-3, "points": 6, "target": "lambda-star"}
         bath._shared_grid.cache_clear()
-        counting(bath, "_dense_vectors", "grids")
+        counting(bath, "_radial_counts", "grids")  # once per grid build, D = 1 included
         counting(coupling, "_pair_sums", "pair_sums")
         rows = run_subcommand("sweep", cfg, flags)[0].rows
         assert counts == {"grids": 1, "pair_sums": 1}

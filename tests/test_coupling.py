@@ -131,10 +131,10 @@ def small_grid():
 
 class TestAMatrix:
     def test_coincident_positions_on_site_maximum(self, small_grid):
-        _, ch, grid = small_grid
+        geom, ch, grid = small_grid
         layout = regular_layout(1, Xi=100.0, D_x=1, xi=0.0, n_physical=3)
         a = a_matrix(grid, layout, ch, delta=1.0)
-        expected = (ch.lam * 1.0) ** 2 * float(np.sum(grid_modes(grid, ch)[2]))
+        expected = (ch.lam * 1.0) ** 2 * float(np.sum(grid_modes(geom, ch)[2]))
         assert a.values == pytest.approx(np.full((3, 3), expected))
 
     def test_zero_coupling(self, small_grid):
@@ -186,7 +186,7 @@ class TestAMatrix:
         ch = BathChannel(axis="x", z_exp=1.0, s_exp=0.25, lam=0.2)
         grid = build_mode_grid(geom, ch)
         delta = 1.5
-        k, _, u2 = grid_modes(grid, ch)
+        k, _, u2 = grid_modes(geom, ch)
         pos = layout.padded_offsets(geom.D)
         ref = np.empty((5, 5))
         for i, j in itertools.product(range(5), repeat=2):
@@ -213,33 +213,12 @@ class TestAMatrix:
         np.testing.assert_array_equal(a_matrix(fresh, layout, other, delta=0.4).values, second.values)
         assert calls == [1]
 
-    def test_asymmetric_grid_rejected(self, small_grid):
-        geom, ch, grid = small_grid
-        from qecbound import ModeGrid
-
-        both = np.concatenate([grid.n, -grid.n[:1]])  # holds k and -k
-        malformed = [
-            ModeGrid(D=1, L=geom.L, omega=grid.omega, u2=grid.u2, weight=grid.weight, n=n)
-            for n in (both, grid.n[1:])  # the second's pair counts disagree with weight
-        ]
-        layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
-        for lopsided in malformed:
-            for _ in range(2):  # a failed check is not memoized
-                with pytest.raises(ArithmeticError, match="pair table"):
-                    a_matrix(lopsided, layout, ch, delta=1.0)
-
     def test_empty_grid_rejected(self, small_grid):
         geom, ch, grid = small_grid
         from qecbound import DegenerateInputError, ModeGrid
 
-        empty = ModeGrid(
-            D=1,
-            L=geom.L,
-            omega=grid.omega[:0],
-            u2=grid.u2[:0],
-            weight=grid.weight[:0],
-            n=grid.n[:0],
-        )
+        empty = ModeGrid(D=1, L=geom.L, omega=grid.omega[:0], u2=grid.u2[:0],
+                         weight=grid.weight[:0])
         layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
         with pytest.raises(DegenerateInputError):
             a_matrix(empty, layout, ch, delta=1.0)
