@@ -31,9 +31,7 @@ import functools
 import itertools
 import math
 import sys
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
@@ -44,7 +42,6 @@ from .config import BathChannel, BathGeometry
 from .errors import CapabilityError, DegenerateInputError, DimensionError
 
 DEFAULT_MODE_BUDGET = 10_000_000
-_MEMO_ENTRIES = 8
 _NOT_A_PAIR_TABLE = ("grid is not a +-k pair table: every stored n must be lexicographically "
                      "negative, with weight = 2 * pairs per shell (2 per shell on D = 1)")
 
@@ -72,9 +69,9 @@ class ModeGrid:
     configuration; their arrays are read-only.  Everything derived from the
     grid alone is computed once per instance: the shell index and per-shell
     damping (cached properties), and through :meth:`memo` the register
-    weights of the 8 most recent position sets (w_sum), the unscaled pair
-    sums of the 8 most recent offset sets (a_matrix) and the latest numeric
-    single-qubit bound per (inputs, lambda*).
+    weights of the latest position set (w_sum), the unscaled pair sums of
+    the latest offset set (a_matrix) and the latest numeric single-qubit
+    bound per (inputs, lambda*).
     """
 
     D: int
@@ -83,28 +80,20 @@ class ModeGrid:
     u2: np.ndarray
     weight: np.ndarray
     n: np.ndarray | None = field(default=None, repr=False)
-    _memo: dict[str, OrderedDict] = field(default_factory=dict, init=False, repr=False)
-    _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    _memo: dict[str, tuple] = field(default_factory=dict, init=False, repr=False)
 
-    def memo(
-        self, kind: str, key: Hashable, compute: Callable[[], Any], entries: int = _MEMO_ENTRIES
-    ) -> Any:
+    def memo(self, kind: str, key: Hashable, compute: Callable[[], Any]) -> Any:
         """compute(), memoized on this grid under (kind, key).
 
-        Each kind keeps its `entries` most recently used results.  compute
-        runs outside the lock, so two threads may both compute a missing
-        entry; both get an equal value.
+        Each kind keeps only its latest (key, value): one dict get reads it and
+        one dict store replaces it, so no thread sees a key with another key's
+        value.  Two threads may both compute a missing entry; both get an equal value.
         """
-        with self._memo_lock:
-            cache = self._memo.setdefault(kind, OrderedDict())
-            if key in cache:
-                cache.move_to_end(key)
-                return cache[key]
+        latest = self._memo.get(kind)
+        if latest is not None and latest[0] == key:
+            return latest[1]
         value = compute()
-        with self._memo_lock:
-            cache[key] = value
-            while len(cache) > entries:
-                cache.popitem(last=False)
+        self._memo[kind] = (key, value)
         return value
 
     @property
@@ -343,6 +332,8 @@ def _oscillating_sum(grid: ModeGrid, table: tuple, T: float, imag: bool = True) 
     contraction of block with (cos b, sin b) gives 1 - cos(a + b) = vers b +
     cos b vers a + sin b sin a, vers x = 2 sin^2(x/2), and sin(a + b) = cos b sin a + sin b cos a.
     """
+    if not 0.0 <= T < math.inf:  # false for nan as well
+        raise ValueError(f"time T must be finite and non-negative, got {T}")
     weights, block, column_sums = table
     # einsum, not np.dot or @: a threaded BLAS keeps its idle threads spinning (~2x CPU)
     if block is None:
@@ -366,10 +357,9 @@ def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
 
     gamma(T) = (2*pi/L)^D * lambda_star^2 * sum_k (|u_k|^2/omega_k^2) * (1 - cos(omega_k T)).
 
-    Non-negative and bounded by twice the static sum.
+    Non-negative and bounded by twice the static sum.  T must be finite and
+    non-negative (ValueError).
     """
-    if T < 0:
-        raise ValueError("time must be non-negative")
     osc = _oscillating_sum(grid, grid._damping_table, T, imag=False).real
     return grid.prefactor * lambda_star**2 * osc
 
@@ -387,9 +377,8 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     Symmetric under x <-> y; complex in general (the x = y imaginary part is
     -prefactor * sum (|u|^2/omega^2) sin(omega T)).  For x != y the sum runs
     over the +-k pairs (see _shell_cos), so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.
+    T must be finite and non-negative (ValueError).
     """
-    if T < 0:
-        raise ValueError("time must be non-negative")
     d = np.atleast_1d(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
     if d.shape != (grid.D,):
         raise DimensionError(f"positions must have dimension {grid.D}")
@@ -420,7 +409,7 @@ def _separations(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _separation_table(pos.tobytes(), pos.shape)
 
 
-@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+@functools.lru_cache(maxsize=8)
 def _separation_table(data: bytes, shape: tuple[int, ...]) -> tuple:
     pos = np.frombuffer(data).reshape(shape)
     n, D = shape
@@ -516,10 +505,9 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
 
     Evaluated through the register structure factor: the pair double sum
     collapses to sum_k (|u|^2/omega^2) |sum_x e^{i k.x}|^2 (1 - e^{i omega T}),
-    algebraically identical to summing w_pair over all pairs.
+    algebraically identical to summing w_pair over all pairs.  positions is
+    (N, D), or (N,) on D = 1; T must be finite and non-negative (ValueError).
     """
-    if T < 0:
-        raise ValueError("time must be non-negative")
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim == 1:
         pos = pos[:, None]

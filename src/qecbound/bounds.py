@@ -234,7 +234,7 @@ def _mmax_single_numeric(
     if grid is None:
         raise ConfigError("numeric mode requires a mode grid")
     return grid.memo(
-        "mmax_single", (inputs, lambda_star), lambda: _search_single(inputs, lambda_star, grid), 1
+        "mmax_single", (inputs, lambda_star), lambda: _search_single(inputs, lambda_star, grid)
     )
 
 
@@ -323,8 +323,6 @@ def mmax_multi(
     minimum over channels.
     """
     _require_kind(report, SumKind.W_SELF, SumKind.W_CORRELATED)
-    if inputs.n_logical == 0:
-        raise ConfigError("logical-qubit count N must be positive for the register bound")
     if lambda_star == 0.0:
         return math.inf
     target = inputs.b_cal * inputs.d_crit / (inputs.n_logical * abs(lambda_star))

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from . import __version__
-from .config import RunConfig, default_config, load_config
+from .config import RunConfig, _as_is, _integer, _number, _read, default_config, load_config
 from .errors import QecBoundError
 from .pauli import ErrorClass, classify, enumerate_eta, paulis_of_weight, syndrome, verify_distance
 
@@ -34,9 +34,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 _SWEEP_TARGETS = ("lambda-star", "gamma", "distance", "mmax", "hs")
-# defaults of the optional flags: the parser shows them, and run_subcommand
-# puts them under the caller's flags, so every handler finds every flag
-_FLAG_DEFAULTS = {"t_max": 10.0, "steps": 50, "mode": "asymptotic", "points": 5}
+_MODES = ("numeric", "asymptotic")
+# the optional flags as config schema rows (see config._Row): run_subcommand
+# reads and checks each once, its default where the caller gives none or None
+_FLAGS = {
+    "--t-max": ("t_max", 10.0, _number, lambda v: v >= 0, "must be non-negative"),
+    "--steps": ("steps", 50, _integer, lambda v: v >= 1, "must be at least 1"),
+    "--points": ("points", 5, _integer, lambda v: v >= 2, "must be at least 2"),
+    "--mode": ("mode", "asymptotic", _as_is, _MODES.__contains__,
+               "must be 'numeric' or 'asymptotic'"),
+}
 
 
 @dataclass
@@ -98,13 +105,7 @@ def _dephasing_axis(cfg: RunConfig) -> str:
 def _times(flags: Mapping[str, Any]) -> np.ndarray:
     import numpy as np
 
-    t_max = float(flags["t_max"])
-    steps = int(flags["steps"])
-    if t_max < 0:
-        raise QecBoundError("--t-max must be non-negative")
-    if steps < 1:
-        raise QecBoundError("--steps must be at least 1")
-    return np.linspace(0.0, t_max, steps)
+    return np.linspace(0.0, flags["t_max"], flags["steps"])
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -276,9 +277,7 @@ def _run_regimes(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
     from .bounds import SumKind, mmax_multi, mmax_multi_numeric, mmax_single, zeta_and_regime
 
-    mode = str(flags["mode"])
-    if mode not in ("asymptotic", "numeric"):
-        raise QecBoundError(f"--mode must be 'numeric' or 'asymptotic', got {mode!r}")
+    mode = flags["mode"]
     geom, channels, _, _, layout, grids, couplings = _pipeline(cfg)
     inputs = cfg.bound_input()
     rows: list[tuple] = []
@@ -362,10 +361,7 @@ def _run_sweep(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
     hi = flags.get("to")
     if lo is None or hi is None:
         raise QecBoundError("sweep requires --from and --to")
-    points = int(flags["points"])
-    if points < 2:
-        raise QecBoundError("--points must be at least 2")
-    values = np.linspace(float(lo), float(hi), points)
+    values = np.linspace(float(lo), float(hi), flags["points"])
     columns: list[str] | None = None
     rows: list[tuple] = []
     for value in values:
@@ -402,7 +398,8 @@ def run_subcommand(cmd: str, cfg: RunConfig, flags: Mapping[str, Any]) -> list[O
     """Execute one subcommand and return its outputs (no files written)."""
     if cmd not in _HANDLERS:
         raise QecBoundError(f"unknown subcommand {cmd!r}")
-    return _HANDLERS[cmd](cfg, {**_FLAG_DEFAULTS, **flags})
+    given = {key: flags[row[0]] for key, row in _FLAGS.items() if flags.get(row[0]) is not None}
+    return _HANDLERS[cmd](cfg, {**flags, **_read(_FLAGS, given)})
 
 
 def write_output(out: Output, out_dir: Path, cfg: RunConfig) -> None:
@@ -439,23 +436,23 @@ def _build_parser() -> argparse.ArgumentParser:
         ("hs", "Hilbert-Schmidt bound series"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--t-max", dest="t_max", type=float, default=_FLAG_DEFAULTS["t_max"])
-        p.add_argument("--steps", type=int, default=_FLAG_DEFAULTS["steps"])
+        p.add_argument("--t-max", dest="t_max", type=float)
+        p.add_argument("--steps", type=int)
 
     sub.add_parser("regimes", help="zeta exponents and regime labels")
 
     p = sub.add_parser("mmax", help="bounds on the number of correction periods")
-    p.add_argument("--mode", choices=("numeric", "asymptotic"), default=_FLAG_DEFAULTS["mode"])
+    p.add_argument("--mode", choices=_MODES)
 
     p = sub.add_parser("sweep", help="vary one scalar config key and re-run a target")
     p.add_argument("--param", required=True, help="dotted config key, e.g. qec.Delta")
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", dest="to", type=float, required=True)
-    p.add_argument("--points", type=int, default=_FLAG_DEFAULTS["points"])
+    p.add_argument("--points", type=int)
     p.add_argument("--target", required=True, choices=_SWEEP_TARGETS)
-    p.add_argument("--mode", choices=("numeric", "asymptotic"), default=_FLAG_DEFAULTS["mode"])
-    p.add_argument("--t-max", dest="t_max", type=float, default=_FLAG_DEFAULTS["t_max"])
-    p.add_argument("--steps", type=int, default=_FLAG_DEFAULTS["steps"])
+    p.add_argument("--mode", choices=_MODES)
+    p.add_argument("--t-max", dest="t_max", type=float)
+    p.add_argument("--steps", type=int)
 
     return parser
 

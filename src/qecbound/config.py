@@ -1,12 +1,13 @@
 """Run configuration: YAML loading, strict validation, defaults.
 
 The tables ``_SCALARS`` and ``_CHANNEL_SCALARS`` are the schema: each row
-gives a key's ``RunConfig`` field, default, integer-ness, range check and
-the requirement its error states.  Validation, the canonical form (and so
-the config hash) and the known-key sets are all read from them; only the
-cross-key rules in ``from_dict`` are written out.  Every validation failure
-names the offending key path (e.g. ``bath.channels[0].lambda``); unknown
-keys are rejected.  Defaults are documented in docs/config.md.
+gives a key's field, default, reader, range check and the requirement its
+error states, and ``_checked`` applies one.  Validation (of a config and of
+the value types below), the canonical form (and so the config hash) and the
+known-key sets are read from them; only the cross-key rules in ``from_dict``
+are written out.  Every validation failure names the offending key path
+(e.g. ``bath.channels[0].lambda``); unknown keys are rejected.  Defaults
+are documented in docs/config.md.
 
 The plain value types a config hands to the library (BathChannel,
 BathGeometry, BoundInput) are defined here, so that loading and validating
@@ -20,8 +21,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Container, Mapping
 
 import yaml
 
@@ -37,66 +39,9 @@ CODE_REGISTRY: dict[str, Callable[[], StabilizerCode]] = {
 }
 
 
-def _positive(value: float) -> bool:
-    return value > 0
-
-
-# (RunConfig field, default, integer?, check, requirement stated on failure)
-_Row = tuple[str, Any, bool, Callable[[Any], bool], str]
-
-# dotted key -> row, in validation order.  The default None of bath.omega_c
-# stands for 1/qec.Delta, so qec.Delta comes first.
-_SCALARS: dict[str, _Row] = {
-    "qec.Delta": ("delta", 1.0, False, _positive, "must be positive"),
-    "bath.D": ("D", 1, True, lambda v: v in (1, 2, 3), "must be 1, 2 or 3"),
-    "bath.L": ("L", 400.0 * math.pi, False, _positive, "must be positive"),
-    "bath.omega_c": ("omega_c", None, False, _positive, "must be positive"),
-    "layout.xi": ("xi", 1.0, False, _positive, "must be positive"),
-    "layout.Xi": ("Xi", 100.0, False, _positive, "must be positive"),
-    "layout.D_x": ("D_x", 1, True, lambda v: v >= 0, "must be non-negative"),
-    "layout.N": ("n_logical", 1, True, lambda v: v >= 1, "must be at least 1"),
-    "criteria.D_crit": ("d_crit", 0.01, False, lambda v: 0.0 < v < 1.0,
-                        "must lie strictly between 0 and 1"),
-    "criteria.sigma_plus_abs": ("sigma_plus_abs", 0.5, False, lambda v: 0.0 <= v <= 0.5,
-                                "must lie in [0, 1/2]"),
-    "calibration.c_cal": ("c_cal", 1.0, False, _positive, "must be positive"),
-    "calibration.b_cal": ("b_cal", 1.0, False, _positive, "must be positive"),
-    "calibration.proportionality": ("proportionality", 1.0, False, _positive, "must be positive"),
-    "budget.max_modes": ("max_modes", 10_000_000, True, lambda v: v >= 1, "must be at least 1"),
-}
-# the same rows for the numeric keys of one bath.channels entry (BathChannel fields)
-_CHANNEL_SCALARS: dict[str, _Row] = {
-    "z_exp": ("z_exp", 1.0, False, _positive, "must be positive"),
-    "s_exp": ("s_exp", 0.0, False, lambda v: True, ""),  # any finite exponent
-    "lambda": ("lam", 1.0e-3, False, lambda v: v >= 0, "must be non-negative"),
-}
-
-# the table's channel defaults, with a weaker coupling on the transverse axis
-_DEFAULT_CHANNELS = [{"axis": "z"}, {"axis": "x", "lambda": 1.0e-4}]
-
-_SECTIONS: dict[str, set[str]] = {"bath": {"channels"}, "code": {"name"}}
-for _key in _SCALARS:
-    _section, _name = _key.split(".")
-    _SECTIONS.setdefault(_section, set()).add(_name)
-_CHANNEL_KEYS = {"axis", *_CHANNEL_SCALARS}
-
-
-def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{path} must be a key/value mapping")
-    return value
-
-def _reject_unknown(data: Mapping[str, Any], allowed: set[str], prefix: str) -> None:
-    for key in data:
-        if key not in allowed:
-            where = f"{prefix}{key}" if prefix else str(key)
-            raise ConfigError(f"unknown key: {where}")
-
-
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # an exact float skips the ABC check, which costs more than the rest of a value type
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise ConfigError(f"{path} must be a number")
     try:
         number = float(value)
@@ -108,22 +53,106 @@ def _number(value: Any, path: str) -> float:
 
 
 def _integer(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ConfigError(f"{path} must be an integer")
+    return int(value)
+
+
+def _as_is(value: Any, path: str) -> Any:
+    return value
+
+
+def _positive(value: float) -> bool:
+    return value > 0
+
+
+# (field, default, reader: (value, key) -> field value, range check, requirement stated on failure)
+_Row = tuple[str, Any, Callable[[Any, str], Any], Callable[[Any], bool], str]
+
+# dotted key -> row, in validation order.  A callable default is computed
+# from the values read before it: bath.omega_c defaults to 1/qec.Delta.
+_SCALARS: dict[str, _Row] = {
+    "qec.Delta": ("delta", 1.0, _number, _positive, "must be positive"),
+    "bath.D": ("D", 1, _integer, lambda v: v in (1, 2, 3), "must be 1, 2 or 3"),
+    "bath.L": ("L", 400.0 * math.pi, _number, _positive, "must be positive"),
+    "bath.omega_c": ("omega_c", lambda values: 1.0 / values["delta"], _number, _positive,
+                     "must be positive"),
+    "layout.xi": ("xi", 1.0, _number, _positive, "must be positive"),
+    "layout.Xi": ("Xi", 100.0, _number, _positive, "must be positive"),
+    "layout.D_x": ("D_x", 1, _integer, lambda v: v >= 0, "must be non-negative"),
+    "layout.N": ("n_logical", 1, _integer, lambda v: v >= 1, "must be at least 1"),
+    "criteria.D_crit": ("d_crit", 0.01, _number, lambda v: 0.0 < v < 1.0,
+                        "must lie strictly between 0 and 1"),
+    "criteria.sigma_plus_abs": ("sigma_plus_abs", 0.5, _number, lambda v: 0.0 <= v <= 0.5,
+                                "must lie in [0, 1/2]"),
+    "calibration.c_cal": ("c_cal", 1.0, _number, _positive, "must be positive"),
+    "calibration.b_cal": ("b_cal", 1.0, _number, _positive, "must be positive"),
+    "calibration.proportionality": ("proportionality", 1.0, _number, _positive,
+                                    "must be positive"),
+    "budget.max_modes": ("max_modes", 10_000_000, _integer, lambda v: v >= 1,
+                         "must be at least 1"),
+}
+# the same rows for the keys of one bath.channels entry (BathChannel fields)
+_CHANNEL_SCALARS: dict[str, _Row] = {
+    "axis": ("axis", None, _as_is, lambda v: v in ("x", "z"), "must be 'x' or 'z'"),
+    "z_exp": ("z_exp", 1.0, _number, _positive, "must be positive"),
+    "s_exp": ("s_exp", 0.0, _number, lambda v: True, ""),  # any finite exponent
+    "lambda": ("lam", 1.0e-3, _number, lambda v: v >= 0, "must be non-negative"),
+}
+
+# the table's channel defaults, with a weaker coupling on the transverse axis
+_DEFAULT_CHANNELS = [{"axis": "z"}, {"axis": "x", "lambda": 1.0e-4}]
+
+_SECTIONS: dict[str, set[str]] = {"bath": {"channels"}, "code": {"name"}}
+for _key in _SCALARS:
+    _section, _name = _key.split(".")
+    _SECTIONS.setdefault(_section, set()).add(_name)
+
+
+def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path} must be a key/value mapping")
+    return value
+
+def _reject_unknown(data: Mapping[str, Any], allowed: Container[str], prefix: str) -> None:
+    for key in data:
+        if key not in allowed:
+            where = f"{prefix}{key}" if prefix else str(key)
+            raise ConfigError(f"unknown key: {where}")
+
+
+def _checked(key: str, row: _Row, value: Any) -> Any:
+    """value through the row's reader and range check; a ConfigError naming key if it fails."""
+    value = row[2](value, key)
+    if not row[3](value):
+        raise ConfigError(f"{key} {row[4]}")
     return value
 
 
 def _read(rows: Mapping[str, _Row], data: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
-    """Read, type-check and range-check every row's key of data, by field name."""
+    """Every row's key of data, or its default where absent, checked; by field name."""
     values: dict[str, Any] = {}
-    for key, (field, default, integer, check, requirement) in rows.items():
-        if default is None:  # bath.omega_c
-            default = 1.0 / values["delta"]
-        value = (_integer if integer else _number)(data.get(key, default), prefix + key)
-        if not check(value):
-            raise ConfigError(f"{prefix}{key} {requirement}")
-        values[field] = value
+    for key, row in rows.items():
+        default = row[1](values) if callable(row[1]) else row[1]
+        values[row[0]] = _checked(prefix + key, row, data.get(key, default))
     return values
+
+
+@functools.cache
+def _field_rows(cls: type) -> list[tuple[str, _Row]]:
+    """(key, row) of every row that fills a field of the value type cls, in schema order."""
+    rows = (*_SCALARS.items(), *_CHANNEL_SCALARS.items())
+    return [(key, row) for key, row in rows if row[0] in cls.__dataclass_fields__]
+
+
+def _check_fields(value: Any) -> None:
+    """Replace each field of a frozen value type by its value checked by the row that fills it."""
+    for key, row in _field_rows(type(value)):
+        given = getattr(value, row[0])
+        if (checked := _checked(key, row, given)) is not given:  # converted, e.g. a numpy scalar
+            object.__setattr__(value, row[0], checked)
 
 
 @dataclass(frozen=True)
@@ -136,12 +165,7 @@ class BathChannel:
     lam: float
 
     def __post_init__(self) -> None:
-        if self.axis not in ("x", "z"):
-            raise ValueError(f"channel axis must be 'x' or 'z', got {self.axis!r}")
-        if self.z_exp <= 0:
-            raise ValueError("dynamical exponent z_exp must be positive")
-        if self.lam < 0:
-            raise ValueError("bare coupling must be non-negative")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -153,12 +177,7 @@ class BathGeometry:
     omega_c: float
 
     def __post_init__(self) -> None:
-        if self.D not in (1, 2, 3):
-            raise ValueError("bath dimension D must be 1, 2 or 3")
-        if self.L <= 0:
-            raise ValueError("bath size L must be positive")
-        if self.omega_c <= 0:
-            raise ValueError("cutoff omega_c must be positive")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -173,14 +192,7 @@ class BoundInput:
     b_cal: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.d_crit < 1.0:
-            raise ValueError("distance criterion must lie strictly between 0 and 1")
-        if not 0.0 <= self.sigma_plus_abs <= 0.5:
-            raise ValueError("initial coherence |<sigma+>| must lie in [0, 1/2]")
-        if self.delta <= 0:
-            raise ValueError("correction period must be positive")
-        if self.n_logical < 0:
-            raise ValueError("logical-qubit count must be non-negative")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -245,7 +257,7 @@ class RunConfig:
             section, name = key.split(".")
             tree[section][name] = getattr(self, field)
         tree["bath"]["channels"] = [
-            {"axis": c.axis, **{key: getattr(c, row[0]) for key, row in _CHANNEL_SCALARS.items()}}
+            {key: getattr(c, row[0]) for key, row in _CHANNEL_SCALARS.items()}
             for c in self.channels
         ]
         tree["code"]["name"] = self.code_name
@@ -274,7 +286,8 @@ class RunConfig:
             raise ConfigError(f"sweep parameter {dotted_key} does not name a config key") from exc
         if isinstance(old, (dict, list)):
             raise ConfigError(f"sweep parameter {dotted_key} is not a scalar key")
-        if dotted_key in _SCALARS and _SCALARS[dotted_key][2] and isinstance(value, float):
+        integer = dotted_key in _SCALARS and _SCALARS[dotted_key][2] is _integer
+        if integer and isinstance(value, float):
             if not value.is_integer():
                 raise ConfigError(f"{dotted_key} must be an integer, got {value!r}")
             value = int(value)
@@ -304,11 +317,8 @@ def from_dict(raw: Mapping[str, Any] | None) -> RunConfig:
     for idx, entry in enumerate(raw_channels):
         prefix = f"bath.channels[{idx}]"
         entry = _require_mapping(entry, prefix)
-        _reject_unknown(entry, _CHANNEL_KEYS, prefix + ".")
-        axis = entry.get("axis")
-        if axis not in ("x", "z"):
-            raise ConfigError(f"{prefix}.axis must be 'x' or 'z'")
-        channel = BathChannel(axis=axis, **_read(_CHANNEL_SCALARS, entry, prefix + "."))
+        _reject_unknown(entry, _CHANNEL_SCALARS, prefix + ".")
+        channel = BathChannel(**_read(_CHANNEL_SCALARS, entry, prefix + "."))
         if values["omega_c"] <= (2.0 * math.pi / values["L"]) ** channel.z_exp:
             raise ConfigError(
                 f"bath.omega_c must exceed the smallest mode frequency "

@@ -2,6 +2,8 @@ import gc
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -14,6 +16,7 @@ from qecbound import (
     BathChannel,
     BathGeometry,
     CapabilityError,
+    ConfigError,
     DegenerateInputError,
     DimensionError,
     ModeGrid,
@@ -141,6 +144,26 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             BathChannel(axis="z", z_exp=1.0, s_exp=0.0, lam=-0.1)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field, key", [
+        ("L", r"bath\.L"), ("omega_c", r"bath\.omega_c"), ("z_exp", "z_exp"), ("s_exp", "s_exp"),
+        ("lam", "lambda"),
+    ])
+    def test_value_types_reject_non_finite(self, field, key, value):
+        geom, ch = dict(D=1, L=10.0, omega_c=1.0), dict(axis="z", z_exp=1.0, s_exp=0.0, lam=0.1)
+        cls, kwargs = (BathGeometry, geom) if field in geom else (BathChannel, ch)
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number$"):
+            cls(**{**kwargs, field: value})
+
+    def test_value_types_take_numpy_scalars(self):
+        geom = BathGeometry(D=np.int64(2), L=np.float32(30.0), omega_c=np.float64(1.0))
+        ch = BathChannel(axis="z", z_exp=np.float32(1.5), s_exp=np.int64(0), lam=np.float64(1e-3))
+        assert geom == BathGeometry(D=2, L=30.0, omega_c=1.0)
+        assert ch == BathChannel(axis="z", z_exp=1.5, s_exp=0.0, lam=1e-3)
+        assert [type(v) for v in (geom.D, geom.L, ch.z_exp, ch.s_exp)] == [int, float, float, float]
+        with pytest.raises(ConfigError, match=r"^bath\.D must be an integer$"):
+            BathGeometry(D=2.0, L=30.0, omega_c=1.0)
+
 
 def _pencil_vectors(D, m2max):
     """Reference enumeration: one (n1, n2) pencil at a time, then drop the origin."""
@@ -261,6 +284,17 @@ class TestGamma:
             assert abs(ratio - 1.0) < 0.02
 
 
+@pytest.mark.parametrize("T", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda grid, T: gamma(grid, 1e-3, T),
+    lambda grid, T: w_pair(grid, [0.0], [3.0], T),
+    lambda grid, T: w_sum(grid, np.array([[0.0], [3.0]]), T),
+], ids=["gamma", "w_pair", "w_sum"])
+def test_time_must_be_finite_and_non_negative(grid_1d, call, T):
+    with pytest.raises(ValueError, match="time T must be finite and non-negative"):
+        call(grid_1d, T)
+
+
 class TestWPair:
     def test_zero_time(self, grid_1d):
         assert w_pair(grid_1d, [3.0], [1.0], 0.0) == 0j
@@ -305,6 +339,39 @@ class TestWSum:
             )
             grouped = w_sum(grid_1d, positions, T)
             assert grouped == pytest.approx(direct, rel=1e-10)
+
+    def test_1d_positions_on_a_1d_grid(self, grid_1d):
+        positions = np.array([-7.5, 0.0, 12.25])
+        for T in (0.5, 9.0):
+            assert w_sum(grid_1d, positions, T) == w_sum(grid_1d, positions[:, None], T)
+
+    def test_two_threads_alternating_registers(self):
+        # the grid keeps one register per kind, so alternating sets recompute
+        # on every call; both threads must still see each set's own value
+        grid = build_mode_grid(BathGeometry(D=2, L=2 * math.pi * 8, omega_c=1.0), _ch())
+        registers = [regular_layout(n, Xi=5.0, D_x=2, xi=0.1).padded_logical_positions(2)
+                     for n in (3, 4)]
+        want = [w_sum(grid, pos, 2.5) for pos in registers]
+        results, interval, start = [[], []], sys.getswitchinterval(), threading.Barrier(2)
+
+        def run(k):
+            start.wait(timeout=60)
+            for step in range(400):
+                which = (step + k) % 2
+                results[k].append((which, w_sum(grid, registers[which], 2.5)))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            assert len(got) == 400 and all(value == want[which] for which, value in got)
 
     def test_real_part_nonnegative(self, grid_1d):
         rng = random.Random(37)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qecbound import (
@@ -91,9 +92,9 @@ class TestRegimes:
 
 class TestBoundInput:
     def test_criterion_range(self):
-        with pytest.raises(ValueError, match="criterion"):
+        with pytest.raises(ValueError, match=r"criteria\.D_crit"):
             _inputs(d_crit=0.0)
-        with pytest.raises(ValueError, match="criterion"):
+        with pytest.raises(ValueError, match=r"criteria\.D_crit"):
             _inputs(d_crit=1.0)
 
     def test_coherence_range(self):
@@ -101,8 +102,31 @@ class TestBoundInput:
             _inputs(sigma_plus_abs=0.6)
 
     def test_period_positive(self):
-        with pytest.raises(ValueError, match="period"):
+        with pytest.raises(ValueError, match=r"qec\.Delta"):
             _inputs(delta=0.0)
+
+    def test_zero_qubits_rejected(self):
+        with pytest.raises(ConfigError, match=r"^layout\.N must be at least 1$"):
+            _inputs(n_logical=0)
+
+    @pytest.mark.parametrize("field", ["c_cal", "b_cal"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_calibration_positive(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^calibration\.{field} must be positive$"):
+            _inputs(**{field: value})
+
+    @pytest.mark.parametrize("field", ["d_crit", "sigma_plus_abs", "delta", "c_cal", "b_cal"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            _inputs(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        inputs = _inputs(d_crit=np.float32(0.25), n_logical=np.int64(3), delta=np.float64(2.0))
+        assert (inputs.d_crit, inputs.n_logical, inputs.delta) == (0.25, 3, 2.0)
+        assert type(inputs.d_crit) is float and type(inputs.n_logical) is int
+        with pytest.raises(ConfigError, match=r"layout\.N must be an integer"):
+            _inputs(n_logical=True)
 
 
 class TestTraceDistance:
@@ -254,6 +278,11 @@ class TestMmaxSingle:
                 mode="numeric", grid=grid,
             )
 
+    def test_numeric_requires_a_grid(self):
+        rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
+        with pytest.raises(ConfigError, match="numeric mode requires a mode grid"):
+            mmax_single(rep, _inputs(), 1e-3, GEOM_1D, mode="numeric", grid=None)
+
     def test_numeric_single_mode_against_linear_scan(self):
         # one-mode grid, crossing inside the first monotone quarter period
         geom = BathGeometry(D=1, L=2 * math.pi / 0.01, omega_c=0.011)
@@ -369,11 +398,6 @@ class TestMmaxMulti:
         m = mmax_multi(rep, inputs, lam, GEOM_1D)
         assert 1 <= m < math.inf
         assert mmax_multi(rep, inputs, -lam, GEOM_1D) == m
-
-    def test_zero_qubits_rejected(self):
-        rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.W_SELF)
-        with pytest.raises(ConfigError):
-            mmax_multi(rep, _inputs(n_logical=0), 1e-3, GEOM_1D)
 
     def test_wrong_kind_rejected(self):
         rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
@@ -672,6 +696,13 @@ class TestCalibration:
         grid = build_radial_mode_grid(geom, _ch())
         rep = zeta_and_regime(_ch(), geom, SumKind.SINGLE_DEPHASING)
         assert calibrate_c_cal(rep, _inputs(c_cal=1.7), 1e-3, geom, grid) == 1.7
+
+    def test_infinite_numeric_bound_cannot_calibrate(self):
+        grid = build_mode_grid(GEOM_1D, _ch())
+        rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
+        assert mmax_single(rep, _inputs(), 1e-9, GEOM_1D, mode="numeric", grid=grid) == math.inf
+        with pytest.raises(ValueError, match="numeric bound inf cannot calibrate"):
+            calibrate_c_cal(rep, _inputs(), 1e-9, GEOM_1D, grid)
 
     def test_calibration_reproduces_numeric_at_fit_point(self):
         # sub-Ohmic, Ohmic and strong-IR: the grids of the test_duality_* tests

@@ -282,6 +282,25 @@ class TestErrorPaths:
         assert err.startswith(f"error: code.name must be one of ['five_qubit'], got {name!r}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd", ["gamma", "distance", "hs"])
+    @pytest.mark.parametrize("t_max", ["inf", "nan"])
+    def test_non_finite_t_max_exits_cleanly(self, tmp_path, capsys, cmd, t_max):
+        assert main(["--out", str(tmp_path), cmd, "--t-max", t_max]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --t-max must be a finite number\n"
+        assert not (tmp_path / f"{cmd}.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gamma", "--t-max", "-1"], "--t-max must be non-negative"),
+        (["hs", "--steps", "0"], "--steps must be at least 1"),
+        (["sweep", "--param", "qec.Delta", "--from", "1", "--to", "2", "--points", "1",
+          "--target", "mmax"], "--points must be at least 2"),
+    ])
+    def test_flag_range_exits_cleanly(self, tmp_path, capsys, argv, message):
+        assert main(["--out", str(tmp_path), *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["eta", "--frobnicate"])
