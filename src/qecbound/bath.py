@@ -9,20 +9,15 @@ for nonzero integer vectors n, cut off at omega <= omega_c.
 
 Dispersion and coupling weight depend only on |k|, so the modes group into
 shells, one per distinct |n|**2, and every sum here is even in k.  A grid is
-therefore a shell table: omega, |u|**2 and the mode count of each shell.  On
-D = 1 shell j is the one +-k pair n = +-(j + 1), and the table serves every
-sum.  For D >= 2 a dense grid adds one integer vector per pair, which the
-position sums need for cos(k.d); a radial grid stores the table alone and
-supports only isotropic sums, but stays small even for 3-dimensional baths
-with tens of millions of modes.  Every time-dependent sum bins its static
-weights into shells once and then costs one cos (and one sin for an
-imaginary part) per shell and time point; on D = 1 with z_exp = 1 the shell
-frequencies are the harmonics j * 2*pi/L, and O(sqrt(shells)) calls suffice.
-Every position sum makes one cos pass per distinct separation d, summing
-cos(k.d) per shell (_shell_cos), except the structure factor of w_sum on a
-D >= 2 product layout (every combination of per-axis coordinates, as a
-regular array of side**D_x qubits is): a product of per-axis factors, each
-tabulated over the integer values of n_a and gathered per pair.
+therefore a shell table on every D, and stores no mode vector.  Every
+time-dependent sum bins its static weights into shells once and then costs
+one cos (and one sin for an imaginary part) per shell and time point; on
+D = 1 with z_exp = 1 the shell frequencies are the harmonics j * 2*pi/L, and
+O(sqrt(shells)) calls suffice.  A position sum needs cos(k.d) per mode, so
+it walks the lattice in fixed-size chunks, one point per +-k pair, and bins
+each point into its shell (_shell_sums): all separations d of a position
+set share one walk, and so do the per-axis factors of the structure factor
+of a D >= 2 product layout (as a regular array of side**D_x qubits is).
 """
 
 from __future__ import annotations
@@ -33,45 +28,38 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import BathChannel, BathGeometry
-from .errors import CapabilityError, DegenerateInputError, DimensionError
+from .config import _SCALARS, BathChannel, BathGeometry, _checked, _number
+from .errors import CapabilityError, ConfigError, DegenerateInputError, DimensionError
 
 DEFAULT_MODE_BUDGET = 10_000_000
-_NOT_A_PAIR_TABLE = ("grid is not a +-k pair table: every stored n must be lexicographically "
-                     "negative, with weight = 2 * pairs per shell (2 per shell on D = 1)")
+_NOT_A_PAIR_TABLE = ("grid is not a +-k pair table: the weight of every shell must be the "
+                     "lattice's mode count at its |n|^2 (m2)")
+_CHUNK = 1 << 14  # lattice points per step of a walk: bounds every temporary of a position sum
 
 
 @dataclass(eq=False)
 class ModeGrid:
-    """Momentum lattice of one channel spectrum: a shell table, and pair vectors if D >= 2 dense.
+    """Momentum lattice of one channel spectrum, as its shell table.
 
-    omega, u2 and weight are per shell, one entry per distinct |n|^2 in
-    increasing order; weight is the number of modes in the shell.  Every sum
-    is even in k, so a +-k pair stands for both of its modes.  On D = 1 shell
-    j is the pair n = +-(j + 1).  A D >= 2 dense grid also stores n, one
-    integer vector per pair (k = (2*pi/L)*n): the lexicographically negative
-    one, in lexicographic order.  is_radial means n is None: every D = 1 grid,
-    which serves every sum, and a D >= 2 radial grid, which serves only the
-    isotropic ones.  Position sums check a hand-built grid: each D = 1 weight
-    must be 2; on D >= 2 shell_index checks once that each stored n is
-    lexicographically negative and that twice the pair count of each shell is
-    its weight.  A grid failing this raises ArithmeticError on every position sum.
+    m2, omega, u2 and weight are per shell, one entry per distinct |n|^2 in
+    increasing order: m2 is |n|^2 (k = (2*pi/L)*n) and weight the number of
+    modes in the shell.  A position sum walks the half lattice (see
+    _shell_sums), which checks a hand-built grid: unless every shell's weight
+    is the lattice's mode count at its m2, it raises ArithmeticError.
 
     A grid reads only the geometry, the exponents (z_exp, s_exp) and the
-    mode budget, never the channel axis or coupling.  build_mode_grid and
-    build_radial_mode_grid return one shared instance per such key and keep
-    the two most recently built alive, which covers both channels of one
-    configuration; their arrays are read-only.  Everything derived from the
-    grid alone is computed once per instance: the shell index and per-shell
-    damping (cached properties), and through :meth:`memo` the register
-    weights of the latest position set (w_sum), the unscaled pair sums of
-    the latest offset set (a_matrix) and the latest numeric single-qubit
-    bound per (inputs, lambda*).
+    mode budget, never the channel axis or coupling.  build_mode_grid
+    returns one shared instance per such key and keeps the two most recently
+    built alive, which covers both channels of one configuration; their
+    arrays are read-only.  Everything derived from the grid alone is
+    computed once per instance: the per-shell damping (a cached property),
+    and through :meth:`memo` the register weights of the latest position
+    set (w_sum), the unscaled pair sums of the latest offset set (a_matrix)
+    and the latest numeric single-qubit bound per (inputs, lambda*).
     """
 
     D: int
@@ -79,7 +67,7 @@ class ModeGrid:
     omega: np.ndarray
     u2: np.ndarray
     weight: np.ndarray
-    n: np.ndarray | None = field(default=None, repr=False)
+    m2: np.ndarray
     _memo: dict[str, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def memo(self, kind: str, key: Hashable, compute: Callable[[], Any]) -> Any:
@@ -102,8 +90,8 @@ class ModeGrid:
 
     @property
     def stored_count(self) -> int:
-        """Number of stored records: +-k pairs (dense) or shells (radial)."""
-        return len(self.omega if self.n is None else self.n)
+        """Number of stored records: the shells."""
+        return len(self.omega)
 
     @property
     def mode_count(self) -> int:
@@ -111,42 +99,17 @@ class ModeGrid:
         return int(round(float(np.sum(self.weight))))
 
     @property
-    def is_radial(self) -> bool:
-        return self.n is None
-
-    @cached_property
-    def shell_index(self) -> np.ndarray:
-        """Shell of each +-k pair of a D >= 2 dense grid; raises on every access unless valid.
-
-        Shells number the distinct |n|^2 in increasing order, looked up in
-        a table over |n|^2; no sort is needed.
-        """
-        n = self.n
-        if n is None:
-            raise CapabilityError("radial grid does not store mode vectors; build a dense "
-                                  "grid for position-dependent sums")
-        key = np.einsum("ij,ij->i", n, n)
-        present = np.zeros(int(key.max(initial=0)) + 1, dtype=bool)
-        present[key] = True
-        index = np.cumsum(present, dtype=np.int32)[key]
-        index -= 1
-        leading = n[np.arange(len(n)), np.argmax(n != 0, axis=1)]  # first nonzero component
-        if np.any(leading >= 0) or not np.array_equal(2 * np.bincount(index), self.weight):
-            raise ArithmeticError(_NOT_A_PAIR_TABLE)
-        return index
-
-    @property
     def shell_damping(self) -> np.ndarray:
         """weight * |u|^2 / omega^2 per shell."""
         return self._damping_table[0]
 
-    @cached_property
+    @functools.cached_property
     def fundamental(self) -> float | None:
         """omega_1 if shell j has omega bitwise j * omega_1 (any D = 1, z = 1 grid), else None."""
         harmonics = self.omega[0] * np.arange(1, len(self.omega) + 1)
         return float(self.omega[0]) if np.array_equal(self.omega, harmonics) else None
 
-    @cached_property
+    @functools.cached_property
     def _damping_table(self) -> tuple:
         return _shell_table(self, self.u2 / self.omega**2 * self.weight)
 
@@ -178,78 +141,66 @@ def _lattice_extent(geom: BathGeometry, z_exp: float) -> int:
     return n_max * n_max
 
 
+def _runs(lead: np.ndarray, first: np.ndarray, lens: np.ndarray) -> Iterator[tuple]:
+    """(lead rows, points per row, n_D of every point) per chunk of at most _CHUNK points.
+
+    Run j holds lens[j] points, lead[j] then n_D = first[j], first[j] + 1, ...
+    """
+    starts = np.concatenate(([0], np.cumsum(lens)))
+    for a in range(0, int(starts[-1]), _CHUNK):
+        b = min(a + _CHUNK, int(starts[-1]))
+        r0, r1 = int(np.searchsorted(starts, a, "right")) - 1, int(np.searchsorted(starts, b))
+        count = np.minimum(starts[r0 + 1 : r1 + 1], b) - np.maximum(starts[r0:r1], a)
+        yield lead[r0:r1], count, np.arange(a, b) + np.repeat(first[r0:r1] - starts[r0:r1], count)
+
+
 def _slabs(D: int, m2max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The ball |n|^2 <= m2max, origin included, as runs along the last axis.
 
     Yields (lead, half) per slab: row j of lead holds the leading D - 1
-    coordinates of one run, n_D = -half[j] ... half[j].  Each run of the
-    (D - 1)-dimensional ball leads one slab, so D <= 2 is a single slab and
-    D = 3 has one per n_1; all in lexicographic order.
+    coordinates of one run, n_D = -half[j] ... half[j].  The runs are the
+    points of the (D - 1)-ball in chunks (_runs), in lexicographic order.
     """
     if D == 1:
-        leads: Iterable[np.ndarray] = [np.zeros((1, 0), dtype=np.int64)]
-    else:
-        leads = (
-            np.column_stack((np.tile(row, (2 * h + 1, 1)), np.arange(-h, h + 1)))
-            for lead, half in _slabs(D - 1, m2max)
-            for row, h in zip(lead, half)
-        )
-    for lead in leads:
-        yield lead, _isqrt_exact(m2max - np.einsum("ij,ij->i", lead, lead))
+        yield np.zeros((1, 0), dtype=np.int64), np.array([math.isqrt(m2max)], dtype=np.int64)
+        return
+    for lead, half in _slabs(D - 1, m2max):
+        for rows, count, last in _runs(lead, -half, 2 * half + 1):
+            points = np.column_stack((np.repeat(rows, count, axis=0), last))
+            yield points, _isqrt_exact(m2max - np.einsum("ij,ij->i", points, points))
 
 
-def _runs(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(run lengths, n_D of every point) for the runs n_D = -half[j] ... half[j], run after run."""
-    runs = 2 * half + 1
-    centre = np.cumsum(runs) - half - 1  # offset of each run's n_D = 0
-    return runs, np.arange(int(runs.sum()), dtype=np.int64) - np.repeat(centre, runs)
+def _half_ball(D: int, m2max: int) -> Iterator[tuple]:
+    """The lexicographically negative half of the ball |n|^2 <= m2max, in chunks (_runs).
 
-
-def _dense_vectors(slabs: list, count: int) -> np.ndarray:
-    """The first count integer vectors in the slabs of _slabs, in lexicographic order.
-
-    Half the nonzero vectors are the ones before the origin: one per +-k
-    pair, the lexicographically negative one.  Built one slab at a time into
-    a pre-sized array: the leading columns repeat each run's row, the last
-    column counts along the run.
+    That is one point per +-k pair: the runs before the origin's, then its n_D < 0.
     """
-    out = np.empty((count, slabs[0][0].shape[1] + 1), dtype=np.int64, order="F")
-    pos = 0
-    for lead, half in slabs:
-        runs, last = _runs(half)
-        take = min(len(last), count - pos)
-        for j, column in enumerate([np.repeat(c, runs) for c in lead.T] + [last]):
-            out[pos : pos + take, j] = column[:take]
-        pos += take
-        if pos == count:
-            break
-    return out
+    lead, half = map(np.concatenate, zip(*_slabs(D, m2max)))
+    mid = len(half) // 2  # the run through the origin
+    lens = 2 * half[: mid + 1] + 1
+    lens[mid] = half[mid]
+    return _runs(lead[: mid + 1], -half[: mid + 1], lens)
 
 
-def _radial_counts(slabs: list, m2max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values of |n|^2, multiplicities) over the nonzero integer vectors in the slabs.
+def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values of |n|^2, multiplicities) over the nonzero integer vectors of the ball.
 
-    D = 1 is closed form: shell |n| holds +n and -n.  For D >= 2 each slab
-    adds its points to one count table over |n|^2 <= m2max.
+    Each chunk of the half ball adds its points to one count table over
+    |n|^2 <= m2max, but for D = 1: shell |n| holds +n and -n.
     """
-    if slabs[0][0].shape[1] == 0:  # D = 1
-        n_max = math.isqrt(m2max)
-        r = np.arange(1, n_max + 1, dtype=np.int64)
-        return r * r, np.full(n_max, 2, dtype=np.int64)
+    if D == 1:
+        r = np.arange(1, math.isqrt(m2max) + 1, dtype=np.int64)
+        return r * r, np.full(len(r), 2, dtype=np.int64)
     counts = np.zeros(m2max + 1, dtype=np.int64)
-    for lead, half in slabs:
-        runs, last = _runs(half)
-        m2 = np.repeat(np.einsum("ij,ij->i", lead, lead), runs) + last * last
-        counts += np.bincount(m2, minlength=m2max + 1)  # O(modes) over all slabs
-    counts[0] -= 1  # origin excluded
+    for lead, count, last in _half_ball(D, m2max):
+        counts += np.bincount(np.repeat(np.einsum("ij,ij->i", lead, lead), count) + last * last,
+                              minlength=m2max + 1)
     idx = np.flatnonzero(counts)
-    return idx, counts[idx]
+    return idx, 2 * counts[idx]
 
 
 @functools.lru_cache(maxsize=2)
-def _shared_grid(
-    geom: BathGeometry, z_exp: float, s_exp: float, max_modes: int, radial: bool
-) -> ModeGrid:
+def _shared_grid(geom: BathGeometry, z_exp: float, s_exp: float, max_modes: int) -> ModeGrid:
     """The grid of one spectrum, keyed by exactly what it reads.
 
     Two entries hold both channels of one configuration, so at most one
@@ -257,46 +208,37 @@ def _shared_grid(
     because every caller with this key shares them.
     """
     m2max = _lattice_extent(geom, z_exp)
-    slabs, count = [], -1  # one walk: the count for the budget, the slabs while within it
-    for slab in _slabs(geom.D, m2max):
-        count += int(np.sum(2 * slab[1] + 1))
-        if count <= max_modes:
-            slabs.append(slab)
+    count = sum(int(np.sum(2 * half + 1)) for _, half in _slabs(geom.D, m2max)) - 1
     if count > max_modes:
         raise CapabilityError(
             f"grid for (L={geom.L}, omega_c={geom.omega_c}) needs {count} modes, "
             f"exceeding the budget of {max_modes}"
         )
-    m2, counts = _radial_counts(slabs, m2max)
+    m2, counts = _radial_counts(geom.D, m2max)
     k = (2.0 * math.pi / geom.L) * np.sqrt(m2.astype(np.float64))
-    n = None if radial else _dense_vectors(slabs, count // 2)
     grid = ModeGrid(D=geom.D, L=geom.L, omega=k**z_exp, u2=k ** (2.0 * s_exp),
-                    weight=counts.astype(np.float64), n=n)
-    for array in (grid.omega, grid.u2, grid.weight, grid.n):
-        if array is not None:
-            array.flags.writeable = False
+                    weight=counts.astype(np.float64), m2=m2)
+    for array in (grid.omega, grid.u2, grid.weight, grid.m2):
+        array.flags.writeable = False
     return grid
 
 
 def build_mode_grid(
     geom: BathGeometry, ch: BathChannel, max_modes: int = DEFAULT_MODE_BUDGET
 ) -> ModeGrid:
-    """Dense grid: the shell table of the modes with omega(|k|) <= omega_c, and one n per +-k pair.
+    """The shell table of the modes with omega(|k|) <= omega_c; shared (see ModeGrid).
 
-    Channels with equal exponents get the same instance (see ModeGrid); on
-    D = 1 it is the radial grid, which serves every sum there.
+    max_modes bounds the time of a position sum, which walks the modes; no
+    array of a grid or of a sum grows with the mode count.
     """
-    return _shared_grid(geom, ch.z_exp, ch.s_exp, max_modes, geom.D == 1)
+    return _shared_grid(geom, ch.z_exp, ch.s_exp, max_modes)
 
 
 def build_radial_mode_grid(
     geom: BathGeometry, ch: BathChannel, max_modes: int = DEFAULT_MODE_BUDGET
 ) -> ModeGrid:
-    """Radial grid: the dense grid's shell table without the vectors.
-
-    Shared like the dense grid (see ModeGrid).
-    """
-    return _shared_grid(geom, ch.z_exp, ch.s_exp, max_modes, True)
+    """The grid of build_mode_grid, which is a shell table on every D."""
+    return build_mode_grid(geom, ch, max_modes)
 
 
 # -- spectral sums -----------------------------------------------------------
@@ -332,8 +274,6 @@ def _oscillating_sum(grid: ModeGrid, table: tuple, T: float, imag: bool = True) 
     contraction of block with (cos b, sin b) gives 1 - cos(a + b) = vers b +
     cos b vers a + sin b sin a, vers x = 2 sin^2(x/2), and sin(a + b) = cos b sin a + sin b cos a.
     """
-    if not 0.0 <= T < math.inf:  # false for nan as well
-        raise ValueError(f"time T must be finite and non-negative, got {T}")
     weights, block, column_sums = table
     # einsum, not np.dot or @: a threaded BLAS keeps its idle threads spinning (~2x CPU)
     if block is None:
@@ -352,6 +292,11 @@ def _oscillating_sum(grid: ModeGrid, table: tuple, T: float, imag: bool = True) 
     return complex(float(re), float(im))
 
 
+def _check_time(T: float) -> None:  # first thing in every time sum
+    if not 0.0 <= T < math.inf:  # false for nan as well
+        raise ValueError(f"time T must be finite and non-negative, got {T}")
+
+
 def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
     """Dephasing decoherence function.
 
@@ -360,6 +305,7 @@ def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
     Non-negative and bounded by twice the static sum.  T must be finite and
     non-negative (ValueError).
     """
+    _check_time(T)
     osc = _oscillating_sum(grid, grid._damping_table, T, imag=False).real
     return grid.prefactor * lambda_star**2 * osc
 
@@ -379,11 +325,12 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     over the +-k pairs (see _shell_cos), so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.
     T must be finite and non-negative (ValueError).
     """
+    _check_time(T)
     d = np.atleast_1d(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
     if d.shape != (grid.D,):
         raise DimensionError(f"positions must have dimension {grid.D}")
     if np.any(d):
-        table = _shell_table(grid, 2.0 * grid.u2 / grid.omega**2 * _shell_cos(grid, d))
+        table = _shell_table(grid, 2.0 * grid.u2 / grid.omega**2 * _shell_cos(grid, [d])[0])
     else:
         table = grid._damping_table
     return grid.prefactor * _oscillating_sum(grid, table, T)
@@ -427,30 +374,66 @@ def _separation_table(data: bytes, shape: tuple[int, ...]) -> tuple:
     return table
 
 
-def _shell_cos(grid: ModeGrid, d: np.ndarray) -> np.ndarray:
-    """Per shell, cos(k.d) summed over the shell's +-k pairs; d = 0 gives the pair counts.
+def _shell_lookup(D: int, m2: np.ndarray) -> Callable[..., np.ndarray]:
+    """shell(lead, lens, last): the shell of each point of a chunk of the walk, len(m2) for none.
 
-    On D = 1 shell j is the pair n = +-(j + 1), so k is read from the shell
-    number; on D >= 2 the stored pairs are binned with shell_index.  Raises
-    ArithmeticError unless the grid is a pair table (see ModeGrid), and
-    CapabilityError on a D >= 2 radial grid.
+    One table, over |n|^2 = 0 ... max(m2), or on D = 1 over |n| = -n_1: there
+    every |n|^2 is a square (exact in float below 2**53), and max(m2) is the
+    square of the shell count.  A shell that holds no lattice point (m2 < 1,
+    or no square on D = 1) goes to slot 0, which no point of the walk reads.
     """
-    if grid.D > 1:
-        index = grid.shell_index  # checked before any pair-sized array is formed
-    elif np.any(grid.weight != 2.0):
+    key = np.maximum(m2, 0)
+    if D == 1:
+        key = np.sqrt(key).astype(np.intp)
+        key[key * key != m2] = 0
+    table = np.full(int(key.max(initial=0)) + 1, len(m2), dtype=np.intp)
+    table[key] = np.arange(len(m2))
+    if D == 1:
+        return lambda lead, lens, last: table[-last]
+    return lambda lead, lens, last: table[
+        np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
+
+
+def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int) -> np.ndarray:
+    """(count, shells): count per-pair quantities, each summed over every shell's +-k pairs.
+
+    The one kernel of the position sums: one walk of the half lattice (_half_ball), in which
+    rows(lead, lens, last) gives a chunk's count rows.  Raises ArithmeticError unless every
+    shell's weight is twice its pairs.
+    """
+    S = len(grid.m2)
+    shell_of = _shell_lookup(grid.D, grid.m2)
+    pairs, sums = np.zeros(S + 1), np.zeros((count, S + 1))  # column S: points of no shell
+    for lead, lens, last in _half_ball(grid.D, int(grid.m2.max(initial=0))):
+        shell = shell_of(lead, lens, last)
+        first = int(shell.min())  # binned over the shells the chunk reaches
+        shell -= first
+        reached = slice(first, first + int(shell.max()) + 1)
+        pairs[reached] += np.bincount(shell)
+        for total, values in zip(sums[:, reached], rows(lead, lens, last)):
+            total += np.bincount(shell, weights=values)
+    if not np.array_equal(2.0 * pairs[:S], grid.weight):
         raise ArithmeticError(_NOT_A_PAIR_TABLE)
-    if not np.any(d):
-        return 0.5 * grid.weight
-    scale = (2.0 * math.pi / grid.L) * d
-    if grid.D == 1:
-        phase = np.arange(1.0, len(grid.weight) + 1.0)
-        phase *= scale[0]
-        return np.cos(phase, out=phase)
-    first, *rest = np.flatnonzero(d)  # k.d from the integer columns: a multiply-add per nonzero d_j
-    phase = grid.n[:, first] * scale[first]
-    for j in rest:
-        phase += grid.n[:, j] * scale[j]
-    return np.bincount(index, weights=np.cos(phase, out=phase), minlength=len(grid.weight))
+    return sums[:, :S]
+
+
+def _phases(scale: np.ndarray, lead: np.ndarray, lens: np.ndarray, last: np.ndarray) -> Iterator:
+    """k.d per point of a chunk, per row (2*pi/L) d of scale; the lead part once per run."""
+    for s in scale:
+        phase = last * s[-1]
+        if s[:-1].any():
+            phase += np.repeat(sum(lead[:, j] * s[j] for j in np.flatnonzero(s[:-1])), lens)
+        yield phase
+
+
+def _shell_cos(grid: ModeGrid, seps: Sequence) -> np.ndarray:
+    """(separations, shells): per separation d, cos(k.d) summed over each shell's +-k pairs.
+
+    One walk (_shell_sums) serves every d; ArithmeticError unless the grid is a pair table.
+    """
+    scale = (2.0 * math.pi / grid.L) * np.asarray(seps, dtype=np.float64).reshape(-1, grid.D)
+    return _shell_sums(grid, lambda *chunk: (np.cos(p, out=p) for p in _phases(scale, *chunk)),
+                       len(scale))
 
 
 def _product_axes(pos: np.ndarray) -> list[np.ndarray] | None:
@@ -475,29 +458,37 @@ def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
 
     The square is N + 2 sum_d m_d cos(k.d) over the distinct separations d
     of the pairs x < y (see _separations), which is real and exact for any
-    positions; coincident pairs add 2 m_0.  That is one _shell_cos per
-    distinct separation.  On D >= 2 a product layout of more than one
-    position (see _product_axes) factorizes over the axes instead: S(k) =
-    prod_a |sum_c e^{i k_a c}|^2 over axis a's coordinates c, each factor
-    tabulated once per integer between the least and the largest n_a of the
-    grid (0 included), gathered per pair and binned into shells; an axis
-    with one coordinate (a padded one included) contributes 1.
+    positions; coincident pairs add 2 m_0.  It is formed per point and
+    binned once, in one walk (_shell_sums).  On D >= 2 a product layout of
+    more than one position (see _product_axes) factorizes over the axes
+    instead: S(k) = prod_a |sum_c e^{i k_a c}|^2 over axis a's coordinates
+    c, each factor tabulated once per integer n_a and gathered in the walk;
+    a one-coordinate axis gives 1.
     """
     axes = _product_axes(pos) if grid.D > 1 and len(pos) > 1 else None
     if axes is None:
         seps, mult, _ = _separations(pos)
-        total = (len(pos) + 2.0 * mult[0]) * _shell_cos(grid, seps[0])
-        for d, m in zip(seps[1:], mult[1:]):
-            cos = _shell_cos(grid, d)
-            total += np.multiply(cos, 2.0 * m, out=cos)
-        return total
-    index, total = grid.shell_index, 1.0  # the index first, before any pair-sized factor
-    for column, coords in zip(grid.n.T, axes):
-        if len(coords) > 1:
-            lo = int(column.min(initial=0))
-            k = (2.0 * math.pi / grid.L) * np.arange(lo, int(column.max(initial=0)) + 1)
-            total = total * (np.abs(np.exp(1j * np.outer(k, coords)).sum(axis=1)) ** 2)[column - lo]
-    return np.bincount(index, weights=total, minlength=len(grid.weight))
+        scale = (2.0 * math.pi / grid.L) * seps[1:]
+
+        def square(lead: np.ndarray, lens: np.ndarray, last: np.ndarray) -> Iterator[np.ndarray]:
+            total = np.full(len(last), len(pos) + 2.0 * mult[0])
+            for phase, m in zip(_phases(scale, lead, lens, last), mult[1:]):
+                total += np.multiply(np.cos(phase, out=phase), 2.0 * m, out=phase)
+            yield total
+
+        return _shell_sums(grid, square, 1)[0]
+    m = math.isqrt(int(grid.m2.max(initial=0)))
+    k = (2.0 * math.pi / grid.L) * np.arange(-m, m + 1)
+    tables = [np.abs(np.exp(1j * np.outer(k, c)).sum(axis=1)) ** 2 if len(c) > 1
+              else np.ones(len(k)) for c in axes]
+
+    def factor(lead: np.ndarray, lens: np.ndarray, last: np.ndarray) -> Iterator[np.ndarray]:
+        per_run = np.ones(len(lead))
+        for column, table in zip(lead.T, tables):
+            per_run = per_run * table[column + m]
+        yield np.repeat(per_run, lens) * tables[-1][last + m]
+
+    return _shell_sums(grid, factor, 1)[0]
 
 
 def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
@@ -506,8 +497,10 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
     Evaluated through the register structure factor: the pair double sum
     collapses to sum_k (|u|^2/omega^2) |sum_x e^{i k.x}|^2 (1 - e^{i omega T}),
     algebraically identical to summing w_pair over all pairs.  positions is
-    (N, D), or (N,) on D = 1; T must be finite and non-negative (ValueError).
+    (N, D), or (N,) on D = 1; T must be finite and non-negative (ValueError),
+    which is checked before any work on the positions.
     """
+    _check_time(T)
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim == 1:
         pos = pos[:, None]
@@ -573,11 +566,15 @@ class QubitLayout:
     D_x: int
 
     def __post_init__(self) -> None:
-        self.logical_positions = np.atleast_2d(np.asarray(self.logical_positions, dtype=np.float64))
-        self.physical_offsets = np.atleast_2d(np.asarray(self.physical_offsets, dtype=np.float64))
-        if self.D_x < 0:
-            raise ValueError("array dimension D_x must be non-negative")
-        if math.isfinite(self.xi) and math.isfinite(self.Xi) and 10.0 * self.xi > self.Xi:
+        """Checks every field (ConfigError naming it): finite spacings and coordinates, D_x >= 0."""
+        self.xi, self.Xi = _number(self.xi, "layout.xi"), _number(self.Xi, "layout.Xi")
+        self.D_x = _checked("layout.D_x", _SCALARS["layout.D_x"], self.D_x)
+        for name in ("logical_positions", "physical_offsets"):
+            array = np.atleast_2d(np.asarray(getattr(self, name), dtype=np.float64))
+            if not np.isfinite(array).all():
+                raise ConfigError(f"layout {name} must be finite numbers")
+            setattr(self, name, array)
+        if 10.0 * self.xi > self.Xi:
             warnings.warn(
                 f"intra-logical spacing xi={self.xi} is not small against "
                 f"inter-logical spacing Xi={self.Xi}; corrections dropped by the "
@@ -616,10 +613,11 @@ def regular_layout(
     physical sites of each logical qubit fill a centered D_x-dimensional
     lattice with spacing xi.
     """
-    return QubitLayout(
-        logical_positions=lattice_sites(n_logical, D_x) * Xi,
-        physical_offsets=lattice_sites(n_physical, D_x) * xi,
-        xi=xi,
-        Xi=Xi,
-        D_x=D_x,
-    )
+    with np.errstate(invalid="ignore"):  # 0 * inf: QubitLayout names the spacing
+        return QubitLayout(
+            logical_positions=lattice_sites(n_logical, D_x) * Xi,
+            physical_offsets=lattice_sites(n_physical, D_x) * xi,
+            xi=xi,
+            Xi=Xi,
+            D_x=D_x,
+        )

@@ -43,21 +43,22 @@ def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
     """sum_k |u_k|^2 cos(k.(x_i - x_j)) for every site pair (i, j), no coupling scale.
 
     Twice |u|^2 times cos summed over each shell's +-k pairs (_shell_cos):
-    one cos pass per distinct separation, separation 0 the on-site sum.
-    D >= 2 radial grids and malformed grids raise (see ModeGrid).
+    one walk of the lattice serves every distinct separation, separation 0
+    the on-site sum.  A malformed grid raises (see ModeGrid).
     """
     seps, _, index = _separations(positions)
-    return 2.0 * np.array([np.einsum("i,i->", grid.u2, _shell_cos(grid, d)) for d in seps])[index]
+    rows = [0.5 * grid.weight, *_shell_cos(grid, seps[1:])]  # seps[0] = 0: the pair counts
+    return 2.0 * np.array([np.einsum("i,i->", grid.u2, cos) for cos in rows])[index]
 
 
 def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: float) -> AMatrix:
     """Pair-amplitude matrix for one logical qubit's physical sites.
 
     Each distinct site separation d (d and -d folded, d = 0 the on-site sum)
-    costs one cos pass over the +-k pairs; a malformed hand-built grid
-    raises ArithmeticError on every call.  The sums depend on the
-    grid and the offsets alone, so they are memoized on the grid and only
-    the (lambda * Delta)^2 scale is applied per call.
+    costs one cos per +-k pair, all in one walk of the lattice; a malformed
+    hand-built grid raises ArithmeticError on every call.  The sums depend
+    on the grid and the offsets alone, so they are memoized on the grid and
+    only the (lambda * Delta)^2 scale is applied per call.
     """
     if grid.stored_count == 0:
         raise DegenerateInputError("mode grid is empty")

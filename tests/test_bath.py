@@ -45,8 +45,8 @@ class TestGridConstruction:
     def test_minimal_1d_grid(self):
         geom = BathGeometry(D=1, L=2 * math.pi, omega_c=1.0)
         grid = build_mode_grid(geom, _ch())
-        assert grid.mode_count == 2 and grid.n is None  # one shell: the pair n = +-1
-        assert np.array_equal(grid.weight, [2.0])
+        assert grid.mode_count == 2  # one shell: the pair n = +-1
+        assert np.array_equal(grid.m2, [1]) and np.array_equal(grid.weight, [2.0])
         assert np.allclose(grid.omega, 1.0)
 
     def test_1d_count(self):
@@ -62,12 +62,9 @@ class TestGridConstruction:
             ch = _ch(z=rng.uniform(0.5, 2.0))
             grid = build_mode_grid(geom, ch)
             ball = _pencil_vectors(D, bath._lattice_extent(geom, ch.z_exp))
-            if D == 1:  # the shell table alone: shell j is the pair n = +-(j + 1)
-                assert grid.n is None and np.array_equal(grid.weight, np.full(len(ball) // 2, 2.0))
-                continue
-            vectors = {tuple(v) for v in np.concatenate([grid.n, -grid.n]).tolist()}
-            assert len(vectors) == 2 * len(grid.n) == len(ball)
-            assert vectors == {tuple(v) for v in ball.tolist()}
+            m2, counts = np.unique(np.einsum("ij,ij->i", ball, ball), return_counts=True)
+            assert np.array_equal(grid.m2, m2) and np.array_equal(grid.weight, counts)
+            assert grid.mode_count == len(ball)
 
     def test_cutoff_respected(self):
         geom = BathGeometry(D=2, L=25.0, omega_c=1.3)
@@ -87,50 +84,25 @@ class TestGridConstruction:
             build_mode_grid(geom, _ch())
 
     def test_radial_matches_dense(self):
-        for D in (1, 2, 3):
+        for D in (1, 2, 3):  # a grid is its shell table on every D: one instance
             geom = BathGeometry(D=D, L=31.0, omega_c=1.0)
             ch = _ch(z=1.2, s=0.3)
-            dense = build_mode_grid(geom, ch)
-            radial = build_radial_mode_grid(geom, ch)
-            assert radial.is_radial and dense.is_radial == (D == 1)
-            assert radial.mode_count == dense.mode_count
-            # D = 1 stores one record per shell either way
-            assert radial.stored_count <= dense.stored_count
-            for T in (0.0, 3.7, 50.0):
-                assert gamma(radial, 0.1, T) == pytest.approx(
-                    gamma(dense, 0.1, T), rel=1e-12, abs=1e-300
-                )
-            assert gamma_infinity(radial, 0.1) == pytest.approx(
-                gamma_infinity(dense, 0.1), rel=1e-12
-            )
+            assert build_radial_mode_grid(geom, ch) is build_mode_grid(geom, ch)
+            assert build_mode_grid(geom, ch).stored_count == len(build_mode_grid(geom, ch).m2)
 
     @pytest.mark.parametrize("D", [1, 2, 3])
     def test_slab_enumeration_matches_pencils(self, D):
         for n in (1, 2, 5, 11):
             for m2max in (n * n, n * n + 1, n * n + n):
                 want = _pencil_vectors(D, m2max)
-                got = bath._dense_vectors(list(bath._slabs(D, m2max)), len(want) // 2)
+                # the walk of the half ball: lead rows repeated along their runs, then n_D
+                chunks = list(bath._half_ball(D, m2max))
+                got = np.concatenate([
+                    np.column_stack((np.repeat(lead, lens, axis=0), last))
+                    for lead, lens, last in chunks
+                ])
                 assert np.array_equal(got, want[: len(want) // 2])
-
-    def test_radial_refuses_positions(self):
-        geom = BathGeometry(D=2, L=30.0, omega_c=1.0)
-        grid = build_radial_mode_grid(geom, _ch())
-        with pytest.raises(CapabilityError, match="dense"):
-            w_pair(grid, [1.0, 0.0], [0.0, 0.0], 1.0)
-
-    def test_radial_refuses_every_position_sum(self):
-        geom = BathGeometry(D=2, L=30.0, omega_c=1.0)
-        grid = build_radial_mode_grid(geom, _ch())
-        with pytest.warns(UserWarning, match="coarse graining"):
-            register = regular_layout(2, Xi=3.0, D_x=1, xi=0.5)
-        for call in (
-            lambda: w_pair(grid, [1.0, 0.0], [0.0, 0.0], 1.0),
-            lambda: w_sum(grid, register.padded_logical_positions(2), 1.0),
-            lambda: w_sum(grid, np.zeros((1, 2)), 1.0),  # one site: no separation to form
-            lambda: a_matrix(grid, register, _ch(), delta=1.0),
-        ):
-            with pytest.raises(CapabilityError, match="dense"):
-                call()
+                assert all(len(last) <= bath._CHUNK for _, _, last in chunks)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -188,8 +160,7 @@ class TestGridSharing:
         geom = BathGeometry(D=2, L=2 * math.pi * 5, omega_c=1.0)
         z, x = _ch(s=0.25, lam=1e-3, axis="z"), _ch(s=0.25, lam=0.2, axis="x")
         assert build_mode_grid(geom, z) is build_mode_grid(geom, x)
-        assert build_radial_mode_grid(geom, z) is build_radial_mode_grid(geom, x)
-        assert build_radial_mode_grid(geom, z) is not build_mode_grid(geom, z)
+        assert build_radial_mode_grid(geom, z) is build_mode_grid(geom, x)
 
     def test_every_key_field_separates_grids(self):
         geom = BathGeometry(D=1, L=2 * math.pi * 30, omega_c=1.0)
@@ -213,9 +184,8 @@ class TestGridSharing:
 
     def test_arrays_are_read_only(self):
         geom = BathGeometry(D=2, L=2 * math.pi * 4, omega_c=1.0)
-        dense = build_mode_grid(geom, _ch())
-        radial = build_radial_mode_grid(geom, _ch())
-        for array in (dense.omega, dense.u2, dense.n, dense.weight, radial.omega, radial.weight):
+        grid = build_mode_grid(geom, _ch())
+        for array in (grid.omega, grid.u2, grid.weight, grid.m2):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -293,6 +263,23 @@ class TestGamma:
 def test_time_must_be_finite_and_non_negative(grid_1d, call, T):
     with pytest.raises(ValueError, match="time T must be finite and non-negative"):
         call(grid_1d, T)
+
+
+def test_time_is_checked_before_any_position_work(monkeypatch):
+    geom = BathGeometry(D=2, L=2 * math.pi * 40, omega_c=1.0)
+    grid = ModeGrid(**{f: getattr(build_mode_grid(geom, _ch()), f)  # nothing memoized yet
+                       for f in ("D", "L", "omega", "u2", "weight", "m2")})
+    calls = []
+    for name in ("_structure_factor", "_shell_sums"):
+        real = getattr(bath, name)
+        monkeypatch.setattr(bath, name, lambda *args, real=real: calls.append(1) or real(*args))
+    positions = regular_layout(16, Xi=7.0, D_x=2, xi=0.5).padded_logical_positions(2)
+    for T in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="time T must be finite and non-negative"):
+            w_sum(grid, positions, T)
+        with pytest.raises(ValueError, match="time T must be finite and non-negative"):
+            w_pair(grid, positions[0], positions[1], T)
+    assert calls == [] and "register" not in grid._memo
 
 
 class TestWPair:
@@ -452,12 +439,9 @@ class TestShellKernel:
         geom, grid, _ = shell_case
         order, counts = np.unique(_mode_m2(geom, _SHELL_CH), return_counts=True)
         assert len(grid.omega) == len(order) < grid.mode_count
-        assert np.array_equal(grid.weight, counts)
+        assert np.array_equal(grid.weight, counts) and np.array_equal(grid.m2, order)
         if geom.D == 1:
-            assert grid.n is None and np.array_equal(order, np.arange(1, len(order) + 1) ** 2)
-        else:
-            assert np.array_equal(order[grid.shell_index], np.sum(grid.n * grid.n, axis=1))
-            assert np.array_equal(grid.weight, 2 * np.bincount(grid.shell_index))
+            assert np.array_equal(order, np.arange(1, len(order) + 1) ** 2)
         k = (2.0 * math.pi / grid.L) * np.sqrt(order.astype(float))
         np.testing.assert_allclose(grid.omega, k**_SHELL_CH.z_exp, rtol=1e-15)
         np.testing.assert_allclose(grid.u2, k ** (2.0 * _SHELL_CH.s_exp), rtol=1e-15)
@@ -497,17 +481,27 @@ class TestShellKernel:
 
     def test_radial_grid_holds_the_dense_shells(self):
         for _, geom in _SHELL_CASES:
-            dense = build_mode_grid(geom, _SHELL_CH)
-            radial = build_radial_mode_grid(geom, _SHELL_CH)
-            assert (radial is dense) == (geom.D == 1)
-            assert radial.mode_count == dense.mode_count
-            for array in ("omega", "u2", "weight"):
-                assert np.array_equal(getattr(radial, array), getattr(dense, array))
-            if geom.D > 1:
-                assert np.array_equal(radial.weight, 2 * np.bincount(dense.shell_index))
-            assert np.array_equal(radial.shell_damping, dense.shell_damping)
-            for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
-                assert gamma(radial, 0.03, T) == gamma(dense, 0.03, T)
+            grid = build_mode_grid(geom, _SHELL_CH)
+            assert build_radial_mode_grid(geom, _SHELL_CH) is grid
+            # the walk of the half lattice finds half of each shell's modes
+            ones = bath._shell_sums(grid, lambda lead, lens, last: [np.ones(len(last))], 1)
+            assert np.array_equal(2.0 * ones[0], grid.weight)
+
+    def test_position_sums_stream_the_lattice(self):
+        # 904k modes: one stored vector per +-k pair alone would take 10.8 MB
+        bath._shared_grid.cache_clear()
+        geom, ch = BathGeometry(D=3, L=2 * math.pi * 60, omega_c=1.0), _ch(s=0.25)
+        layout = regular_layout(4, Xi=20.0, D_x=2, xi=1.0)
+        tracemalloc.start()
+        try:
+            grid = build_mode_grid(geom, ch)
+            a_matrix(grid, layout, ch, delta=1.0)
+            w_sum(grid, layout.padded_logical_positions(3), 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.mode_count == 904_088
+        assert peak < 8_000_000
 
     def test_radial_1d_counting_is_linear(self):
         geom = BathGeometry(D=1, L=2 * math.pi * 2000, omega_c=1.0)
@@ -614,7 +608,7 @@ class TestHarmonicKernel:
         assert grid.fundamental is None
         d = np.arange(1.0, geom.D + 1) * 0.7
         positions = regular_layout(4, Xi=7.0, D_x=geom.D, xi=0.5).padded_logical_positions(geom.D)
-        pair_weights = 2.0 * grid.u2 / grid.omega**2 * bath._shell_cos(grid, d)
+        pair_weights = 2.0 * grid.u2 / grid.omega**2 * bath._shell_cos(grid, [d])[0]
         register_weights = 2.0 * grid.u2 / grid.omega**2 * bath._structure_factor(grid, positions)
         for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
             assert gamma(grid, 0.03, T) == grid.prefactor * 0.03**2 * _per_shell(
@@ -662,20 +656,19 @@ def _ref_a_matrix(geom, ch, offsets, scale):
 
 
 def _malformed(grid, case):
-    """A hand-built copy of a dense grid that is not a +-k pair table."""
-    n, weight = np.array(grid.n), np.array(grid.weight)
-    if case == "both k and -k":  # a pair swapped for the partner of another in its shell
-        same = np.flatnonzero(grid.shell_index == grid.shell_index[0])
-        n[same[1]] = -n[same[0]]
-    elif case == "pair dropped":
-        n = n[1:]
+    """A hand-built copy of a built grid that is not a +-k pair table."""
+    m2, weight = np.array(grid.m2), np.array(grid.weight)
+    if case == "m2 off the lattice":  # 7 is no sum of three squares: no mode lies there
+        m2[0] = 7
+    elif case == "m2 swapped":  # |n|^2 = 1 and 2 hold 6 and 12 modes on D = 3
+        m2[:2] = m2[1::-1]
     else:
         weight[0] += 2.0
-    return ModeGrid(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, n=n)
+    return ModeGrid(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=m2)
 
 
 class TestPlusMinusFold:
-    """Position sums run over one vector per +-k pair; check them against every mode."""
+    """Position sums walk one lattice point per +-k pair; check them against every mode."""
 
     @pytest.mark.parametrize("D_x", [1, 2])
     def test_zero_components_match_full_grid(self, D_x):
@@ -694,7 +687,7 @@ class TestPlusMinusFold:
         got = a_matrix(grid, register, ch, delta=1.5).values
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * ref[0, 0])
 
-    @pytest.mark.parametrize("case", ["both k and -k", "pair dropped", "wrong weight"])
+    @pytest.mark.parametrize("case", ["m2 off the lattice", "m2 swapped", "wrong weight"])
     def test_malformed_grid_rejected_by_every_position_sum(self, case):
         grid = _malformed(build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH), case)
         register = regular_layout(2, Xi=7.0, D_x=1, xi=0.5)
@@ -708,19 +701,21 @@ class TestPlusMinusFold:
                 w_pair(grid, positions[0], positions[1], 1.0)
 
     def test_permuted_grid_gives_the_same_sums(self):
-        grid = build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH)
-        order = np.random.default_rng(5).permutation(grid.stored_count)
-        permuted = ModeGrid(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=grid.weight,
-                            n=grid.n[order])
-        register = regular_layout(4, Xi=7.0, D_x=2, xi=0.5)
-        positions = register.padded_logical_positions(3)
-        for T in (3.7, 2.5 * grid.L + 0.9):
-            _assert_close(w_sum(permuted, positions, T), w_sum(grid, positions, T))
-            x, y = positions[0], positions[-1]
-            _assert_close(w_pair(permuted, x, y, T), w_pair(grid, x, y, T))
-        want = a_matrix(grid, register, _SHELL_CH, delta=1.5).values
-        got = a_matrix(permuted, register, _SHELL_CH, delta=1.5).values
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want[0, 0])
+        # the walk finds each point's shell by |n|^2 (|n| on D = 1), not by its place in the table
+        for geom, D_x in ((_SHELL_CASES[2][1], 2), (_SHELL_CASES[0][1], 1)):
+            grid = build_mode_grid(geom, _SHELL_CH)
+            order = np.random.default_rng(5).permutation(grid.stored_count)
+            permuted = ModeGrid(D=grid.D, L=grid.L, omega=grid.omega[order], u2=grid.u2[order],
+                                weight=grid.weight[order], m2=grid.m2[order])
+            register = regular_layout(4, Xi=7.0, D_x=D_x, xi=0.5)
+            positions = register.padded_logical_positions(geom.D)
+            for T in (3.7, 2.5 * grid.L + 0.9):
+                _assert_close(w_sum(permuted, positions, T), w_sum(grid, positions, T))
+                x, y = positions[0], positions[-1]
+                _assert_close(w_pair(permuted, x, y, T), w_pair(grid, x, y, T))
+            want = a_matrix(grid, register, _SHELL_CH, delta=1.5).values
+            got = a_matrix(permuted, register, _SHELL_CH, delta=1.5).values
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want[0, 0])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -733,13 +728,12 @@ class TestPlusMinusFold:
     def test_every_built_grid_is_a_pair_table(self, D, size, omega_c, z, s):
         geom = BathGeometry(D=D, L=2 * math.pi * size, omega_c=omega_c)
         grid = build_mode_grid(geom, _ch(z=z, s=s))
-        if D == 1:  # shell j is the pair n = +-(j + 1), and no vector is stored
-            assert grid.n is None and np.all(grid.weight == 2.0)
-            return
-        vectors = [tuple(v) for v in grid.n.tolist()]
+        vectors = [tuple(lead) + (n_D,) for rows, lens, last in bath._half_ball(D, grid.m2[-1])
+                   for lead, n_D in zip(np.repeat(rows, lens, axis=0).tolist(), last.tolist())]
         assert all(next(c for c in v if c) < 0 for v in vectors)  # lexicographically negative
-        assert len(set(vectors)) == len(vectors)
-        assert np.array_equal(2 * np.bincount(grid.shell_index), grid.weight)
+        assert len(set(vectors)) == len(vectors) == grid.mode_count // 2
+        ones = bath._shell_sums(grid, lambda lead, lens, last: [np.ones(len(last))], 1)
+        assert np.array_equal(2.0 * ones[0], grid.weight)
 
 
 _LINE_GEOM = BathGeometry(D=1, L=2 * math.pi * 50, omega_c=1.0)
@@ -751,14 +745,14 @@ _LINE_LAYOUTS = {  # offsets and logical positions: a product layout, and one wi
 
 
 class TestShellTableGrid:
-    """D = 1: shell j is the pair n = +-(j + 1), so the shell table serves every position sum."""
+    """D = 1: shell j is the pair n = +-(j + 1), one point of the walk."""
 
     @pytest.mark.parametrize("z", [1.0, 1.2], ids=["harmonic", "per-shell"])
     @pytest.mark.parametrize("kind", list(_LINE_LAYOUTS))
     def test_position_sums_match_the_enumeration(self, z, kind):
         ch, layout = _ch(z=z, s=0.25, lam=0.2), _LINE_LAYOUTS[kind]
         grid = build_mode_grid(_LINE_GEOM, ch)
-        assert grid is build_radial_mode_grid(_LINE_GEOM, ch) and grid.n is None
+        assert grid is build_radial_mode_grid(_LINE_GEOM, ch)
         assert (grid.fundamental is not None) == (z == 1.0)
         offsets = layout.padded_offsets(1)
         ref = _ref_a_matrix(_LINE_GEOM, ch, offsets, (ch.lam * 1.5) ** 2)
@@ -775,7 +769,7 @@ class TestShellTableGrid:
         grid = build_mode_grid(_LINE_GEOM, _ch(z=z))
         weight = np.array(grid.weight)
         weight[3] = 4.0
-        malformed = ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight)
+        malformed = ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=grid.m2)
         for layout in _LINE_LAYOUTS.values():
             positions = layout.padded_logical_positions(1)
             for _ in range(2):  # a failed check is not memoized
@@ -808,11 +802,11 @@ _PAIR_CASES = [  # (grid geometry, z, positions): the separation form over shell
 
 
 def _separation_form(grid, positions):
-    """N + 2 sum_d m_d cos(k.d) per shell, one bath._shell_cos per distinct separation."""
+    """N + 2 sum_d m_d cos(k.d) per shell, one bath._shell_cos walk per distinct separation."""
     seps, mult, _ = bath._separations(positions)
-    total = (len(positions) + 2.0 * mult[0]) * bath._shell_cos(grid, seps[0])
+    total = (len(positions) + 2.0 * mult[0]) * (0.5 * grid.weight)  # the pair counts
     for d, m in zip(seps[1:], mult[1:]):
-        total = total + 2.0 * m * bath._shell_cos(grid, d)
+        total = total + 2.0 * m * bath._shell_cos(grid, [d])[0]
     return total
 
 
@@ -845,8 +839,10 @@ class TestStructureFactor:
         ch = _ch(z=z, s=0.25)
         grid = build_mode_grid(geom, ch)
         assert (bath._product_axes(positions) is None) == (geom.D > 1)
-        want = _separation_form(grid, positions)
-        assert np.array_equal(bath._structure_factor(grid, positions), want)
+        # the walk sums N + 2 sum_d m_d cos(k.d) per pair before binning: another summation order
+        np.testing.assert_allclose(bath._structure_factor(grid, positions),
+                                   _separation_form(grid, positions),
+                                   rtol=0, atol=1e-12 * len(positions) ** 2 * grid.weight.max())
         _assert_shell_factor(geom, ch, grid, positions)
         for T in (3.7, 2.5 * geom.L + 0.9):
             _assert_parts_close(w_sum(grid, positions, T), _ref_register(geom, ch, positions, T))
@@ -913,6 +909,27 @@ class TestLayout:
                 build()
             # reported at the caller's line, not inside qecbound or the dataclass-generated __init__
             assert len(record) == 1 and record[0].filename == __file__
+
+    @pytest.mark.parametrize("spacings, key", [
+        (dict(Xi=math.inf), r"layout\.Xi"), (dict(Xi=math.nan), r"layout\.Xi"),
+        (dict(xi=math.inf), r"layout\.xi"),
+    ])
+    def test_non_finite_spacing_rejected(self, spacings, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number$"):
+            regular_layout(2, **{"Xi": 10.0, "D_x": 1, "xi": 0.1, **spacings})
+
+    def test_non_finite_coordinate_rejected(self):
+        offsets = lattice_sites(5, 1) * 0.1
+        offsets[2, 0] = math.inf
+        with pytest.raises(ConfigError, match="^layout physical_offsets must be finite numbers$"):
+            QubitLayout(np.zeros((2, 1)), offsets, xi=0.1, Xi=10.0, D_x=1)
+        with pytest.raises(ConfigError, match="^layout logical_positions must be finite numbers$"):
+            QubitLayout([[0.0], [math.nan]], lattice_sites(5, 1), xi=0.1, Xi=10.0, D_x=1)
+
+    def test_dimension_read_through_the_schema(self):
+        for D_x, message in ((-1, "must be non-negative"), (1.5, "must be an integer")):
+            with pytest.raises(ConfigError, match=rf"^layout\.D_x {message}$"):
+                QubitLayout(np.zeros((2, 1)), np.zeros((5, 1)), xi=0.1, Xi=10.0, D_x=D_x)
 
     def test_padding(self):
         layout = regular_layout(2, Xi=100.0, D_x=1, xi=1.0)

@@ -498,7 +498,7 @@ class TestHsDistance:
 
 def _unshared(grid):
     """A separate instance over the same arrays: nothing memoized, nothing shared."""
-    return ModeGrid(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=grid.weight, n=grid.n)
+    return ModeGrid(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=grid.weight, m2=grid.m2)
 
 
 def _counting(monkeypatch, module, name):

@@ -209,7 +209,7 @@ class TestAMatrix:
         assert second.axis == "x"
         ratio = (other.lam * 0.4) ** 2 / (ch.lam * 1.5) ** 2
         np.testing.assert_allclose(second.values, ratio * first.values, rtol=1e-15, atol=0)
-        fresh = ModeGrid(D=1, L=geom.L, omega=grid.omega, u2=grid.u2, weight=grid.weight, n=grid.n)
+        fresh = ModeGrid(D=1, L=geom.L, omega=grid.omega, u2=grid.u2, weight=grid.weight, m2=grid.m2)
         np.testing.assert_array_equal(a_matrix(fresh, layout, other, delta=0.4).values, second.values)
         assert calls == [1]
 
@@ -218,7 +218,7 @@ class TestAMatrix:
         from qecbound import DegenerateInputError, ModeGrid
 
         empty = ModeGrid(D=1, L=geom.L, omega=grid.omega[:0], u2=grid.u2[:0],
-                         weight=grid.weight[:0])
+                         weight=grid.weight[:0], m2=grid.m2[:0])
         layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
         with pytest.raises(DegenerateInputError):
             a_matrix(empty, layout, ch, delta=1.0)
