@@ -39,6 +39,7 @@ DEFAULT_MODE_BUDGET = 10_000_000
 _NOT_A_PAIR_TABLE = ("grid is not a +-k pair table: the weight of every shell must be the "
                      "lattice's mode count at its |n|^2 (m2)")
 _CHUNK = 1 << 14  # lattice points per step of a walk: bounds every temporary of a position sum
+_NO_LEAD = np.zeros((1, 0), dtype=np.int64)  # the leading coordinates of a D = 1 run: none
 
 
 @dataclass(eq=False)
@@ -374,44 +375,40 @@ def _separation_table(data: bytes, shape: tuple[int, ...]) -> tuple:
     return table
 
 
-def _shell_lookup(D: int, m2: np.ndarray) -> Callable[..., np.ndarray]:
-    """shell(lead, lens, last): the shell of each point of a chunk of the walk, len(m2) for none.
-
-    One table, over |n|^2 = 0 ... max(m2), or on D = 1 over |n| = -n_1: there
-    every |n|^2 is a square (exact in float below 2**53), and max(m2) is the
-    square of the shell count.  A shell that holds no lattice point (m2 < 1,
-    or no square on D = 1) goes to slot 0, which no point of the walk reads.
-    """
-    key = np.maximum(m2, 0)
-    if D == 1:
-        key = np.sqrt(key).astype(np.intp)
-        key[key * key != m2] = 0
-    table = np.full(int(key.max(initial=0)) + 1, len(m2), dtype=np.intp)
-    table[key] = np.arange(len(m2))
-    if D == 1:
-        return lambda lead, lens, last: table[-last]
-    return lambda lead, lens, last: table[
-        np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
-
-
 def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int) -> np.ndarray:
     """(count, shells): count per-pair quantities, each summed over every shell's +-k pairs.
 
     The one kernel of the position sums: one walk of the half lattice (_half_ball), in which
-    rows(lead, lens, last) gives a chunk's count rows.  Raises ArithmeticError unless every
-    shell's weight is twice its pairs.
+    rows(lead, lens, last) gives a chunk's count rows.  On D = 1 the shell |n| = j holds the
+    one pair +-j, so the walk runs over the shells, point n_1 = -j each, and bins nothing; the
+    pair of |n| = j goes to the last shell at m2 = j^2, as a lookup would.  Raises
+    ArithmeticError unless every shell's weight is twice its pairs.
     """
     S = len(grid.m2)
-    shell_of = _shell_lookup(grid.D, grid.m2)
-    pairs, sums = np.zeros(S + 1), np.zeros((count, S + 1))  # column S: points of no shell
-    for lead, lens, last in _half_ball(grid.D, int(grid.m2.max(initial=0))):
-        shell = shell_of(lead, lens, last)
-        first = int(shell.min())  # binned over the shells the chunk reaches
-        shell -= first
-        reached = slice(first, first + int(shell.max()) + 1)
-        pairs[reached] += np.bincount(shell)
-        for total, values in zip(sums[:, reached], rows(lead, lens, last)):
-            total += np.bincount(shell, weights=values)
+    if grid.D == 1:
+        j = np.sqrt(np.maximum(grid.m2, 0)).astype(np.intp)  # exact on squares below 2**53
+        j[j * j != grid.m2] = 0  # no lattice point: no pair
+        owner = np.full(int(j.max(initial=0)) + 1, -1)
+        owner[j] = np.arange(S)
+        pairs, sums = (owner[j] == np.arange(S)) & (j > 0), np.zeros((count, S))
+        for a in range(0, S, _CHUNK):
+            last = -j[a : a + _CHUNK]
+            for total, values in zip(sums[:, a : a + _CHUNK], rows(_NO_LEAD, [len(last)], last)):
+                total[:] = values
+        sums *= pairs
+    else:
+        m2max = int(grid.m2.max(initial=0))  # table: |n|^2 -> shell, S for none; a shell
+        table = np.full(m2max + 1, S, dtype=np.intp)  # below |n|^2 = 1 takes slot 0, which
+        table[np.maximum(grid.m2, 0)] = np.arange(S)  # no point of the walk reads
+        pairs, sums = np.zeros(S + 1), np.zeros((count, S + 1))  # column S: points of no shell
+        for lead, lens, last in _half_ball(grid.D, m2max):
+            shell = table[np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
+            first = int(shell.min())  # binned over the shells the chunk reaches
+            shell -= first
+            reached = slice(first, first + int(shell.max()) + 1)
+            pairs[reached] += np.bincount(shell)
+            for total, values in zip(sums[:, reached], rows(lead, lens, last)):
+                total += np.bincount(shell, weights=values)
     if not np.array_equal(2.0 * pairs[:S], grid.weight):
         raise ArithmeticError(_NOT_A_PAIR_TABLE)
     return sums[:, :S]
@@ -421,7 +418,7 @@ def _phases(scale: np.ndarray, lead: np.ndarray, lens: np.ndarray, last: np.ndar
     """k.d per point of a chunk, per row (2*pi/L) d of scale; the lead part once per run."""
     for s in scale:
         phase = last * s[-1]
-        if s[:-1].any():
+        if lead.shape[1] and s[:-1].any():
             phase += np.repeat(sum(lead[:, j] * s[j] for j in np.flatnonzero(s[:-1])), lens)
         yield phase
 
@@ -516,25 +513,30 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
 # -- qubit geometry ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def lattice_sites(count: int, dims: int) -> np.ndarray:
     """First `count` sites of a unit-spacing dims-dimensional lattice, centered.
 
     Sites are taken in lexicographic order from a cube just large enough to
     hold them, then shifted to zero centroid.  dims = 0 collapses everything
-    to a single point.
+    to a single point.  The 8 most recent tables are kept, read-only: a
+    sweep rebuilds its layout from them at every point.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if dims == 0:
-        return np.zeros((count, 1))
-    side = 1
-    while side**dims < count:
-        side += 1
-    sites = np.array(
-        list(itertools.islice(itertools.product(range(side), repeat=dims), count)),
-        dtype=np.float64,
-    )
-    return sites - sites.mean(axis=0)
+        sites = np.zeros((count, 1))
+    else:
+        side = 1
+        while side**dims < count:
+            side += 1
+        sites = np.array(
+            list(itertools.islice(itertools.product(range(side), repeat=dims), count)),
+            dtype=np.float64,
+        )
+        sites -= sites.mean(axis=0)
+    sites.flags.writeable = False
+    return sites
 
 
 def _caller_stacklevel() -> int:

@@ -129,35 +129,6 @@ def _run_eta(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 
 def _run_code_check(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
     code = cfg.stabilizer_code()
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, fn) -> None:
-        try:
-            result = fn()
-            checks.append((name, bool(result), ""))
-        except Exception as exc:  # noqa: BLE001 - any failure is a failed check
-            checks.append((name, False, str(exc)))
-
-    record("structural_invariants", lambda: code.validate() is None)
-    record("distance", lambda: verify_distance(code, code.distance))
-
-    def stabilizer_group_trivial() -> bool:
-        return all(
-            syndrome(code, s).is_trivial
-            and classify(code, s) == ErrorClass.STABILIZER_EQUIVALENT
-            for s in code.stabilizer_group()
-        )
-
-    record("stabilizer_group_trivial", stabilizer_group_trivial)
-
-    def weight1_detectable() -> bool:
-        if code.distance < 2:
-            return True
-        return all(
-            not syndrome(code, p).is_trivial for p in paulis_of_weight(code.n, 1)
-        )
-
-    record("weight1_detectable", weight1_detectable)
 
     def coset_constancy() -> bool:
         group = code.stabilizer_group()
@@ -168,21 +139,25 @@ def _run_code_check(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
                     return False
         return True
 
-    record("coset_constancy", coset_constancy)
-
-    ok = all(passed for _, passed, _ in checks)
-    rows = [
-        (name, "pass" if passed else "fail", detail) for name, passed, detail in checks
-    ]
-    return [
-        Output(
-            name="code-check",
-            columns=["check", "status", "detail"],
-            rows=rows,
-            summary={"failures": sum(1 for _, passed, _ in checks if not passed)},
-            ok=ok,
-        )
-    ]
+    checks = {
+        "structural_invariants": lambda: code.validate() is None,
+        "distance": lambda: verify_distance(code, code.distance),
+        "stabilizer_group_trivial": lambda: all(
+            syndrome(code, s).is_trivial and classify(code, s) == ErrorClass.STABILIZER_EQUIVALENT
+            for s in code.stabilizer_group()),
+        "weight1_detectable": lambda: code.distance < 2 or all(
+            not syndrome(code, p).is_trivial for p in paulis_of_weight(code.n, 1)),
+        "coset_constancy": coset_constancy,
+    }
+    rows = []
+    for name, check in checks.items():
+        try:
+            rows.append((name, "pass" if check() else "fail", ""))
+        except Exception as exc:  # noqa: BLE001 - any failure is a failed check
+            rows.append((name, "fail", str(exc)))
+    failures = sum(status == "fail" for _, status, _ in rows)
+    return [Output(name="code-check", columns=["check", "status", "detail"], rows=rows,
+                   summary={"failures": failures}, ok=failures == 0)]
 
 
 def _run_lambda_star(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:

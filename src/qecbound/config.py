@@ -4,10 +4,10 @@ The tables ``_SCALARS`` and ``_CHANNEL_SCALARS`` are the schema: each row
 gives a key's field, default, reader, range check and the requirement its
 error states, and ``_checked`` applies one.  Validation (of a config and of
 the value types below), the canonical form (and so the config hash) and the
-known-key sets are read from them; only the cross-key rules in ``from_dict``
-are written out.  Every validation failure names the offending key path
-(e.g. ``bath.channels[0].lambda``); unknown keys are rejected.  Defaults
-are documented in docs/config.md.
+known-key sets are read from them; only the cross-key rules are written out,
+in ``_cross_checked``.  Every validation failure names the offending key
+path (e.g. ``bath.channels[0].lambda``); unknown keys are rejected.
+Defaults are documented in docs/config.md.
 
 The plain value types a config hands to the library (BathChannel,
 BathGeometry, BoundInput) are defined here, so that loading and validating
@@ -20,7 +20,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Container, Mapping
@@ -252,47 +252,80 @@ class RunConfig:
 
     def canonical_dict(self) -> dict[str, Any]:
         """Plain dict with all defaults resolved; basis of the config hash."""
-        tree: dict[str, dict[str, Any]] = {section: {} for section in _SECTIONS}
-        for key, (field, *_) in _SCALARS.items():
-            section, name = key.split(".")
-            tree[section][name] = getattr(self, field)
-        tree["bath"]["channels"] = [
-            {key: getattr(c, row[0]) for key, row in _CHANNEL_SCALARS.items()}
-            for c in self.channels
-        ]
-        tree["code"]["name"] = self.code_name
-        return tree
+        return _tree(len(self.channels), lambda key, i: self.code_name if key == "code.name"
+                     else getattr(self, _SCALARS[key][0]) if i is None
+                     else getattr(self.channels[i], _CHANNEL_SCALARS[key][0]))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def with_value(self, dotted_key: str, value: Any) -> "RunConfig":
-        """Rebuild with one scalar key replaced; used by parameter sweeps.
+        """from_dict of the canonical tree with one scalar key replaced; used by parameter sweeps.
 
-        An integral float for an integer key (layout.N, bath.D, ...) becomes
-        that integer; any other float for such a key is a ConfigError.
+        Only the new value's schema row and the cross-key rules are checked:
+        no other key changed.  An integral float for an integer key
+        (layout.N, bath.D, ...) becomes that integer; any other float for
+        such a key is a ConfigError.
         """
-        tree = self.canonical_dict()  # a fresh tree on every call
         *parents, leaf = dotted_key.split(".")
-        node: Any = tree
+        node: Any = _key_tree(len(self.channels))
         try:
             for part in parents:
                 node = node[int(part)] if isinstance(node, list) else node[part]
-            if isinstance(node, list):
-                leaf = int(leaf)
-            old = node[leaf]
+            old = node[int(leaf)] if isinstance(node, list) else node[leaf]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"sweep parameter {dotted_key} does not name a config key") from exc
         if isinstance(old, (dict, list)):
             raise ConfigError(f"sweep parameter {dotted_key} is not a scalar key")
-        integer = dotted_key in _SCALARS and _SCALARS[dotted_key][2] is _integer
-        if integer and isinstance(value, float):
+        key, index = old
+        if index is not None:
+            channels, row = list(self.channels), _CHANNEL_SCALARS[key]
+            value = _checked(f"bath.channels[{index}].{key}", row, value)
+            channels[index] = replace(channels[index], **{row[0]: value})
+            return _cross_checked(replace(self, channels=tuple(channels)))
+        if key == "code.name":
+            return _cross_checked(replace(self, code_name=value))
+        row = _SCALARS[key]
+        if row[2] is _integer and isinstance(value, float):
             if not value.is_integer():
                 raise ConfigError(f"{dotted_key} must be an integer, got {value!r}")
             value = int(value)
-        node[leaf] = value
-        return from_dict(tree)
+        return _cross_checked(replace(self, **{row[0]: _checked(key, row, value)}))
+
+
+def _tree(channels: int, leaf: Callable[[str, int | None], Any]) -> dict[str, Any]:
+    """The resolved config tree of this many channels, leaf(key, channel index or None) per key."""
+    tree: dict[str, Any] = {section: {} for section in _SECTIONS}
+    for key in _SCALARS:
+        section, name = key.split(".")
+        tree[section][name] = leaf(key, None)
+    tree["bath"]["channels"] = [{key: leaf(key, i) for key in _CHANNEL_SCALARS}
+                                for i in range(channels)]
+    tree["code"]["name"] = leaf("code.name", None)
+    return tree
+
+
+@functools.cache
+def _key_tree(channels: int) -> dict[str, Any]:  # where with_value finds a dotted key
+    return _tree(channels, lambda key, index: (key, index))
+
+
+def _cross_checked(cfg: RunConfig) -> RunConfig:
+    """cfg, unless it breaks a rule that joins keys (ConfigError): from_dict and with_value."""
+    if cfg.D_x > cfg.D:
+        raise ConfigError("layout.D_x exceeds bath.D")
+    for idx, channel in enumerate(cfg.channels):
+        if cfg.omega_c <= (2.0 * math.pi / cfg.L) ** channel.z_exp:
+            raise ConfigError(f"bath.omega_c must exceed the smallest mode frequency "
+                              f"(2*pi/L)^z_exp for bath.channels[{idx}]")
+    axes = [c.axis for c in cfg.channels]
+    if len(set(axes)) != len(axes):
+        raise ConfigError("bath.channels must contain at most one channel per axis")
+    if not isinstance(cfg.code_name, str) or cfg.code_name not in CODE_REGISTRY:
+        raise ConfigError(f"code.name must be one of {sorted(CODE_REGISTRY)}, "
+                          f"got {cfg.code_name!r}")
+    return cfg
 
 
 def from_dict(raw: Mapping[str, Any] | None) -> RunConfig:
@@ -305,9 +338,6 @@ def from_dict(raw: Mapping[str, Any] | None) -> RunConfig:
 
     flat = {f"{name}.{key}": value for name, body in sections.items() for key, value in body.items()}
     values = _read(_SCALARS, flat)
-    if values["D_x"] > values["D"]:
-        raise ConfigError("layout.D_x exceeds bath.D")
-
     raw_channels = sections["bath"].get("channels", _DEFAULT_CHANNELS)
     if not isinstance(raw_channels, list) or not raw_channels:
         raise ConfigError("bath.channels must be a non-empty list")
@@ -318,23 +348,9 @@ def from_dict(raw: Mapping[str, Any] | None) -> RunConfig:
         prefix = f"bath.channels[{idx}]"
         entry = _require_mapping(entry, prefix)
         _reject_unknown(entry, _CHANNEL_SCALARS, prefix + ".")
-        channel = BathChannel(**_read(_CHANNEL_SCALARS, entry, prefix + "."))
-        if values["omega_c"] <= (2.0 * math.pi / values["L"]) ** channel.z_exp:
-            raise ConfigError(
-                f"bath.omega_c must exceed the smallest mode frequency "
-                f"(2*pi/L)^z_exp for {prefix}"
-            )
-        channels.append(channel)
-    axes = [c.axis for c in channels]
-    if len(set(axes)) != len(axes):
-        raise ConfigError("bath.channels must contain at most one channel per axis")
-
+        channels.append(BathChannel(**_read(_CHANNEL_SCALARS, entry, prefix + ".")))
     code_name = sections["code"].get("name", "five_qubit")
-    if not isinstance(code_name, str) or code_name not in CODE_REGISTRY:
-        raise ConfigError(
-            f"code.name must be one of {sorted(CODE_REGISTRY)}, got {code_name!r}"
-        )
-    return RunConfig(channels=tuple(channels), code_name=code_name, **values)
+    return _cross_checked(RunConfig(channels=tuple(channels), code_name=code_name, **values))
 
 
 def default_config() -> RunConfig:

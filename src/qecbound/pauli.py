@@ -1,13 +1,15 @@
 """Exact Pauli-group algebra in symplectic form, stabilizer codes, syndromes.
 
 An n-qubit Pauli operator is stored as two length-n bit tuples (``x_bits``,
-``z_bits``) plus a phase from {+1, +i, -1, -i}:
+``z_bits``), each also packed into an int whose bit q is qubit q's, plus a
+phase from {+1, +i, -1, -i}:
 
     P = i**phase_power * O_0 (x) O_1 (x) ... (x) O_{n-1}
 
 with the per-qubit letter determined by (x_bit, z_bit): (0,0)=I, (1,0)=X,
 (0,1)=Z, (1,1)=Y.  The phase group is tracked exactly; this is what makes
-Y-type logical errors (Y = iXZ) distinguishable.
+Y-type logical errors (Y = iXZ) distinguishable.  Products, commutation,
+syndromes and classes read the packed ints and count bits (int.bit_count).
 
 Qubit positions are 0-based throughout this module, except in the table of
 third-order logical errors at its end (EtaEntry, EtaTable, enumerate_eta),
@@ -49,6 +51,8 @@ class PauliString:
         if any(b not in (0, 1) for b in self.x_bits + self.z_bits):
             raise ValueError("bit vectors must contain only 0/1")
         object.__setattr__(self, "phase_power", self.phase_power % 4)
+        for name, bits in (("_x", self.x_bits), ("_z", self.z_bits)):
+            object.__setattr__(self, name, sum(int(b) << q for q, b in enumerate(bits)))
 
     # -- constructors ------------------------------------------------------
 
@@ -71,13 +75,8 @@ class PauliString:
                 break
         if not body or any(c not in _LETTER_BITS for c in body):
             raise ValueError(f"invalid Pauli label {label!r}")
-        bits = [_LETTER_BITS[c] for c in body]
-        return PauliString(
-            len(body),
-            tuple(x for x, _ in bits),
-            tuple(z for _, z in bits),
-            phase,
-        )
+        x_bits, z_bits = zip(*(_LETTER_BITS[c] for c in body))
+        return PauliString(len(body), x_bits, z_bits, phase)
 
     @staticmethod
     def single(n: int, qubit: int, letter: str) -> "PauliString":
@@ -85,11 +84,7 @@ class PauliString:
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
         x, z = _LETTER_BITS[letter]
-        xs = [0] * n
-        zs = [0] * n
-        xs[qubit] = x
-        zs[qubit] = z
-        return PauliString(n, tuple(xs), tuple(zs), 0)
+        return _from_masks(n, x << qubit, z << qubit, 0)
 
     # -- basic queries ------------------------------------------------------
 
@@ -101,7 +96,7 @@ class PauliString:
     @property
     def weight(self) -> int:
         """Number of qubits acted on non-trivially."""
-        return sum(1 for x, z in zip(self.x_bits, self.z_bits) if x or z)
+        return (self._x | self._z).bit_count()
 
     def letter(self, qubit: int) -> str:
         return _BITS_LETTER[(self.x_bits[qubit], self.z_bits[qubit])]
@@ -114,35 +109,45 @@ class PauliString:
         return multiply(self, other)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _unpacked(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(mask >> q & 1 for q in range(n))
+
+
+def _from_masks(n: int, x: int, z: int, phase_power: int) -> PauliString:
+    """The PauliString of packed bits x, z (below 2**n) and i**phase_power, unchecked."""
+    p = object.__new__(PauliString)
+    p.__dict__.update(n=n, x_bits=_unpacked(x, n), z_bits=_unpacked(z, n),
+                      phase_power=phase_power % 4, _x=x, _z=z)
+    return p
+
+
 def multiply(p: PauliString, q: PauliString) -> PauliString:
     """Operator product p*q with exact phase; bit vectors combine by XOR.
 
     Per qubit, letters are written as i**(x*z) * X**x * Z**z; commuting the
     Z part of p past the X part of q contributes (-1)**(z_p*x_q), and the
-    result is renormalized to canonical letter form.
+    result is renormalized to canonical letter form: summed over the qubits,
+    i**(x_p z_p + x_q z_q - x_r z_r + 2 z_p x_q).
     """
     if p.n != q.n:
         raise DimensionError(f"qubit count mismatch: {p.n} != {q.n}")
-    phase = p.phase_power + q.phase_power
-    xs = []
-    zs = []
-    for xp, zp, xq, zq in zip(p.x_bits, p.z_bits, q.x_bits, q.z_bits):
-        xr = xp ^ xq
-        zr = zp ^ zq
-        phase += xp * zp + xq * zq - xr * zr + 2 * (zp * xq)
-        xs.append(xr)
-        zs.append(zr)
-    return PauliString(p.n, tuple(xs), tuple(zs), phase % 4)
+    x, z = p._x ^ q._x, p._z ^ q._z
+    phase = (p.phase_power + q.phase_power + (p._x & p._z).bit_count()
+             + (q._x & q._z).bit_count() - (x & z).bit_count() + 2 * (p._z & q._x).bit_count())
+    return _from_masks(p.n, x, z, phase)
+
+
+def _anticommute(p: PauliString, q: PauliString) -> int:
+    """The symplectic inner product of p and q (equal qubit counts): 1 iff they anticommute."""
+    return ((p._x & q._z) ^ (p._z & q._x)).bit_count() & 1
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff p and q commute (symplectic inner product is even)."""
     if p.n != q.n:
         raise DimensionError(f"qubit count mismatch: {p.n} != {q.n}")
-    acc = 0
-    for xp, zp, xq, zq in zip(p.x_bits, p.z_bits, q.x_bits, q.z_bits):
-        acc += xp * zq + zp * xq
-    return acc % 2 == 0
+    return not _anticommute(p, q)
 
 
 def _gf2_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -254,9 +259,13 @@ def five_qubit_code() -> StabilizerCode:
 
 def syndrome(code: StabilizerCode, e: PauliString) -> Syndrome:
     """Bit g is 1 iff the error anticommutes with generator g."""
+    _check_qubits(code, e)
+    return Syndrome(tuple(_anticommute(e, g) for g in code.generators))
+
+
+def _check_qubits(code: StabilizerCode, e: PauliString) -> None:
     if e.n != code.n:
         raise DimensionError(f"error acts on {e.n} qubits, code has {code.n}")
-    return Syndrome(tuple(0 if commutes(e, g) else 1 for g in code.generators))
 
 
 def classify(code: StabilizerCode, e: PauliString) -> ErrorClass:
@@ -266,10 +275,12 @@ def classify(code: StabilizerCode, e: PauliString) -> ErrorClass:
     by their commutation pattern with the logical operators: anticommuting
     with logical Z flips the X character, with logical X the Z character.
     """
-    if not syndrome(code, e).is_trivial:
-        return ErrorClass.DETECTABLE
-    has_x = any(not commutes(e, lz) for lz in code.logical_z)
-    has_z = any(not commutes(e, lx) for lx in code.logical_x)
+    _check_qubits(code, e)
+    for g in code.generators:
+        if _anticommute(e, g):
+            return ErrorClass.DETECTABLE
+    has_x = any(_anticommute(e, lz) for lz in code.logical_z)
+    has_z = any(_anticommute(e, lx) for lx in code.logical_x)
     if has_x and has_z:
         return ErrorClass.LOGICAL_Y
     if has_x:
@@ -281,13 +292,13 @@ def classify(code: StabilizerCode, e: PauliString) -> ErrorClass:
 
 def paulis_of_weight(n: int, w: int) -> Iterator[PauliString]:
     """All weight-w phase-free Paulis, in (qubit indices, letters) lexicographic order."""
+    if n <= 0:
+        raise ValueError("qubit count must be positive")
     for support in itertools.combinations(range(n), w):
-        for letters in itertools.product("XYZ", repeat=w):
-            xs = [0] * n
-            zs = [0] * n
-            for q, letter in zip(support, letters):
-                xs[q], zs[q] = _LETTER_BITS[letter]
-            yield PauliString(n, tuple(xs), tuple(zs), 0)
+        for letters in itertools.product(((1, 0), (1, 1), (0, 1)), repeat=w):  # X, Y, Z
+            x = sum(bx << q for q, (bx, _) in zip(support, letters))
+            z = sum(bz << q for q, (_, bz) in zip(support, letters))
+            yield _from_masks(n, x, z, 0)
 
 
 def verify_distance(code: StabilizerCode, d: int) -> bool:

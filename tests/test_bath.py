@@ -700,6 +700,38 @@ class TestPlusMinusFold:
             with pytest.raises(ArithmeticError, match="pair table"):
                 w_pair(grid, positions[0], positions[1], 1.0)
 
+    @pytest.mark.parametrize("case", ["m2 off the lattice", "m2 repeated", "wrong weight"])
+    def test_malformed_line_grid_rejected(self, case):
+        # D = 1 walks its shells, not the lattice: the pair of |n| = j belongs to the last shell
+        # at m2 = j^2, and a shell without one must have weight 0
+        grid = build_mode_grid(_SHELL_CASES[0][1], _SHELL_CH)
+        m2, weight = np.array(grid.m2), np.array(grid.weight)
+        if case == "m2 off the lattice":  # 2 is no square
+            m2[1] = 2
+        elif case == "m2 repeated":  # two shells claim the one pair at |n| = 1
+            m2[1] = 1
+        else:
+            weight[-1] = 4.0
+        bad = ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=m2)
+        register = regular_layout(2, Xi=7.0, D_x=1, xi=0.5)
+        with pytest.raises(ArithmeticError, match="pair table"):
+            a_matrix(bad, register, _ch(), delta=1.0)
+        with pytest.raises(ArithmeticError, match="pair table"):
+            w_sum(bad, register.padded_logical_positions(1), 1.0)
+
+    def test_line_shell_without_a_pair_adds_nothing(self):
+        grid = build_mode_grid(_SHELL_CASES[0][1], _SHELL_CH)
+        m2, weight = np.array(grid.m2), np.array(grid.weight)
+        m2[1], weight[1] = 2, 0.0  # no lattice point at |n|^2 = 2, and no mode claimed there
+        odd = ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=m2)
+        dropped = ModeGrid(D=1, L=grid.L, **{name: np.delete(getattr(grid, name), 1)
+                                              for name in ("omega", "u2", "weight", "m2")})
+        register = regular_layout(2, Xi=7.0, D_x=1, xi=0.5)
+        np.testing.assert_allclose(a_matrix(odd, register, _ch(), delta=1.0).values,
+                                   a_matrix(dropped, register, _ch(), delta=1.0).values, rtol=1e-12)
+        positions = register.padded_logical_positions(1)
+        _assert_close(w_sum(odd, positions, 2.0), w_sum(dropped, positions, 2.0))
+
     def test_permuted_grid_gives_the_same_sums(self):
         # the walk finds each point's shell by |n|^2 (|n| on D = 1), not by its place in the table
         for geom, D_x in ((_SHELL_CASES[2][1], 2), (_SHELL_CASES[0][1], 1)):

@@ -228,6 +228,17 @@ class TestPipelineStages:
             assert row[2:] == (single.summary["lambda_star_x"], single.summary["lambda_star_z"])
         assert counts == {"grids": 7, "pair_sums": 7}
 
+        # a bath.L sweep: both channels share each point's grid and pair sums, and every
+        # point's layout is built from the same two site tables (N = 1 and 5 sites, D_x = 1)
+        counts.update(grids=0, pair_sums=0)
+        bath.lattice_sites.cache_clear()
+        flags = {**flags, "param": "bath.L", "from_": 100 * math.pi, "to": 300 * math.pi}
+        run_subcommand("sweep", cfg, flags)
+        assert counts == {"grids": 6, "pair_sums": 6}
+        assert bath.lattice_sites.cache_info().misses == 2
+        with pytest.raises(ValueError):
+            bath.lattice_sites(5, 1)[0, 0] = 1.0
+
     @pytest.mark.parametrize(
         "x_channel, shared",
         [

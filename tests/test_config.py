@@ -1,11 +1,13 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
 from qecbound import ConfigError, default_config, from_dict, load_config
+from qecbound.config import _CHANNEL_SCALARS, _SCALARS, _integer
 
 
 class TestDefaults:
@@ -217,3 +219,135 @@ class TestSweepSupport:
         assert a.config_hash() == b.config_hash()
         c = a.with_value("qec.Delta", 3.0)
         assert c.config_hash() != a.config_hash()
+
+
+def _round_trip(cfg, dotted_key, value):
+    """The reference for with_value: rewrite one key of the canonical tree, then from_dict."""
+    tree = cfg.canonical_dict()
+    *parents, leaf = dotted_key.split(".")
+    node = tree
+    try:
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        if isinstance(node, list):
+            leaf = int(leaf)
+        old = node[leaf]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep parameter {dotted_key} does not name a config key") from exc
+    if isinstance(old, (dict, list)):
+        raise ConfigError(f"sweep parameter {dotted_key} is not a scalar key")
+    if dotted_key in _SCALARS and _SCALARS[dotted_key][2] is _integer and isinstance(value, float):
+        if not value.is_integer():
+            raise ConfigError(f"{dotted_key} must be an integer, got {value!r}")
+        value = int(value)
+    node[leaf] = value
+    return from_dict(tree)
+
+
+# a valid new value for every scalar key of the default config
+_VALID = {
+    "qec.Delta": 2.0, "bath.D": 2, "bath.L": 500.0, "bath.omega_c": 0.5, "layout.xi": 0.5,
+    "layout.Xi": 50.0, "layout.D_x": 0.0, "layout.N": 3.0, "criteria.D_crit": 0.05,
+    "criteria.sigma_plus_abs": 0.25, "calibration.c_cal": 2, "calibration.b_cal": 0.5,
+    "calibration.proportionality": 3.0, "budget.max_modes": 1000,
+}
+_VALID_CHANNEL = {"axis": ["z", "x"], "z_exp": 1.5, "s_exp": -0.25, "lambda": 0.01}
+_TWO_DIMENSIONS = {"bath": {"D": 2}, "layout": {"D_x": 2}}
+
+
+class TestWithValueMatchesRoundTrip:
+    """with_value checks one schema row and the cross-key rules; from_dict of the tree checks all."""
+
+    @staticmethod
+    def _agree(cfg, key, value):
+        try:
+            want = _round_trip(cfg, key, value)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as info:
+                cfg.with_value(key, value)
+            assert str(info.value) == str(exc)
+            return None
+        got = cfg.with_value(key, value)
+        assert got == want and got.config_hash() == want.config_hash()
+        return got
+
+    def test_every_row_is_covered(self):
+        assert set(_VALID) == set(_SCALARS)
+        assert set(_VALID_CHANNEL) == set(_CHANNEL_SCALARS)
+
+    @pytest.mark.parametrize("key", sorted(_VALID))
+    def test_scalar_rows(self, key):
+        got = self._agree(default_config(), key, _VALID[key])
+        assert got is not None and getattr(got, _SCALARS[key][0]) == _VALID[key]
+
+    @pytest.mark.parametrize("key", sorted(_VALID_CHANNEL))
+    @pytest.mark.parametrize("index", ["0", "1", "-1"])
+    def test_channel_rows(self, key, index):
+        cfg = default_config()
+        value = _VALID_CHANNEL[key]
+        if key == "axis":  # an axis may only be rewritten to itself on two channels
+            value = value[0] if cfg.channels[int(index)].axis == "z" else value[1]
+        got = self._agree(cfg, f"bath.channels.{index}.{key}", value)
+        assert got is not None and got.channels[int(index)] == replace(
+            cfg.channels[int(index)], **{_CHANNEL_SCALARS[key][0]: value})
+
+    def test_one_channel_may_change_axis(self):
+        cfg = from_dict({"bath": {"channels": [{"axis": "z"}]}})
+        assert self._agree(cfg, "bath.channels.0.axis", "x").channels[0].axis == "x"
+
+    def test_code_name(self):
+        assert self._agree(default_config(), "code.name", "five_qubit") == default_config()
+
+    @pytest.mark.parametrize(
+        "base, key, value, message",
+        [
+            ({}, "bath.L", -1.0, "bath.L must be positive"),
+            ({}, "bath.L", math.inf, "bath.L must be a finite number"),
+            ({}, "bath.L", 6.0, "bath.omega_c must exceed the smallest mode frequency "
+                                "(2*pi/L)^z_exp for bath.channels[0]"),
+            ({}, "bath.omega_c", 0.004, "bath.omega_c must exceed the smallest mode frequency "
+                                       "(2*pi/L)^z_exp for bath.channels[0]"),
+            ({"bath": {"omega_c": 0.5}}, "bath.channels.1.z_exp", 0.1, "bath.omega_c must exceed the smallest mode "
+                                               "frequency (2*pi/L)^z_exp for bath.channels[1]"),
+            ({}, "layout.N", 0, "layout.N must be at least 1"),
+            ({}, "layout.N", 0.0, "layout.N must be at least 1"),
+            ({}, "layout.N", 2.5, "layout.N must be an integer, got 2.5"),
+            ({}, "layout.D_x", 2, "layout.D_x exceeds bath.D"),
+            (_TWO_DIMENSIONS, "bath.D", 1, "layout.D_x exceeds bath.D"),
+            (_TWO_DIMENSIONS, "bath.D", 1.0, "layout.D_x exceeds bath.D"),
+            ({}, "bath.D", 4, "bath.D must be 1, 2 or 3"),
+            ({}, "qec.Delta", "fast", "qec.Delta must be a number"),
+            ({}, "qec.Delta", True, "qec.Delta must be a number"),
+            ({}, "bath.channels.0.lambda", -1.0, "bath.channels[0].lambda must be non-negative"),
+            ({}, "bath.channels.-1.lambda", -1.0, "bath.channels[1].lambda must be non-negative"),
+            ({}, "bath.channels.1.axis", "z", "bath.channels must contain at most one channel per axis"),
+            ({}, "bath.channels.0.axis", "y", "bath.channels[0].axis must be 'x' or 'z'"),
+            ({}, "code.name", "steane", "code.name must be one of ['five_qubit'], got 'steane'"),
+            ({}, "code.name", 1.0, "code.name must be one of ['five_qubit'], got 1.0"),
+            ({}, "code.name", ["five_qubit"], "code.name must be one of ['five_qubit'], got ['five_qubit']"),
+        ],
+    )
+    def test_invalid_values(self, base, key, value, message):
+        cfg = from_dict(base)
+        assert self._agree(cfg, key, value) is None
+        with pytest.raises(ConfigError) as info:
+            cfg.with_value(key, value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "key, kind",
+        [
+            ("qec.Period", "does not name"), ("", "does not name"), ("qec.Delta.x", "does not name"),
+            ("code.name.x", "does not name"), ("code.name.0", "does not name"),
+            ("bath.channels.2.lambda", "does not name"), ("bath.channels.-3.lambda", "does not name"),
+            ("bath.channels.x.lambda", "does not name"), ("bath.channels.0.gap", "does not name"),
+            ("bath.channels.0.lambda.x", "does not name"), ("layout", "not a scalar"),
+            ("bath", "not a scalar"), ("bath.channels", "not a scalar"),
+            ("bath.channels.0", "not a scalar"), ("code", "not a scalar"),
+        ],
+    )
+    def test_missing_and_non_scalar_keys(self, key, kind):
+        cfg = default_config()
+        assert self._agree(cfg, key, 1.0) is None
+        with pytest.raises(ConfigError, match=kind):
+            cfg.with_value(key, 1.0)

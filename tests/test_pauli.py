@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import numpy as np
@@ -87,6 +89,66 @@ class TestCommutes:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             commutes(X, PauliString.identity(3))
+
+
+@functools.cache
+def _one_qubit_product(a: str, b: str) -> tuple[int, str]:
+    """(k, c) with a * b = i**k c for one-qubit letters, read off the 2x2 matrices."""
+    m = pauli_matrix(PauliString.from_label(a)) @ pauli_matrix(PauliString.from_label(b))
+    return next((k, c) for c in "IXYZ" for k in range(4)
+                if np.allclose(m, 1j**k * pauli_matrix(PauliString.from_label(c))))
+
+
+def _letters(p: PauliString) -> str:
+    return "".join(p.letter(q) for q in range(p.n))
+
+
+def _per_qubit_product(p: PauliString, q: PauliString) -> PauliString:
+    """p * q by the per-qubit definition: the letters multiply qubit by qubit, phases add."""
+    phase, letters = p.phase_power + q.phase_power, ""
+    for a, b in zip(_letters(p), _letters(q)):
+        k, c = _one_qubit_product(a, b)
+        phase, letters = phase + k, letters + c
+    return PauliString.from_label(("", "+i", "-", "-i")[phase % 4] + letters)
+
+
+def _per_qubit_commutes(p: PauliString, q: PauliString) -> bool:
+    """An even number of qubits where both letters are non-identity and differ."""
+    return sum(a != b and "I" not in (a, b) for a, b in zip(_letters(p), _letters(q))) % 2 == 0
+
+
+def _every_pauli(n: int):
+    for letters in itertools.product("IXYZ", repeat=n):
+        for prefix in ("", "+i", "-", "-i"):
+            yield PauliString.from_label(prefix + "".join(letters))
+
+
+class TestAgainstPerQubitDefinition:
+    """The packed-bit algebra against the letter-by-letter definition."""
+
+    def test_every_two_qubit_pair(self):
+        paulis = list(_every_pauli(2))
+        assert len(paulis) == 64
+        for p, q in itertools.product(paulis, repeat=2):
+            assert multiply(p, q) == _per_qubit_product(p, q)
+            assert commutes(p, q) == _per_qubit_commutes(p, q)
+
+    def test_random_five_qubit_strings(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            p, q = random_pauli(rng, 5), random_pauli(rng, 5)
+            product = multiply(p, q)
+            assert product == _per_qubit_product(p, q)
+            assert str(product) == str(_per_qubit_product(p, q))
+            assert hash(product) == hash(_per_qubit_product(p, q))
+            assert commutes(p, q) == _per_qubit_commutes(p, q)
+
+    def test_packed_strings_equal_constructed_ones(self):
+        for w in (1, 2):
+            for p in paulis_of_weight(3, w):
+                assert p == PauliString(3, p.x_bits, p.z_bits, 0)
+                assert p.weight == w == sum(x or z for x, z in zip(p.x_bits, p.z_bits))
+        assert PauliString.single(4, 2, "Y") == PauliString.from_label("IIYI")
 
 
 class TestFiveQubitCode:
