@@ -107,12 +107,14 @@ class ModeGrid:
     @functools.cached_property
     def fundamental(self) -> float | None:
         """omega_1 if shell j has omega bitwise j * omega_1 (any D = 1, z = 1 grid), else None."""
-        harmonics = self.omega[0] * np.arange(1, len(self.omega) + 1)
-        return float(self.omega[0]) if np.array_equal(self.omega, harmonics) else None
+        w1 = self.omega[0]  # compared in slices: no temporary of length S
+        harmonic = (np.array_equal(self.omega[s], w1 * np.arange(s.start + 1, s.stop + 1))
+                    for s in _slices(len(self.omega)))
+        return float(w1) if all(harmonic) else None
 
     @functools.cached_property
     def _damping_table(self) -> tuple:
-        return _shell_table(self, self.u2 / self.omega**2 * self.weight)
+        return _shell_table(self, 1.0, self.weight)
 
     @property
     def static_sum(self) -> float:
@@ -126,6 +128,11 @@ def _isqrt_exact(values: np.ndarray) -> np.ndarray:
     r += (r + 1) * (r + 1) <= values
     r -= r * r > values
     return r
+
+
+def _slices(n: int) -> list[slice]:
+    """range(n) in slices of _CHUNK: a pass over shells that keeps every temporary small."""
+    return [slice(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
 
 
 def _lattice_extent(geom: BathGeometry, z_exp: float) -> int:
@@ -229,8 +236,9 @@ def build_mode_grid(
 ) -> ModeGrid:
     """The shell table of the modes with omega(|k|) <= omega_c; shared (see ModeGrid).
 
-    max_modes bounds the time of a position sum, which walks the modes; no
-    array of a grid or of a sum grows with the mode count.
+    max_modes bounds the time of a position sum, which walks the modes.  Every
+    array of a grid or of a sum is per shell, so on D = 1, where a shell is one
+    +-k pair, max_modes bounds the memory too.
     """
     return _shared_grid(geom, ch.z_exp, ch.s_exp, max_modes)
 
@@ -250,18 +258,22 @@ def build_radial_mode_grid(
 # O(sqrt(shells)) of them where omega_j = j * omega_1 (ModeGrid.fundamental).
 
 
-def _shell_table(grid: ModeGrid, weights: np.ndarray) -> tuple:
+def _shell_table(grid: ModeGrid, scale: float, factor: np.ndarray) -> tuple:
     """(weights, None, None), or on a harmonic grid (weights, block, column sums of block).
 
-    Shell j = q*R + r of S sits at block[q, r], R = isqrt(S) + 1 >= sqrt(S + 1),
-    and block is 0 elsewhere; the weights returned are a view of block.
+    weights = scale * u2 / omega**2 * factor, formed in _slices in the one buffer kept: on a
+    harmonic grid block, in which shell j = q*R + r of S sits at [q, r], R = isqrt(S) + 1 >=
+    sqrt(S + 1), and which is 0 elsewhere.
     """
+    S, R = len(grid.omega), math.isqrt(len(grid.omega)) + 1
+    flat = np.zeros(S + 1 + -(S + 1) % R) if grid.fundamental is not None else np.empty(S + 1)
+    weights = flat[1 : S + 1]
+    for s in _slices(S):
+        np.multiply(scale * grid.u2[s] / grid.omega[s] ** 2, factor[s], out=weights[s])
     if grid.fundamental is None:
         return weights, None, None
-    R = math.isqrt(len(weights)) + 1
-    flat = np.concatenate(([0.0], weights, np.zeros(-(len(weights) + 1) % R)))
     block = flat.reshape(-1, R)
-    return flat[1 : len(weights) + 1], block, block.sum(axis=0)
+    return weights, block, block.sum(axis=0)
 
 
 def _oscillating_sum(grid: ModeGrid, table: tuple, T: float, imag: bool = True) -> complex:
@@ -331,7 +343,7 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     if d.shape != (grid.D,):
         raise DimensionError(f"positions must have dimension {grid.D}")
     if np.any(d):
-        table = _shell_table(grid, 2.0 * grid.u2 / grid.omega**2 * _shell_cos(grid, [d])[0])
+        table = _shell_table(grid, 2.0, _shell_cos(grid, [d])[0])
     else:
         table = grid._damping_table
     return grid.prefactor * _oscillating_sum(grid, table, T)
@@ -385,30 +397,33 @@ def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int) -> np
     ArithmeticError unless every shell's weight is twice its pairs.
     """
     S = len(grid.m2)
-    if grid.D == 1:
-        j = np.sqrt(np.maximum(grid.m2, 0)).astype(np.intp)  # exact on squares below 2**53
-        j[j * j != grid.m2] = 0  # no lattice point: no pair
-        owner = np.full(int(j.max(initial=0)) + 1, -1)
-        owner[j] = np.arange(S)
-        pairs, sums = (owner[j] == np.arange(S)) & (j > 0), np.zeros((count, S))
-        for a in range(0, S, _CHUNK):
-            last = -j[a : a + _CHUNK]
-            for total, values in zip(sums[:, a : a + _CHUNK], rows(_NO_LEAD, [len(last)], last)):
-                total[:] = values
-        sums *= pairs
-    else:
-        m2max = int(grid.m2.max(initial=0))  # table: |n|^2 -> shell, S for none; a shell
-        table = np.full(m2max + 1, S, dtype=np.intp)  # below |n|^2 = 1 takes slot 0, which
-        table[np.maximum(grid.m2, 0)] = np.arange(S)  # no point of the walk reads
-        pairs, sums = np.zeros(S + 1), np.zeros((count, S + 1))  # column S: points of no shell
-        for lead, lens, last in _half_ball(grid.D, m2max):
-            shell = table[np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
-            first = int(shell.min())  # binned over the shells the chunk reaches
-            shell -= first
-            reached = slice(first, first + int(shell.max()) + 1)
-            pairs[reached] += np.bincount(shell)
-            for total, values in zip(sums[:, reached], rows(lead, lens, last)):
-                total += np.bincount(shell, weights=values)
+    if grid.D == 1:  # in _slices, the last first, so owner holds every later shell's claim
+        owner = np.full(math.isqrt(max(int(grid.m2.max(initial=0)), 0)) + 1, -1)  # |n| -> shell
+        owner[0] = S  # |n| = 0 holds no pair: always claimed
+        sums = np.zeros((count, S))
+        for s in reversed(_slices(S)):
+            j = np.sqrt(np.maximum(grid.m2[s], 0)).astype(np.intp)  # exact on squares below 2**53
+            j *= j * j == grid.m2[s]  # 0 where m2 is no square: no lattice point, no pair
+            shells, later = np.arange(s.start, s.stop), owner[j] >= 0  # j claimed by a later slice
+            owner[j] = shells  # within the slice, the last shell at each j wins
+            pairs = (owner[j] == shells) & ~later
+            if len(grid.weight) != S or not np.array_equal(2.0 * pairs, grid.weight[s]):
+                raise ArithmeticError(_NOT_A_PAIR_TABLE)
+            for total, values in zip(sums[:, s], rows(_NO_LEAD, [len(j)], -j)):
+                np.multiply(values, pairs, out=total)
+        return sums
+    m2max = int(grid.m2.max(initial=0))  # table: |n|^2 -> shell, S for none; a shell
+    table = np.full(m2max + 1, S, dtype=np.intp)  # below |n|^2 = 1 takes slot 0, which
+    table[np.maximum(grid.m2, 0)] = np.arange(S)  # no point of the walk reads
+    pairs, sums = np.zeros(S + 1), np.zeros((count, S + 1))  # column S: points of no shell
+    for lead, lens, last in _half_ball(grid.D, m2max):
+        shell = table[np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
+        first = int(shell.min())  # binned over the shells the chunk reaches
+        shell -= first
+        reached = slice(first, first + int(shell.max()) + 1)
+        pairs[reached] += np.bincount(shell)
+        for total, values in zip(sums[:, reached], rows(lead, lens, last)):
+            total += np.bincount(shell, weights=values)
     if not np.array_equal(2.0 * pairs[:S], grid.weight):
         raise ArithmeticError(_NOT_A_PAIR_TABLE)
     return sums[:, :S]
@@ -416,6 +431,7 @@ def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int) -> np
 
 def _phases(scale: np.ndarray, lead: np.ndarray, lens: np.ndarray, last: np.ndarray) -> Iterator:
     """k.d per point of a chunk, per row (2*pi/L) d of scale; the lead part once per run."""
+    last = last.astype(np.float64)  # cast once, not in every row's multiply
     for s in scale:
         phase = last * s[-1]
         if lead.shape[1] and s[:-1].any():
@@ -505,7 +521,7 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
         raise DimensionError(f"positions must have dimension {grid.D}")
     table = grid.memo(  # T-independent, so a time series over one register reuses it
         "register", pos.tobytes(),
-        lambda: _shell_table(grid, 2.0 * grid.u2 / grid.omega**2 * _structure_factor(grid, pos)),
+        lambda: _shell_table(grid, 2.0, _structure_factor(grid, pos)),
     )
     return grid.prefactor * _oscillating_sum(grid, table, T)
 

@@ -17,8 +17,6 @@ a config imports no numeric code; bath and bounds re-export them.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
@@ -257,6 +255,8 @@ class RunConfig:
                      else getattr(self.channels[i], _CHANNEL_SCALARS[key][0]))
 
     def config_hash(self) -> str:
+        import hashlib  # imported here: only a run that writes a CSV maps OpenSSL (libcrypto)
+        import json
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -768,6 +768,89 @@ class TestPlusMinusFold:
         assert np.array_equal(2.0 * ones[0], grid.weight)
 
 
+def _line_reference(m2, weight, f):
+    """D = 1 position sums by their definition, unchunked: the pair of |n| = j belongs to the
+    last shell at m2 = j^2, every shell's weight must be twice its pairs, and the shell holding
+    the pair of |n| = j gets f(-j), every other shell 0."""
+    owner = {math.isqrt(m): i for i, m in enumerate(m2) if m > 0 and math.isqrt(m) ** 2 == m}
+    holds = {i: j for j, i in owner.items()}
+    if [2.0 * (i in holds) for i in range(len(m2))] != list(weight):
+        raise ArithmeticError("grid is not a +-k pair table")
+    return np.array([f(-holds[i]) if i in holds else (0.0, 0.0) for i in range(len(m2))]).T
+
+
+class TestLineSlices:
+    """D = 1 shells are checked and summed in slices of _CHUNK, last slice first; the pair of
+    |n| = j still belongs to the last shell at m2 = j^2 when its copies fall in different slices."""
+
+    CHUNK = 7  # 30 shells: four full slices and a short one
+    REPEAT = (2, 25)  # shells in slices 0 and 3
+
+    @staticmethod
+    def _table(case):
+        m2 = (np.random.default_rng(19).permutation(30) + 1) ** 2
+        weight = np.full(30, 2.0)
+        first, last = TestLineSlices.REPEAT
+        if case.startswith("repeated"):
+            m2[first] = m2[last]
+            weight[[first, last]] = {"repeated": (0.0, 2.0), "repeated, both claim": (2.0, 2.0),
+                                     "repeated, first copy claims": (2.0, 0.0)}[case]
+        elif case.startswith("no square"):  # 50 is no square: no lattice point, no pair
+            m2[10], weight[10] = 50, 2.0 if case == "no square with a weight" else 0.0
+        elif case == "wrong weight":
+            weight[-1] = 4.0
+        return m2, weight
+
+    @staticmethod
+    def _grid(m2, weight):
+        ones = np.ones(len(m2))  # the position sums read only m2 and weight
+        return ModeGrid(D=1, L=2 * math.pi * 40, omega=ones, u2=ones, weight=weight, m2=m2)
+
+    @staticmethod
+    def _rows(lead, lens, last):
+        return [np.cos(0.3 * last), 1.0 * last]
+
+    @pytest.mark.parametrize("case", ["permuted", "repeated", "no square"])
+    def test_sums_match_the_definition(self, case, monkeypatch):
+        m2, weight = self._table(case)
+        whole = bath._shell_sums(self._grid(m2, weight), self._rows, 2)
+        monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
+        seen = []
+        rows = lambda lead, lens, last: seen.append(len(last)) or self._rows(lead, lens, last)
+        sliced = bath._shell_sums(self._grid(m2, weight), rows, 2)
+        assert seen == [2, 7, 7, 7, 7]  # the short last slice first
+        assert np.array_equal(sliced, whole)
+        want = _line_reference(m2.tolist(), weight.tolist(), lambda n: (math.cos(0.3 * n), 1.0 * n))
+        np.testing.assert_allclose(sliced, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("case", ["repeated, first copy claims", "repeated, both claim",
+                                      "no square with a weight", "wrong weight"])
+    def test_malformed_tables_rejected(self, case, monkeypatch):
+        m2, weight = self._table(case)
+        with pytest.raises(ArithmeticError, match="pair table"):
+            _line_reference(m2.tolist(), weight.tolist(), lambda n: (0.0, 0.0))
+        monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
+        with pytest.raises(ArithmeticError, match="pair table"):
+            bath._shell_sums(self._grid(m2, weight), self._rows, 2)
+
+    def test_slicing_changes_no_value(self, monkeypatch):
+        # every pass over shells (the harmonic check, the tables, the walk) is elementwise
+        built = build_mode_grid(_LINE_GEOM, _ch(s=0.25))
+        register = _LINE_LAYOUTS["product"]
+        positions = register.padded_logical_positions(1)
+
+        def values():
+            grid = ModeGrid(D=1, L=built.L, omega=built.omega, u2=built.u2, weight=built.weight,
+                            m2=built.m2)
+            return (grid.fundamental, gamma(grid, 0.03, 7.5), w_pair(grid, [0.4], [3.1], 7.5),
+                    w_sum(grid, positions, 7.5),
+                    a_matrix(grid, register, _ch(), 1.0).values.tolist())
+
+        whole = values()
+        monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
+        assert values() == whole and whole[0] is not None
+
+
 _LINE_GEOM = BathGeometry(D=1, L=2 * math.pi * 50, omega_c=1.0)
 _LINE_LAYOUTS = {  # offsets and logical positions: a product layout, and one with coincident sites
     "product": QubitLayout(np.arange(4.0)[:, None] * 7.0 + 0.37,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -601,6 +602,30 @@ class TestSearchPins:
         couplings = EffectiveCoupling({"z": lam_register})
         assert mmax_multi_numeric({"z": grid}, couplings, layout, inputs) == m_multi
         assert (len(gammas), len(w_sums)) == (n_gamma, n_w_sum)
+
+
+class TestSearchScratch:
+    """A numeric search holds its grid, one table per kind and little else: on a D = 1 grid, whose
+    shells are half its modes, every shell-length temporary is a share of the run's memory."""
+
+    def test_searches_hold_at_most_two_and_a_half_shell_arrays_of_scratch(self):
+        geom = BathGeometry(D=1, L=2 * math.pi * 125_000, omega_c=1.0)
+        grid = _unshared(build_mode_grid(geom, _ch(s=0.25)))  # cold: no table built yet
+        shell_array = 8 * grid.stored_count
+        rep = zeta_and_regime(_ch(s=0.25), geom, SumKind.SINGLE_DEPHASING)
+        inputs = _inputs(n_logical=8)
+        layout = regular_layout(8, Xi=100.0, D_x=1, xi=1.0)
+        tracemalloc.start()
+        try:
+            m_single = mmax_single(rep, inputs, 0.01, geom, mode="numeric", grid=grid)
+            couplings = EffectiveCoupling({"z": 3e-6})
+            m_multi = mmax_multi_numeric({"z": grid}, couplings, layout, inputs)
+            retained, peak = tracemalloc.get_traced_memory()  # retained: the two tables
+        finally:
+            tracemalloc.stop()
+        assert grid.stored_count == 125_000 and 0 < m_single < m_multi < math.inf
+        assert 2 * shell_array <= retained < 2.2 * shell_array
+        assert peak - retained <= 2.5 * shell_array
 
 
 class TestFitSlope:

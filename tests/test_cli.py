@@ -425,6 +425,25 @@ ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_MODULES = ("numpy", "qecbound.bath", "qecbound.bounds", "qecbound.coupling")
 
 
+# A library run: numpy first, then a config load, its grids and both numeric searches.  It
+# asserts that qecbound loaded neither hashlib nor _hashlib (numpy itself may have).
+LIBRARY_SEARCH = """
+import sys
+import numpy
+before = {"hashlib", "_hashlib"} & set(sys.modules)
+import qecbound as qb
+cfg = qb.load_config("docs/example-config.yaml")
+geom, channels, inputs = cfg.geometry(), cfg.channel_map(), cfg.bound_input()
+grids = {axis: qb.build_mode_grid(geom, ch, cfg.max_modes) for axis, ch in channels.items()}
+report = qb.zeta_and_regime(channels["z"], geom, qb.SumKind.SINGLE_DEPHASING)
+print(qb.mmax_single(report, inputs, 0.01, geom, mode="numeric", grid=grids["z"]))
+couplings = qb.EffectiveCoupling({"z": 3e-6, "x": 2e-6})
+print(qb.mmax_multi_numeric(grids, couplings, cfg.qubit_layout(), inputs, cfg.proportionality))
+loaded = {"hashlib", "_hashlib"} & set(sys.modules) - before
+assert not loaded, loaded
+"""
+
+
 def _fresh_interpreter(code, **env):
     """Run code in a new interpreter with src on the path, from the repository root.
 
@@ -463,6 +482,15 @@ class TestImportLayers:
     def test_help(self):
         self._assert_numpy_free("from qecbound.cli import main\ntry:\n    main(['--help'])\n"
                                 "except SystemExit as exc:\n    assert exc.code == 0")
+
+    def test_library_search_maps_no_openssl(self):
+        # hashlib maps OpenSSL's libcrypto; only the config hash of a written CSV needs it
+        proc = _fresh_interpreter(LIBRARY_SEARCH)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["16", "102"]  # both searches ran to a finite M
+
+    def test_config_hash_unchanged(self):
+        assert default_config().config_hash() == "ab73b34ef89803d1"  # the '# config:' header
 
 
 class TestBlasThreads:
