@@ -12,11 +12,22 @@ Every public name below is resolved in its defining module on each access
 (PEP 562), so ``import qecbound`` loads nothing else.  Nothing is cached in
 this namespace: a function swapped in its module (as a tracer does) is what
 ``qecbound.<name>`` returns until it is swapped back.
+
+qecbound calls no BLAS routine, and an idle OpenBLAS worker thread spins
+once numpy is loaded, adding CPU time to every run that computes.  So when
+qecbound is imported before numpy, this module sets OPENBLAS_NUM_THREADS=1
+for the numpy it will load, unless the variable is already set.  To keep
+your own BLAS threads, set the variable or import numpy first.
 """
 
 import importlib
+import os
+import sys
 
 __version__ = "0.1.0"
+
+if "numpy" not in sys.modules:  # runs before every submodule, ``python -m qecbound`` included
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # public name -> the module that defines it; numpy-free modules first
 _EXPORTS = {name: module for module, names in (

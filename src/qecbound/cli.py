@@ -9,17 +9,15 @@ flags produce byte-identical files.
 This module imports no numeric code: the handlers that compute import
 numpy and the bath, bounds and coupling modules when they run, so ``eta``,
 ``code-check``, ``--help`` and every config error start without them.
-:func:`main` runs OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is
-already set: qecbound calls no BLAS routine, and an idle OpenBLAS worker
-thread spins after numpy is imported, adding CPU time to every run that
-computes.
+The package's BLAS-thread policy (see :mod:`qecbound`) is set when the
+package is imported, before any handler loads numpy; :func:`main` does not
+touch the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -433,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any handler imports numpy
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

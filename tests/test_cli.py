@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -493,8 +494,32 @@ class TestImportLayers:
         assert default_config().config_hash() == "ab73b34ef89803d1"  # the '# config:' header
 
 
+SRC = ROOT / "src" / "qecbound"
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def _blas_calls(source):
+    """(line, description) of each BLAS-backed call or import in Python source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            names += [alias.name for alias in node.names]
+            if _BLAS_NAMES & {part for name in names for part in name.split(".")}:
+                found.append((node.lineno, "import"))
+        elif (isinstance(node, ast.Call) and "einsum" in (getattr(node.func, "attr", None),
+                                                          getattr(node.func, "id", None))
+              and any(kw.arg == "optimize" for kw in node.keywords)):
+            found.append((node.lineno, "einsum(optimize=...)"))
+    return found
+
+
 class TestBlasThreads:
-    """The CLI runs OpenBLAS single-threaded unless the variable is set; the library does not."""
+    """qecbound, imported before numpy, sets OPENBLAS_NUM_THREADS=1 unless it is set."""
 
     @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
     def test_cli_default(self, tmp_path, preset, want):
@@ -505,12 +530,44 @@ class TestBlasThreads:
             OPENBLAS_NUM_THREADS=preset)
         assert proc.returncode == 0, proc.stderr
 
-    def test_library_sets_nothing(self):
+    def test_library_first_starts_one_thread(self):
         proc = _fresh_interpreter("import os, sys, qecbound\nqecbound.w_sum\n"
                                   "assert 'numpy' in sys.modules\n"
+                                  "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
+                                  "print(len(os.listdir('/proc/self/task'))"
+                                  " if sys.platform.startswith('linux') else '')",
+                                  OPENBLAS_NUM_THREADS=None)
+        assert proc.returncode == 0, proc.stderr
+        if not sys.platform.startswith("linux"):
+            pytest.skip("thread count read from /proc/self/task")
+        assert proc.stdout.split() == ["1"]
+
+    def test_numpy_first_keeps_its_pool(self):
+        proc = _fresh_interpreter("import os, numpy, qecbound\nqecbound.w_sum\n"
                                   "assert 'OPENBLAS_NUM_THREADS' not in os.environ",
                                   OPENBLAS_NUM_THREADS=None)
         assert proc.returncode == 0, proc.stderr
+
+    def test_library_preset_wins(self):
+        proc = _fresh_interpreter("import os, qecbound\nqecbound.w_sum\n"
+                                  "assert os.environ['OPENBLAS_NUM_THREADS'] == '3'",
+                                  OPENBLAS_NUM_THREADS="3")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_source_calls_no_blas(self):
+        # the one-thread default costs a run nothing only while qecbound calls no BLAS routine
+        found = [f"{path.name}:{line}: {what}" for path in sorted(SRC.glob("*.py"))
+                 for line, what in _blas_calls(path.read_text())]
+        assert not found, found
+
+    def test_blas_guard_catches_each_form(self):
+        snippets = ["a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.vdot(a, b)",
+                    "np.inner(a, b)", "np.matmul(a, b)", "np.tensordot(a, b)",
+                    "np.linalg.solve(a, b)", "from numpy.linalg import lstsq",
+                    "from numpy import dot", "np.einsum('ij,jk', a, b, optimize=True)",
+                    "einsum('ij,jk', a, b, optimize='greedy')"]
+        assert [s for s in snippets if not _blas_calls(s)] == []
+        assert _blas_calls("np.einsum('i,i->', a, b)\na * b\nnp.sum(a)") == []
 
 
 PUBLIC_API = [
