@@ -216,10 +216,16 @@ def _shared_grid(geom: BathGeometry, z_exp: float, s_exp: float, max_modes: int)
     because every caller with this key shares them.
     """
     m2max = _lattice_extent(geom, z_exp)
-    count = sum(int(np.sum(2 * half + 1)) for _, half in _slabs(geom.D, m2max)) - 1
+    count = 2 * math.isqrt(m2max)  # the +-n of one axis: all modes on D = 1, a floor on any D
+    if count <= max_modes:  # then walk the ball, stopping once the count passes the budget
+        count = -1
+        for _, half in _slabs(geom.D, m2max):
+            count += int(np.sum(2 * half + 1))
+            if count > max_modes:
+                break
     if count > max_modes:
         raise CapabilityError(
-            f"grid for (L={geom.L}, omega_c={geom.omega_c}) needs {count} modes, "
+            f"grid for (L={geom.L}, omega_c={geom.omega_c}) needs at least {count} modes, "
             f"exceeding the budget of {max_modes}"
         )
     m2, counts = _radial_counts(geom.D, m2max)
@@ -540,6 +546,8 @@ def lattice_sites(count: int, dims: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be positive")
+    if dims < 0:
+        raise ValueError("dims must be non-negative")
     if dims == 0:
         sites = np.zeros((count, 1))
     else:

@@ -200,10 +200,8 @@ def mmax_single(
     value (checked when a grid is supplied), and whenever the law cannot
     reach the target in floating point.
 
-    Numeric mode doubles and then bisects M on the exact sums of the
-    supplied grid, and returns M - 1 for an M whose trace distance exceeds
-    the criterion while that of M - 1 does not: the first crossing only if
-    the distance grows monotonically in M (ROADMAP item 1).
+    Numeric mode runs the first-crossing search (_first_crossing) on the
+    exact trace distance of the supplied grid.
     """
     _require_kind(report, SumKind.SINGLE_DEPHASING)
     if mode not in ("asymptotic", "numeric"):
@@ -233,48 +231,43 @@ def _mmax_single_numeric(
     """
     if grid is None:
         raise ConfigError("numeric mode requires a mode grid")
-    return grid.memo(
-        "mmax_single", (inputs, lambda_star), lambda: _search_single(inputs, lambda_star, grid)
-    )
-
-
-def _search_single(inputs: BoundInput, lambda_star: float, grid: ModeGrid) -> int | float:
-    if inputs.d_crit >= inputs.sigma_plus_abs:
+    sigma = inputs.sigma_plus_abs
+    if inputs.d_crit >= sigma:
         raise CriterionUnreachableError(
             f"criterion {inputs.d_crit} can never be exceeded: the trace distance "
-            f"saturates at |<sigma+>| = {inputs.sigma_plus_abs}"
+            f"saturates at |<sigma+>| = {sigma}"
         )
-    # a hard upper bound: gamma(T) <= 2 * static sum for every T
-    ceiling = trace_distance_single(
-        2.0 * gamma_infinity(grid, lambda_star), inputs.sigma_plus_abs
-    )
+    return grid.memo("mmax_single", (inputs, lambda_star), lambda: _first_crossing(
+        lambda T: trace_distance_single(gamma(grid, lambda_star, T), sigma),
+        trace_distance_single(2.0 * gamma_infinity(grid, lambda_star), sigma),  # gamma <= 2 * static sum
+        inputs, "the grid's infrared resolution may be too coarse for this coupling",
+    ))
+
+
+def _first_crossing(
+    distance: Callable[[float], float], ceiling: float, inputs: BoundInput, cap_hint: str
+) -> int | float:
+    """M - 1 for an M whose distance(M * Delta) exceeds D_crit while that of M - 1 does not.
+
+    inf when ceiling, a bound on the distance at every time, is at or below
+    D_crit.  M is found by doubling and then bisecting, so it is the first
+    crossing only if the distance grows monotonically in M, which a finite
+    grid does not guarantee (ROADMAP item 1).  Raises CapabilityError once M
+    passes _SEARCH_CAP.
+    """
     if ceiling <= inputs.d_crit:
         return math.inf
 
     def exceeded(M: int) -> bool:
-        g = gamma(grid, lambda_star, M * inputs.delta)
-        return trace_distance_single(g, inputs.sigma_plus_abs) > inputs.d_crit
+        return distance(M * inputs.delta) > inputs.d_crit
 
-    return _search(
-        exceeded,
-        "criterion not exceeded within the search cap; the grid's "
-        "infrared resolution may be too coarse for this coupling",
-    )
-
-
-def _search(exceeded: Callable[[int], bool], cap_message: str) -> int:
-    """M - 1 for an M with exceeded(M) but not exceeded(M - 1): doubles M, then bisects.
-
-    M is the first such step only when exceeded is monotone in M.  Raises
-    CapabilityError(cap_message) once M passes _SEARCH_CAP.
-    """
     if exceeded(1):
         return 0
     hi = 2
     while not exceeded(hi):
         hi *= 2
         if hi > _SEARCH_CAP:
-            raise CapabilityError(cap_message)
+            raise CapabilityError("criterion not exceeded within the search cap; " + cap_hint)
     lo = hi // 2  # exceeded(lo) is False
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -299,6 +292,7 @@ def calibrate_c_cal(
     saturating regime both routes are infinite and c_cal is returned
     unchanged.
     """
+    _require_kind(report, SumKind.SINGLE_DEPHASING)
     if report.regime == Regime.SUPER_OHMIC:
         return inputs.c_cal
     m_num = _mmax_single_numeric(inputs, lambda_star, grid)
@@ -378,29 +372,15 @@ def mmax_multi_numeric(
     inputs: BoundInput,
     proportionality: float = 1.0,
 ) -> int | float:
-    """Register bound: M - 1 for a step M found by doubling and then bisecting.
-
-    The Hilbert-Schmidt bound exceeds the criterion at M but not at M - 1.
-    That is the first crossing only if the bound grows monotonically in M,
-    which a finite grid does not guarantee (ROADMAP item 1).
-    """
-    lam2 = _lam2_by_grid(grids, couplings)
-    if not lam2:
-        return math.inf
+    """Register bound: the first-crossing search (_first_crossing) on the Hilbert-Schmidt bound."""
     # hard ceiling: |sum of W| <= 2 * prefactor * N^2 * static sum per grid
     n = layout.n_logical
-    ceiling_sq = sum(w * (2.0 * g.prefactor * n**2 * g.static_sum) ** 2 for g, w in lam2.items())
-    if proportionality * math.sqrt(ceiling_sq) <= inputs.d_crit:
-        return math.inf
-
-    def exceeded(M: int) -> bool:
-        T = M * inputs.delta
-        return hs_distance(grids, couplings, layout, T, proportionality) > inputs.d_crit
-
-    return _search(
-        exceeded,
-        "criterion not exceeded within the search cap; couplings may be "
-        "too weak for a finite register bound on this grid",
+    ceiling_sq = sum(w * (2.0 * g.prefactor * n**2 * g.static_sum) ** 2
+                     for g, w in _lam2_by_grid(grids, couplings).items())
+    return _first_crossing(
+        lambda T: hs_distance(grids, couplings, layout, T, proportionality),
+        proportionality * math.sqrt(ceiling_sq), inputs,
+        "couplings may be too weak for a finite register bound on this grid",
     )
 
 

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,3 +55,18 @@ def grid_modes(geom, ch):
     keep = (m2 > 0) & (m2 <= radius**2 * (1.0 + 1e-9))
     norm = dk * np.sqrt(m2[keep].astype(float))
     return dk * n[keep], norm**ch.z_exp, norm ** (2.0 * ch.s_exp)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_interpreter(code, timeout=120, **env):
+    """Run code in a new interpreter with src on the path, from the repository root.
+
+    Keyword arguments set environment variables; None unsets one.  A run
+    longer than timeout seconds raises subprocess.TimeoutExpired.
+    """
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **env, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT,
+                          env={k: v for k, v in env.items() if v is not None}, timeout=timeout)

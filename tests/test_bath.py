@@ -34,7 +34,7 @@ from qecbound import (
 )
 from qecbound import bath
 
-from conftest import grid_modes
+from conftest import fresh_interpreter, grid_modes
 
 
 def _ch(z=1.0, s=0.0, lam=1e-3, axis="z"):
@@ -77,6 +77,30 @@ class TestGridConstruction:
         with pytest.raises(CapabilityError) as err:
             build_mode_grid(geom, _ch(), max_modes=1000)
         assert "L=300.0" in str(err.value) and "omega_c=1.0" in str(err.value)
+
+    def test_oversized_grid_refused_before_the_walk(self):
+        # the D = 3 ball at L/2pi = 1e5 holds ~4e15 modes; D = 1 at L = 1e20 overflowed int64
+        proc = fresh_interpreter(  # a hang fails by timeout
+            "import math, qecbound as qb\n"
+            "ch = qb.BathChannel(axis='z', z_exp=1.0, s_exp=0.0, lam=1e-3)\n"
+            "for D, L in ((3, 2 * math.pi * 1e5), (1, 1.0e20)):\n"
+            "    try:\n"
+            "        qb.build_mode_grid(qb.BathGeometry(D=D, L=L, omega_c=1.0), ch)\n"
+            "    except qb.CapabilityError as err:\n"
+            "        print(err)\n",
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 and all("needs at least" in line for line in lines)
+
+    def test_refused_count_is_a_lower_bound(self):
+        geom = BathGeometry(D=3, L=2 * math.pi * 200, omega_c=1.0)  # a disc of 8 chunks of runs
+        full = sum(int(np.sum(2 * half + 1)) for _, half in bath._slabs(3, bath._lattice_extent(geom, 1.0))) - 1
+        with pytest.raises(CapabilityError, match="needs at least") as err:
+            build_mode_grid(geom, _ch(), max_modes=1000)
+        needed = int(str(err.value).split("needs at least ")[1].split()[0])
+        assert 1000 < needed < full
 
     def test_empty_grid_rejected(self):
         geom = BathGeometry(D=1, L=2 * math.pi, omega_c=0.5)
@@ -331,6 +355,10 @@ class TestWSum:
         positions = np.array([-7.5, 0.0, 12.25])
         for T in (0.5, 9.0):
             assert w_sum(grid_1d, positions, T) == w_sum(grid_1d, positions[:, None], T)
+
+    def test_positions_of_another_dimension_rejected(self, grid_1d):
+        with pytest.raises(DimensionError, match="positions must have dimension 1"):
+            w_sum(grid_1d, np.zeros((3, 2)), 1.0)
 
     def test_two_threads_alternating_registers(self):
         # the grid keeps one register per kind, so alternating sets recompute
@@ -1005,6 +1033,21 @@ class TestLayout:
     def test_zero_dim_collapses(self):
         sites = lattice_sites(4, 0)
         assert np.all(sites == 0.0)
+
+    def test_lattice_sites_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="count must be positive"):
+            lattice_sites(0, 1)
+        proc = fresh_interpreter(  # a negative dimension looped forever
+            "import qecbound as qb\n"
+            "for build in (lambda: qb.lattice_sites(3, -1), lambda: qb.regular_layout(2, 100.0, -1, 1.0)):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except ValueError as err:\n"
+            "        print(err)\n",
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["dims must be non-negative"] * 2
 
     def test_regular_layout_spacings(self):
         layout = regular_layout(3, Xi=50.0, D_x=1, xi=2.0)

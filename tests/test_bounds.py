@@ -178,6 +178,11 @@ class TestAsymptotics:
         with pytest.raises(ConfigError):
             gamma_asymptotic(rep, _inputs(), 1e-3, GEOM_1D, 10)
 
+    def test_step_count_below_one_rejected(self):
+        rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
+        with pytest.raises(ValueError, match="step count must be at least 1"):
+            gamma_asymptotic(rep, _inputs(), 1e-3, GEOM_1D, 0)
+
     def test_one_point_fit_predicts_decade_up(self):
         # sub-Ohmic dephasing: fit the order-one constant at M = 100, then
         # the asymptotic law must track the exact sum at M = 1000 within 20%
@@ -543,6 +548,27 @@ class TestSearchCap:
             mmax_multi_numeric({"z": grid}, couplings, layout, inputs)
 
 
+class TestFirstCrossing:
+    """The one search of both numeric bounds, on distances given in closed form."""
+
+    def test_last_step_at_or_below_the_criterion(self):
+        times = []
+
+        def distance(T):
+            times.append(T)
+            return 0.01 * T
+
+        inputs = _inputs(d_crit=0.1075, delta=0.5)  # 0.01 * M * 0.5 first exceeds it at M = 22
+        assert bounds._first_crossing(distance, 1.0, inputs, "") == 21
+        assert [T / 0.5 for T in times] == [1, 2, 4, 8, 16, 32, 24, 20, 22, 21]
+
+    def test_ceiling_at_the_criterion_is_infinite_without_evaluating(self):
+        def distance(T):
+            raise AssertionError("evaluated")
+
+        assert bounds._first_crossing(distance, 0.01, _inputs(d_crit=0.01), "") == math.inf
+
+
 class TestSharedGridSums:
     @pytest.mark.parametrize("D", [1, 2])
     def test_hs_distance_sums_each_grid_once(self, D, monkeypatch):
@@ -715,6 +741,16 @@ class TestCalibration:
 
             assert m >= 1, (cal, lam)
             assert law(m) <= target < law(m + 1), (cal, lam)
+
+    @pytest.mark.parametrize("kind", [SumKind.W_SELF, SumKind.W_CORRELATED])
+    def test_wrong_kind_rejected(self, kind):
+        # at s = -0.25 a w_self report is strong-IR and the dephasing one sub-Ohmic: another c_cal
+        geom = BathGeometry(D=1, L=2 * math.pi * 1000, omega_c=1.0)
+        grid = build_mode_grid(geom, _ch(s=-0.25))
+        dephasing = zeta_and_regime(_ch(s=-0.25), geom, SumKind.SINGLE_DEPHASING)
+        assert 0 < calibrate_c_cal(dephasing, _inputs(), 1e-3, geom, grid) < math.inf
+        with pytest.raises(ConfigError, match=f"kind '{kind.value}'"):
+            calibrate_c_cal(zeta_and_regime(_ch(s=-0.25), geom, kind, D_x=1), _inputs(), 1e-3, geom, grid)
 
     def test_super_ohmic_passthrough(self):
         geom = BathGeometry(D=3, L=40 * math.pi, omega_c=1.0)

@@ -1,7 +1,5 @@
 import ast
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +9,8 @@ import qecbound
 from qecbound import PauliString, StabilizerCode, default_config, from_dict
 from qecbound.cli import _pipeline, main, run_subcommand
 from qecbound.config import CODE_REGISTRY
+
+from conftest import fresh_interpreter
 
 
 def _read(path):
@@ -157,6 +157,18 @@ class TestSweep:
         assert code == 1
         assert "qec.Period" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("change, message", [
+        ({"param": None}, "sweep requires --param"),
+        ({"target": "eta"}, "--target must be one of"),
+        ({"to": None}, "sweep requires --from and --to"),
+    ])
+    def test_programmatic_sweep_checks_its_flags(self, change, message):
+        from qecbound.errors import QecBoundError
+
+        flags = {"param": "qec.Delta", "from_": 1.0, "to": 2.0, "points": 2, "target": "mmax", **change}
+        with pytest.raises(QecBoundError, match=message):
+            run_subcommand("sweep", default_config(), flags)
 
     @pytest.mark.parametrize(
         "param, lo, hi", [("layout.xi", 0.5, 2.0), ("bath.channels.1.s_exp", 0.0, 0.5)]
@@ -445,23 +457,12 @@ assert not loaded, loaded
 """
 
 
-def _fresh_interpreter(code, **env):
-    """Run code in a new interpreter with src on the path, from the repository root.
-
-    Keyword arguments set environment variables; None unsets one.
-    """
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, **env, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT,
-                          env={k: v for k, v in env.items() if v is not None}, timeout=120)
-
-
 class TestImportLayers:
     """The CLI, config loading and the Pauli/eta layer import no numeric code."""
 
     def _assert_numpy_free(self, code):
         check = f"import sys\n{code}\nassert not set({NUMERIC_MODULES!r}) & set(sys.modules)"
-        proc = _fresh_interpreter(check)
+        proc = fresh_interpreter(check)
         assert proc.returncode == 0, proc.stderr
         return proc
 
@@ -486,7 +487,7 @@ class TestImportLayers:
 
     def test_library_search_maps_no_openssl(self):
         # hashlib maps OpenSSL's libcrypto; only the config hash of a written CSV needs it
-        proc = _fresh_interpreter(LIBRARY_SEARCH)
+        proc = fresh_interpreter(LIBRARY_SEARCH)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["16", "102"]  # both searches ran to a finite M
 
@@ -523,7 +524,7 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
     def test_cli_default(self, tmp_path, preset, want):
-        proc = _fresh_interpreter(
+        proc = fresh_interpreter(
             "import os, sys\nfrom qecbound.cli import main\n"
             f"assert main(['--out', {str(tmp_path)!r}, 'lambda-star']) == 0\n"
             f"assert 'numpy' in sys.modules and os.environ['OPENBLAS_NUM_THREADS'] == {want!r}",
@@ -531,7 +532,7 @@ class TestBlasThreads:
         assert proc.returncode == 0, proc.stderr
 
     def test_library_first_starts_one_thread(self):
-        proc = _fresh_interpreter("import os, sys, qecbound\nqecbound.w_sum\n"
+        proc = fresh_interpreter("import os, sys, qecbound\nqecbound.w_sum\n"
                                   "assert 'numpy' in sys.modules\n"
                                   "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
                                   "print(len(os.listdir('/proc/self/task'))"
@@ -543,13 +544,13 @@ class TestBlasThreads:
         assert proc.stdout.split() == ["1"]
 
     def test_numpy_first_keeps_its_pool(self):
-        proc = _fresh_interpreter("import os, numpy, qecbound\nqecbound.w_sum\n"
+        proc = fresh_interpreter("import os, numpy, qecbound\nqecbound.w_sum\n"
                                   "assert 'OPENBLAS_NUM_THREADS' not in os.environ",
                                   OPENBLAS_NUM_THREADS=None)
         assert proc.returncode == 0, proc.stderr
 
     def test_library_preset_wins(self):
-        proc = _fresh_interpreter("import os, qecbound\nqecbound.w_sum\n"
+        proc = fresh_interpreter("import os, qecbound\nqecbound.w_sum\n"
                                   "assert os.environ['OPENBLAS_NUM_THREADS'] == '3'",
                                   OPENBLAS_NUM_THREADS="3")
         assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -278,6 +279,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="phase"):
             bad.validate()
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda c: {"generators": c.generators[:-1]}, "generator count must equal n - k"),
+        (lambda c: {"logical_x": ()}, "one logical X and Z per logical qubit"),
+        (lambda c: {"generators": (PauliString.from_label("XZZX"),) + c.generators[1:]},
+         "generator qubit count mismatch"),
+        (lambda c: {"logical_x": (PauliString.single(5, 0, "X"),)}, "logical X .* anticommutes"),
+        (lambda c: {"logical_z": (PauliString.single(5, 0, "Z"),)}, "logical Z .* anticommutes"),
+        (lambda c: {"logical_x": c.logical_z}, "paired logical X and Z must anticommute"),
+    ])
+    def test_broken_five_qubit_code_rejected(self, code, change, message):
+        code.validate()
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(code, **change(code)).validate()
+
 
 class TestPauliBasics:
     def test_phase_values(self):
@@ -299,3 +314,14 @@ class TestPauliBasics:
             PauliString(2, (1, 2), (0, 0))
         with pytest.raises(ValueError):
             PauliString(2, (1,), (0, 0))
+
+    def test_no_qubits_rejected(self):
+        with pytest.raises(ValueError, match="qubit count must be positive"):
+            PauliString(0, (), ())
+        with pytest.raises(ValueError, match="qubit count must be positive"):
+            list(paulis_of_weight(0, 0))
+
+    def test_single_out_of_range(self):
+        assert str(PauliString.single(2, 1, "Y")) == "IY"
+        with pytest.raises(ValueError, match="qubit 2 out of range for n=2"):
+            PauliString.single(2, 2, "X")
