@@ -71,6 +71,17 @@ class ModeGrid:
     m2: np.ndarray
     _memo: dict[str, tuple] = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self) -> None:
+        """Refuses a grid no sum can use: arrays not 1-D of one length, no shells, or an omega
+        that is not positive and finite."""
+        arrays = (self.m2, self.omega, self.u2, self.weight)
+        if any(np.ndim(a) != 1 for a in arrays) or len({len(a) for a in arrays}) != 1:
+            raise DimensionError("mode grid m2, omega, u2 and weight must be 1-D, of one length")
+        if len(self.omega) == 0:
+            raise DegenerateInputError("mode grid is empty")
+        if not (np.isfinite(self.omega).all() and (self.omega > 0).all()):
+            raise ValueError("mode grid omega must be positive and finite")
+
     def memo(self, kind: str, key: Hashable, compute: Callable[[], Any]) -> Any:
         """compute(), memoized on this grid under (kind, key).
 
@@ -639,6 +650,8 @@ def regular_layout(
     physical sites of each logical qubit fill a centered D_x-dimensional
     lattice with spacing xi.
     """
+    n_logical = _checked("layout.N", _SCALARS["layout.N"], n_logical)
+    D_x = _checked("layout.D_x", _SCALARS["layout.D_x"], D_x)
     with np.errstate(invalid="ignore"):  # 0 * inf: QubitLayout names the spacing
         return QubitLayout(
             logical_positions=lattice_sites(n_logical, D_x) * Xi,

@@ -1,14 +1,17 @@
 """Batch command-line front end.
 
-Each subcommand validates the run configuration, delegates to the library
-and writes one CSV file named after the subcommand (plus eta.txt for the
-table export).  Output files start with ``#`` comment lines echoing the
-artifact version and the configuration hash; identical configuration and
-flags produce byte-identical files.
+``_COMMANDS`` states each subcommand once: its handler, its help line and
+its flags.  The parser is built from that table and every run dispatches
+through it.  A handler validates the run configuration, delegates to the
+library and returns one :class:`Output`, written as one CSV file named after
+the subcommand (plus any extra files, such as the table export's text).
+Output files start with ``#`` comment lines echoing the artifact version and
+the configuration hash; identical configuration and flags produce
+byte-identical files.
 
 This module imports no numeric code: the handlers that compute import
-numpy and the bath, bounds and coupling modules when they run, so ``eta``,
-``code-check``, ``--help`` and every config error start without them.
+numpy and the bath, bounds and coupling modules when they run, so the table
+export, the code check, ``--help`` and every config error start without them.
 The package's BLAS-thread policy (see :mod:`qecbound`) is set when the
 package is imported, before any handler loads numpy; :func:`main` does not
 touch the environment.
@@ -48,7 +51,6 @@ _FLAGS = {
 class Output:
     """One file's worth of results plus the scalar summary used by sweeps."""
 
-    name: str
     columns: list[str]
     rows: list[tuple]
     comments: list[str] = field(default_factory=list)
@@ -58,8 +60,6 @@ class Output:
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):  # numpy float64 included
         v = float(value)
         if math.isinf(v):
@@ -109,23 +109,16 @@ def _times(flags: Mapping[str, Any]) -> np.ndarray:
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _run_eta(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _run_eta(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     table = enumerate_eta(cfg.stabilizer_code())
     rows = [
         (e.alpha, e.beta, e.i, e.j, e.k, e.logical_type.value) for e in table.entries
     ]
-    return [
-        Output(
-            name="eta",
-            columns=["alpha", "beta", "i", "j", "k", "logical_type"],
-            rows=rows,
-            summary={"entries": len(rows)},
-            extra_files={"eta.txt": table.to_text()},
-        )
-    ]
+    return Output(["alpha", "beta", "i", "j", "k", "logical_type"], rows,
+                  summary={"entries": len(rows)}, extra_files={"eta.txt": table.to_text()})
 
 
-def _run_code_check(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _run_code_check(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     code = cfg.stabilizer_code()
 
     def coset_constancy() -> bool:
@@ -154,11 +147,11 @@ def _run_code_check(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
         except Exception as exc:  # noqa: BLE001 - any failure is a failed check
             rows.append((name, "fail", str(exc)))
     failures = sum(status == "fail" for _, status, _ in rows)
-    return [Output(name="code-check", columns=["check", "status", "detail"], rows=rows,
-                   summary={"failures": failures}, ok=failures == 0)]
+    return Output(["check", "status", "detail"], rows, summary={"failures": failures},
+                  ok=failures == 0)
 
 
-def _run_lambda_star(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _run_lambda_star(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     _, channels, _, _, _, _, couplings = _pipeline(cfg)
     rows = []
     summary: dict[str, Any] = {}
@@ -166,14 +159,7 @@ def _run_lambda_star(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
         value = couplings[axis]
         rows.append((axis, channels[axis].lam, value))
         summary[f"lambda_star_{axis}"] = value
-    return [
-        Output(
-            name="lambda-star",
-            columns=["axis", "lambda", "lambda_star"],
-            rows=rows,
-            summary=summary,
-        )
-    ]
+    return Output(["axis", "lambda", "lambda_star"], rows, summary=summary)
 
 
 def _gamma_series(cfg: RunConfig, flags: Mapping[str, Any]):
@@ -187,23 +173,17 @@ def _gamma_series(cfg: RunConfig, flags: Mapping[str, Any]):
     return axis, grid, lam_star, series
 
 
-def _run_gamma(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _run_gamma(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     from .bounds import trace_distance_single
 
     axis, _, lam_star, series = _gamma_series(cfg, flags)
     rows = [(t, g, trace_distance_single(g, cfg.sigma_plus_abs)) for t, g in series]
-    return [
-        Output(
-            name="gamma",
-            columns=["T", "gamma", "trace_distance"],
-            rows=rows,
-            comments=[f"channel: {axis}", f"lambda_star: {_fmt(lam_star)}"],
-            summary={"gamma_final": rows[-1][1], "trace_distance_final": rows[-1][2]},
-        )
-    ]
+    return Output(["T", "gamma", "trace_distance"], rows,
+                  comments=[f"channel: {axis}", f"lambda_star: {_fmt(lam_star)}"],
+                  summary={"gamma_final": rows[-1][1], "trace_distance_final": rows[-1][2]})
 
 
-def _run_distance(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _run_distance(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     from .bath import gamma_infinity
     from .bounds import trace_distance_single
 
@@ -211,23 +191,12 @@ def _run_distance(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
     g_inf = gamma_infinity(grid, lam_star)
     saturation = trace_distance_single(g_inf, cfg.sigma_plus_abs)
     rows = [(t, trace_distance_single(g, cfg.sigma_plus_abs)) for t, g in series]
-    return [
-        Output(
-            name="distance",
-            columns=["T", "trace_distance"],
-            rows=rows,
-            comments=[
-                f"channel: {axis}",
-                f"lambda_star: {_fmt(lam_star)}",
-                f"gamma_inf: {_fmt(g_inf)}",
-                f"d_sat: {_fmt(saturation)}",
-            ],
-            summary={"d_sat": saturation},
-        )
-    ]
+    comments = [f"channel: {axis}", f"lambda_star: {_fmt(lam_star)}",
+                f"gamma_inf: {_fmt(g_inf)}", f"d_sat: {_fmt(saturation)}"]
+    return Output(["T", "trace_distance"], rows, comments=comments, summary={"d_sat": saturation})
 
 
-def _run_regimes(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _run_regimes(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     from .bounds import SumKind, zeta_and_regime
 
     geom = cfg.geometry()
@@ -238,16 +207,10 @@ def _run_regimes(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
             rows.append(
                 (ch.axis, kind.value, report.zeta, report.boundary, report.regime.value)
             )
-    return [
-        Output(
-            name="regimes",
-            columns=["axis", "kind", "zeta", "boundary", "regime"],
-            rows=rows,
-        )
-    ]
+    return Output(["axis", "kind", "zeta", "boundary", "regime"], rows)
 
 
-def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     from .bounds import SumKind, mmax_multi, mmax_multi_numeric, mmax_single, zeta_and_regime
 
     mode = flags["mode"]
@@ -292,17 +255,11 @@ def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
 
     overall = min(bounds)
     rows.append(("overall", "", "", mode, "", "", overall))
-    return [
-        Output(
-            name="mmax",
-            columns=["scope", "axis", "kind", "mode", "zeta", "regime", "mmax"],
-            rows=rows,
-            summary={"mmax_overall": overall},
-        )
-    ]
+    return Output(["scope", "axis", "kind", "mode", "zeta", "regime", "mmax"], rows,
+                  summary={"mmax_overall": overall})
 
 
-def _run_hs(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _run_hs(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     from .bounds import hs_distance
 
     _, _, _, _, layout, grids, couplings = _pipeline(cfg)
@@ -311,17 +268,10 @@ def _run_hs(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
         rows.append(
             (float(t), hs_distance(grids, couplings, layout, float(t), cfg.proportionality))
         )
-    return [
-        Output(
-            name="hs",
-            columns=["T", "hs_distance"],
-            rows=rows,
-            summary={"hs_final": rows[-1][1]},
-        )
-    ]
+    return Output(["T", "hs_distance"], rows, summary={"hs_final": rows[-1][1]})
 
 
-def _run_sweep(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
+def _run_sweep(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     import numpy as np
 
     param = flags.get("param")
@@ -334,58 +284,62 @@ def _run_sweep(cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
     hi = flags.get("to")
     if lo is None or hi is None:
         raise QecBoundError("sweep requires --from and --to")
-    values = np.linspace(float(lo), float(hi), flags["points"])
-    columns: list[str] | None = None
-    rows: list[tuple] = []
-    for value in values:
-        sub_cfg = cfg.with_value(param, float(value))
-        outputs = run_subcommand(target, sub_cfg, flags)
-        summary = outputs[0].summary
-        if columns is None:
-            columns = ["param", "value"] + list(summary)
-        rows.append((param, float(value)) + tuple(summary[key] for key in columns[2:]))
-    return [
-        Output(
-            name="sweep",
-            columns=columns or ["param", "value"],
-            rows=rows,
-            comments=[f"target: {target}"],
-        )
-    ]
+    keys: list[str] = []
+    rows = []
+    for value in np.linspace(float(lo), float(hi), flags["points"]):
+        summary = run_subcommand(target, cfg.with_value(param, float(value)), flags).summary
+        keys = keys or list(summary)  # the first point's columns
+        rows.append((param, float(value), *(summary[key] for key in keys)))
+    return Output(["param", "value", *keys], rows, comments=[f"target: {target}"])
 
 
-_HANDLERS = {
-    "eta": _run_eta,
-    "code-check": _run_code_check,
-    "lambda-star": _run_lambda_star,
-    "gamma": _run_gamma,
-    "distance": _run_distance,
-    "regimes": _run_regimes,
-    "mmax": _run_mmax,
-    "hs": _run_hs,
-    "sweep": _run_sweep,
+_SERIES = ("--t-max", "--steps")
+# name: (handler, help, flags), in --help order
+_COMMANDS = {
+    "eta": (_run_eta, "write the uncorrectable-error table", ()),
+    "code-check": (_run_code_check, "run code invariants and the distance check", ()),
+    "lambda-star": (_run_lambda_star, "write effective couplings per channel", ()),
+    "gamma": (_run_gamma, "decoherence-function series", _SERIES),
+    "distance": (_run_distance, "trace-distance series and saturation value", _SERIES),
+    "hs": (_run_hs, "Hilbert-Schmidt bound series", _SERIES),
+    "regimes": (_run_regimes, "zeta exponents and regime labels", ()),
+    "mmax": (_run_mmax, "bounds on the number of correction periods", ("--mode",)),
+    "sweep": (_run_sweep, "vary one scalar config key and re-run a target",
+              ("--param", "--from", "--to", "--points", "--target", "--mode", *_SERIES)),
+}
+# flag: its argparse options; the four optional ones are read through _FLAGS
+_ARGS = {
+    "--t-max": {"type": float},
+    "--steps": {"type": int},
+    "--points": {"type": int},
+    "--mode": {"choices": _MODES},
+    "--param": {"required": True, "help": "dotted config key, e.g. qec.Delta"},
+    "--from": {"dest": "from_", "type": float, "required": True},
+    "--to": {"type": float, "required": True},
+    "--target": {"required": True, "choices": _SWEEP_TARGETS},
 }
 
 
-def run_subcommand(cmd: str, cfg: RunConfig, flags: Mapping[str, Any]) -> list[Output]:
-    """Execute one subcommand and return its outputs (no files written)."""
-    if cmd not in _HANDLERS:
+def run_subcommand(cmd: str, cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
+    """Execute one subcommand and return its output (no files written)."""
+    if cmd not in _COMMANDS:
         raise QecBoundError(f"unknown subcommand {cmd!r}")
     given = {key: flags[row[0]] for key, row in _FLAGS.items() if flags.get(row[0]) is not None}
-    return _HANDLERS[cmd](cfg, {**flags, **_read(_FLAGS, given)})
+    return _COMMANDS[cmd][0](cfg, {**flags, **_read(_FLAGS, given)})
 
 
-def write_output(out: Output, out_dir: Path, cfg: RunConfig) -> None:
+def write_output(cmd: str, out: Output, out_dir: Path, cfg: RunConfig) -> None:
+    """Write ``<cmd>.csv`` and the output's extra files into ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"# artifact: qecbound {__version__}",
         f"# config: {cfg.config_hash()}",
-        f"# subcommand: {out.name}",
+        f"# subcommand: {cmd}",
     ]
     lines.extend(f"# {comment}" for comment in out.comments)
     lines.append(",".join(out.columns))
     lines.extend(",".join(_fmt(v) for v in row) for row in out.rows)
-    (out_dir / f"{out.name}.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / f"{cmd}.csv").write_text("\n".join(lines) + "\n")
     for name, text in out.extra_files.items():
         (out_dir / name).write_text(text)
 
@@ -398,51 +352,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="YAML run configuration (defaults used if omitted)")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("eta", help="write the uncorrectable-error table")
-    sub.add_parser("code-check", help="run code invariants and the distance check")
-    sub.add_parser("lambda-star", help="write effective couplings per channel")
-
-    for name, help_text in (
-        ("gamma", "decoherence-function series"),
-        ("distance", "trace-distance series and saturation value"),
-        ("hs", "Hilbert-Schmidt bound series"),
-    ):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--steps", type=int)
-
-    sub.add_parser("regimes", help="zeta exponents and regime labels")
-
-    p = sub.add_parser("mmax", help="bounds on the number of correction periods")
-    p.add_argument("--mode", choices=_MODES)
-
-    p = sub.add_parser("sweep", help="vary one scalar config key and re-run a target")
-    p.add_argument("--param", required=True, help="dotted config key, e.g. qec.Delta")
-    p.add_argument("--from", dest="from_", type=float, required=True)
-    p.add_argument("--to", dest="to", type=float, required=True)
-    p.add_argument("--points", type=int)
-    p.add_argument("--target", required=True, choices=_SWEEP_TARGETS)
-    p.add_argument("--mode", choices=_MODES)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--steps", type=int)
-
+        for flag in flags:
+            p.add_argument(flag, **_ARGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else default_config()
-        outputs = run_subcommand(args.command, cfg, vars(args))
-        out_dir = Path(args.out)
-        for out in outputs:
-            write_output(out, out_dir, cfg)
+        out = run_subcommand(args.command, cfg, vars(args))
+        write_output(args.command, out, Path(args.out), cfg)
     except (QecBoundError, ValueError, ArithmeticError, OSError) as exc:  # OSError: --config, --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if all(out.ok for out in outputs):
+    if out.ok:
         return 0
     print("error: one or more checks failed", file=sys.stderr)
     return 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bath import ModeGrid, QubitLayout, _separations, _shell_cos
 from .config import BathChannel
-from .errors import ConfigError, DegenerateInputError
+from .errors import ConfigError
 from .pauli import CHANNEL_AXES, EtaEntry, EtaTable, enumerate_eta  # noqa: F401 - re-exported
 
 
@@ -60,8 +60,6 @@ def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: f
     on the grid and the offsets alone, so they are memoized on the grid and
     only the (lambda * Delta)^2 scale is applied per call.
     """
-    if grid.stored_count == 0:
-        raise DegenerateInputError("mode grid is empty")
     positions = layout.padded_offsets(grid.D)
     sums = grid.memo("pair_sums", positions.tobytes(), lambda: _pair_sums(grid, positions))
     return AMatrix(channel.axis, (channel.lam * delta) ** 2 * sums)

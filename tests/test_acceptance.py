@@ -62,9 +62,8 @@ class TestCriterion1:
     def test_eta_table(self):
         with criterion(1, "10-entry uncorrectable-error table matching the reference indices"):
             start = time.perf_counter()
-            outputs = run_subcommand("eta", qb.default_config(), {})
+            rows = run_subcommand("eta", qb.default_config(), {}).rows
             elapsed = time.perf_counter() - start
-            rows = outputs[0].rows
             assert len(rows) == 10
             xz = {(i, j, k) for a, b, i, j, k, cls in rows if (a, b) == ("x", "z")}
             zx = {(i, j, k) for a, b, i, j, k, cls in rows if (a, b) == ("z", "x")}

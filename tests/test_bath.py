@@ -42,6 +42,26 @@ def _ch(z=1.0, s=0.0, lam=1e-3, axis="z"):
 
 
 class TestGridConstruction:
+    @pytest.mark.parametrize("case, error", [
+        ("empty", DegenerateInputError), ("ragged", DimensionError),
+        ("two-dimensional", DimensionError),
+        (0.0, ValueError), (-1.0, ValueError), (np.nan, ValueError), (np.inf, ValueError),
+    ])
+    def test_unusable_hand_built_grid_refused(self, case, error):
+        # a float case is one shell's omega
+        grid = build_mode_grid(BathGeometry(D=1, L=2 * math.pi * 10, omega_c=1.0), _ch())
+        arrays = {name: np.array(getattr(grid, name)) for name in ("omega", "u2", "weight", "m2")}
+        if case == "empty":
+            arrays = {name: array[:0] for name, array in arrays.items()}
+        elif case == "ragged":
+            arrays["u2"] = arrays["u2"][1:]
+        elif case == "two-dimensional":
+            arrays = {name: array[None, :] for name, array in arrays.items()}
+        else:
+            arrays["omega"][3] = case
+        with pytest.raises(error, match="mode grid"):
+            ModeGrid(D=1, L=grid.L, **arrays)
+
     def test_minimal_1d_grid(self):
         geom = BathGeometry(D=1, L=2 * math.pi, omega_c=1.0)
         grid = build_mode_grid(geom, _ch())
@@ -1047,7 +1067,17 @@ class TestLayout:
             timeout=30,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["dims must be non-negative"] * 2
+        assert proc.stdout.splitlines() == ["dims must be non-negative",
+                                            "layout.D_x must be non-negative"]
+
+    @pytest.mark.parametrize("n_logical, D_x, message", [
+        (2, -1, "layout.D_x must be non-negative"),
+        (0, 1, "layout.N must be at least 1"),
+        (2, 1.5, "layout.D_x must be an integer"),
+    ])
+    def test_regular_layout_names_the_key(self, n_logical, D_x, message):
+        with pytest.raises(ConfigError, match=message):
+            regular_layout(n_logical, 100.0, D_x, 1.0)
 
     def test_regular_layout_spacings(self):
         layout = regular_layout(3, Xi=50.0, D_x=1, xi=2.0)

@@ -52,6 +52,12 @@ class TestOutputs:
         txt = _read(tmp_path / "eta.txt")
         assert txt.splitlines()[0].split() == ["alpha", "beta", "i", "j", "k", "logical_type"]
 
+    def test_every_subcommand_writes_the_csv_named_after_it(self, tmp_path):
+        config = _write_config(tmp_path)
+        for cmd in ("eta", "code-check", "lambda-star", "gamma", "distance", "hs", "regimes", "mmax"):
+            assert main(["--config", str(config), "--out", str(tmp_path), cmd]) == 0, cmd
+            assert f"# subcommand: {cmd}" in _read(tmp_path / f"{cmd}.csv").splitlines()
+
     def test_gamma_zero_time_single_row(self, tmp_path):
         config = _write_config(tmp_path)
         assert (
@@ -176,11 +182,11 @@ class TestSweep:
     def test_sweep_points_match_separate_runs(self, param, lo, hi):
         cfg = from_dict(SMALL_BATH)
         flags = {"param": param, "from_": lo, "to": hi, "points": 4, "target": "lambda-star"}
-        sweep = run_subcommand("sweep", cfg, flags)[0]
+        sweep = run_subcommand("sweep", cfg, flags)
         assert sweep.columns == ["param", "value", "lambda_star_x", "lambda_star_z"]
         rows = sweep.rows
         for row in rows:
-            single = run_subcommand("lambda-star", cfg.with_value(param, row[1]), {})[0]
+            single = run_subcommand("lambda-star", cfg.with_value(param, row[1]), {})
             assert row[2:] == (single.summary["lambda_star_x"], single.summary["lambda_star_z"])
         assert len({row[2:] for row in rows}) == len(rows)  # every point differs
 
@@ -197,10 +203,10 @@ class TestSweep:
         cfg = from_dict({"bath": {**SMALL_BATH["bath"], "L": 20 * math.pi}})
         flags = {"param": param, "from_": lo, "to": hi, "points": points, "target": target,
                  "t_max": 10.0, "steps": 3}
-        rows = run_subcommand("sweep", cfg, flags)[0].rows
+        rows = run_subcommand("sweep", cfg, flags).rows
         assert [row[1] for row in rows] == list(range(lo, hi + 1))
         for row in rows:
-            single = run_subcommand(target, cfg.with_value(param, int(row[1])), flags)[0]
+            single = run_subcommand(target, cfg.with_value(param, int(row[1])), flags)
             assert row[2:] == tuple(single.summary.values())
 
     def test_integer_key_sweep_off_the_integers_fails_cleanly(self, tmp_path, capsys):
@@ -233,11 +239,11 @@ class TestPipelineStages:
         bath._shared_grid.cache_clear()
         counting(bath, "_radial_counts", "grids")  # once per grid build, D = 1 included
         counting(coupling, "_pair_sums", "pair_sums")
-        rows = run_subcommand("sweep", cfg, flags)[0].rows
+        rows = run_subcommand("sweep", cfg, flags).rows
         assert counts == {"grids": 1, "pair_sums": 1}
         for row in rows:
             bath._shared_grid.cache_clear()  # a separate run shares nothing
-            single = run_subcommand("lambda-star", cfg.with_value(param, row[1]), {})[0]
+            single = run_subcommand("lambda-star", cfg.with_value(param, row[1]), {})
             assert row[2:] == (single.summary["lambda_star_x"], single.summary["lambda_star_z"])
         assert counts == {"grids": 7, "pair_sums": 7}
 
@@ -282,6 +288,16 @@ class TestErrorPaths:
         config.write_text("bath:\n  channels:\n    - axis: z\n      lambda: -1\n")
         assert main(["--config", str(config), "--out", str(tmp_path), "eta"]) == 1
         assert "bath.channels[0].lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["gamma", "--mode", "numeric"], ["mmax", "--steps", "3"],
+                                      ["eta", "--t-max", "1"], ["hs", "--points", "3"],
+                                      ["regimes", "--mode", "numeric"]], ids=" ".join)
+    def test_flag_of_another_subcommand_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--out", str(tmp_path), *argv])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("case", ["missing config", "config is a directory", "out is a file"])
     def test_file_errors_exit_cleanly(self, tmp_path, capsys, case):
@@ -423,15 +439,14 @@ class TestRunSubcommand:
 
     def test_single_channel_config_runs(self):
         cfg = from_dict({"bath": {"channels": [{"axis": "z"}]}})
-        outputs = run_subcommand("lambda-star", cfg, {})
-        rows = outputs[0].rows
+        rows = run_subcommand("lambda-star", cfg, {}).rows
         # the paired channel is absent, so the renormalized coupling vanishes
         assert rows == [("z", 1e-3, 0.0)]
 
     def test_mmax_single_channel_infinite(self):
         cfg = from_dict({"bath": {"channels": [{"axis": "z"}]}})
-        outputs = run_subcommand("mmax", cfg, {"mode": "asymptotic"})
-        assert outputs[0].summary["mmax_overall"] == math.inf
+        out = run_subcommand("mmax", cfg, {"mode": "asymptotic"})
+        assert out.summary["mmax_overall"] == math.inf
 
 
 ROOT = Path(__file__).resolve().parent.parent

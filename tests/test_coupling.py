@@ -214,14 +214,12 @@ class TestAMatrix:
         assert calls == [1]
 
     def test_empty_grid_rejected(self, small_grid):
-        geom, ch, grid = small_grid
+        geom, _, grid = small_grid
         from qecbound import DegenerateInputError, ModeGrid
 
-        empty = ModeGrid(D=1, L=geom.L, omega=grid.omega[:0], u2=grid.u2[:0],
-                         weight=grid.weight[:0], m2=grid.m2[:0])
-        layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
-        with pytest.raises(DegenerateInputError):
-            a_matrix(empty, layout, ch, delta=1.0)
+        with pytest.raises(DegenerateInputError, match="mode grid is empty"):
+            ModeGrid(D=1, L=geom.L, omega=grid.omega[:0], u2=grid.u2[:0],
+                     weight=grid.weight[:0], m2=grid.m2[:0])
 
 
 def _uniform_a(axis, value, n=5):
