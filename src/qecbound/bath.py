@@ -13,11 +13,11 @@ therefore a shell table on every D, and stores no mode vector.  Every
 time-dependent sum bins its static weights into shells once and then costs
 one cos (and one sin for an imaginary part) per shell and time point; on
 D = 1 with z_exp = 1 the shell frequencies are the harmonics j * 2*pi/L, and
-O(sqrt(shells)) calls suffice.  A position sum needs cos(k.d) per mode, so
-it walks the lattice in fixed-size chunks, one point per +-k pair, and bins
-each point into its shell (_shell_sums): all separations d of a position
-set share one walk, and so do the per-axis factors of the structure factor
-of a D >= 2 product layout (as a regular array of side**D_x qubits is).
+O(sqrt(shells)) calls suffice.  A position sum needs cos(k.d) per mode, so it
+walks the lattice in chunks, one point per +-k pair (_shell_sums), and bins each
+point into its shell, or contracts it with a per-shell weight where the sum is
+one scalar per d (the pair amplitudes).  All d of a position set share one walk,
+and so do the axis factors of the structure factor of a D >= 2 product layout.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import _SCALARS, BathChannel, BathGeometry, _checked, _number
+from .config import _SCALARS, BathChannel, BathGeometry, _checked, _integer, _number
 from .errors import CapabilityError, ConfigError, DegenerateInputError, DimensionError
 
 DEFAULT_MODE_BUDGET = 10_000_000
@@ -404,20 +404,24 @@ def _separation_table(data: bytes, shape: tuple[int, ...]) -> tuple:
     return table
 
 
-def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int) -> np.ndarray:
+def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int,
+                weight: np.ndarray | None = None) -> np.ndarray:
     """(count, shells): count per-pair quantities, each summed over every shell's +-k pairs.
 
     The one kernel of the position sums: one walk of the half lattice (_half_ball), in which
-    rows(lead, lens, last) gives a chunk's count rows.  On D = 1 the shell |n| = j holds the
-    one pair +-j, so the walk runs over the shells, point n_1 = -j each, and bins nothing; the
-    pair of |n| = j goes to the last shell at m2 = j^2, as a lookup would.  Raises
-    ArithmeticError unless every shell's weight is twice its pairs.
+    rows(lead, lens, last) gives a chunk's count rows.  Given a per-shell weight it returns
+    (count,) and holds no shell-sized row: a chunk gathers the weight once and sums each row
+    against it pairwise (np.sum).  On D = 1 the shell |n| = j holds the one pair +-j, so the
+    walk runs over the shells, point n_1 = -j each, and bins nothing (a weight takes one dot
+    over all shells, which no slicing changes); the pair of |n| = j goes to the last shell
+    at m2 = j^2, as a lookup would.  ArithmeticError unless every weight is twice its pairs.
     """
-    S = len(grid.m2)
+    S, contract = len(grid.m2), weight is not None
+    sums = np.zeros(count) if contract else np.zeros((count, S + 1))  # column S: no shell's
     if grid.D == 1:  # in _slices, the last first, so owner holds every later shell's claim
         owner = np.full(math.isqrt(max(int(grid.m2.max(initial=0)), 0)) + 1, -1)  # |n| -> shell
         owner[0] = S  # |n| = 0 holds no pair: always claimed
-        sums = np.zeros((count, S))
+        w = np.zeros(S) if contract else None  # the weight of each shell's pair, 0 for none
         for s in reversed(_slices(S)):
             j = np.sqrt(np.maximum(grid.m2[s], 0)).astype(np.intp)  # exact on squares below 2**53
             j *= j * j == grid.m2[s]  # 0 where m2 is no square: no lattice point, no pair
@@ -426,24 +430,34 @@ def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int) -> np
             pairs = (owner[j] == shells) & ~later
             if len(grid.weight) != S or not np.array_equal(2.0 * pairs, grid.weight[s]):
                 raise ArithmeticError(_NOT_A_PAIR_TABLE)
+            if contract:
+                np.multiply(weight[s], pairs, out=w[s])
+                continue
             for total, values in zip(sums[:, s], rows(_NO_LEAD, [len(j)], -j)):
                 np.multiply(values, pairs, out=total)
-        return sums
+        if contract:
+            j = np.sqrt(np.maximum(grid.m2, 0)).astype(np.intp)  # read only where w is nonzero
+            sums += [np.einsum("i,i->", w, values) for values in rows(_NO_LEAD, [S], -j)]
+        return sums if contract else sums[:, :S]
     m2max = int(grid.m2.max(initial=0))  # table: |n|^2 -> shell, S for none; a shell
     table = np.full(m2max + 1, S, dtype=np.intp)  # below |n|^2 = 1 takes slot 0, which
     table[np.maximum(grid.m2, 0)] = np.arange(S)  # no point of the walk reads
-    pairs, sums = np.zeros(S + 1), np.zeros((count, S + 1))  # column S: points of no shell
+    pairs, padded = np.zeros(S + 1), np.append(weight, 0.0) if contract else None
     for lead, lens, last in _half_ball(grid.D, m2max):
         shell = table[np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
+        if contract:
+            w = padded[shell]
+            sums += [np.sum(w * values) for values in rows(lead, lens, last)]
         first = int(shell.min())  # binned over the shells the chunk reaches
         shell -= first
         reached = slice(first, first + int(shell.max()) + 1)
         pairs[reached] += np.bincount(shell)
-        for total, values in zip(sums[:, reached], rows(lead, lens, last)):
-            total += np.bincount(shell, weights=values)
+        if not contract:
+            for total, values in zip(sums[:, reached], rows(lead, lens, last)):
+                total += np.bincount(shell, weights=values)
     if not np.array_equal(2.0 * pairs[:S], grid.weight):
         raise ArithmeticError(_NOT_A_PAIR_TABLE)
-    return sums[:, :S]
+    return sums if contract else sums[:, :S]
 
 
 def _phases(scale: np.ndarray, lead: np.ndarray, lens: np.ndarray, last: np.ndarray) -> Iterator:
@@ -456,14 +470,15 @@ def _phases(scale: np.ndarray, lead: np.ndarray, lens: np.ndarray, last: np.ndar
         yield phase
 
 
-def _shell_cos(grid: ModeGrid, seps: Sequence) -> np.ndarray:
+def _shell_cos(grid: ModeGrid, seps: Sequence, weight: np.ndarray | None = None) -> np.ndarray:
     """(separations, shells): per separation d, cos(k.d) summed over each shell's +-k pairs.
 
-    One walk (_shell_sums) serves every d; ArithmeticError unless the grid is a pair table.
+    One walk (_shell_sums) serves every d; given a per-shell weight, each d's row is
+    contracted with it (separations,).  ArithmeticError unless the grid is a pair table.
     """
     scale = (2.0 * math.pi / grid.L) * np.asarray(seps, dtype=np.float64).reshape(-1, grid.D)
     return _shell_sums(grid, lambda *chunk: (np.cos(p, out=p) for p in _phases(scale, *chunk)),
-                       len(scale))
+                       len(scale), weight)
 
 
 def _product_axes(pos: np.ndarray) -> list[np.ndarray] | None:
@@ -546,19 +561,17 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
 # -- qubit geometry ----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)  # typed: True or 1.0 never reads the entry of 1
 def lattice_sites(count: int, dims: int) -> np.ndarray:
     """First `count` sites of a unit-spacing dims-dimensional lattice, centered.
 
     Sites are taken in lexicographic order from a cube just large enough to
-    hold them, then shifted to zero centroid.  dims = 0 collapses everything
-    to a single point.  The 8 most recent tables are kept, read-only: a
-    sweep rebuilds its layout from them at every point.
+    hold them, then shifted to zero centroid; dims = 0 collapses everything to
+    one point.  count is an integer >= 1, dims one >= 0, neither a bool (else a ValueError
+    naming it).  The 8 most recent tables are kept, read-only: a sweep rebuilds its layout.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    if dims < 0:
-        raise ValueError("dims must be non-negative")
+    count = _checked("count", ("", None, _integer, lambda v: v >= 1, "must be positive"), count)
+    dims = _checked("dims", _SCALARS["layout.D_x"], dims)  # an integer >= 0
     if dims == 0:
         sites = np.zeros((count, 1))
     else:

@@ -255,10 +255,12 @@ class RunConfig:
                      else getattr(self.channels[i], _CHANNEL_SCALARS[key][0]))
 
     def config_hash(self) -> str:
-        import hashlib  # imported here: only a run that writes a CSV maps OpenSSL (libcrypto)
         import json
+        from importlib import import_module, util
+        # CPython's own SHA-256 (_sha2 on 3.12+, _sha256 before); hashlib would map OpenSSL
+        module = next(name for name in ("_sha2", "_sha256", "hashlib") if util.find_spec(name))
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return import_module(module).sha256(blob.encode()).hexdigest()[:16]
 
     def with_value(self, dotted_key: str, value: Any) -> "RunConfig":
         """from_dict of the canonical tree with one scalar key replaced; used by parameter sweeps.

@@ -42,13 +42,13 @@ class AMatrix:
 def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
     """sum_k |u_k|^2 cos(k.(x_i - x_j)) for every site pair (i, j), no coupling scale.
 
-    Twice |u|^2 times cos summed over each shell's +-k pairs (_shell_cos):
-    one walk of the lattice serves every distinct separation, separation 0
-    the on-site sum.  A malformed grid raises (see ModeGrid).
+    Twice |u|^2 times cos summed over each shell's +-k pairs: one walk contracts every
+    distinct separation with u2 as it goes (_shell_cos); separation 0, the on-site sum,
+    is u2 * weight / 2 with no walk.  A malformed grid raises (see ModeGrid).
     """
     seps, _, index = _separations(positions)
-    rows = [0.5 * grid.weight, *_shell_cos(grid, seps[1:])]  # seps[0] = 0: the pair counts
-    return 2.0 * np.array([np.einsum("i,i->", grid.u2, cos) for cos in rows])[index]
+    on_site = np.einsum("i,i->", grid.u2, grid.weight)  # 2 * (u2 . weight / 2), exactly
+    return np.array([on_site, *2.0 * _shell_cos(grid, seps[1:], grid.u2)])[index]
 
 
 def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: float) -> AMatrix:

@@ -494,6 +494,20 @@ class TestShellKernel:
         np.testing.assert_allclose(grid.omega, k**_SHELL_CH.z_exp, rtol=1e-15)
         np.testing.assert_allclose(grid.u2, k ** (2.0 * _SHELL_CH.s_exp), rtol=1e-15)
 
+    def test_weight_contracts_the_binned_rows(self, shell_case, monkeypatch):
+        # one dot per row during the walk equals the per-shell rows contracted afterwards
+        _, grid, _ = shell_case
+        seps = np.array([[0.7] * grid.D, [2.3] + [-1.1] * (grid.D - 1)])
+        rows = bath._shell_cos(grid, seps)
+        want = np.array([np.einsum("i,i->", grid.u2, row) for row in rows])
+        got = bath._shell_cos(grid, seps, grid.u2)
+        assert got.shape == (2,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * grid.static_sum)
+        monkeypatch.setattr(bath, "_CHUNK", 7)  # many walk chunks per shell
+        np.testing.assert_allclose(bath._shell_cos(grid, seps, grid.u2), want, rtol=1e-12,
+                                   atol=1e-12 * grid.static_sum)
+        assert bath._shell_cos(grid, seps[:0], grid.u2).shape == (0,)
+
     def test_gamma(self, shell_case):
         geom, grid, times = shell_case
         assert gamma(grid, 0.03, 0.0) == 0.0
@@ -748,6 +762,13 @@ class TestPlusMinusFold:
             with pytest.raises(ArithmeticError, match="pair table"):
                 w_pair(grid, positions[0], positions[1], 1.0)
 
+    @pytest.mark.parametrize("case", ["m2 off the lattice", "m2 swapped", "wrong weight"])
+    def test_contracted_walk_checks_the_table(self, case):
+        grid = _malformed(build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH), case)
+        for seps in (np.zeros((0, 3)), np.ones((2, 3))):  # no separation still walks
+            with pytest.raises(ArithmeticError, match="pair table"):
+                bath._shell_cos(grid, seps, grid.u2)
+
     @pytest.mark.parametrize("case", ["m2 off the lattice", "m2 repeated", "wrong weight"])
     def test_malformed_line_grid_rejected(self, case):
         # D = 1 walks its shells, not the lattice: the pair of |n| = j belongs to the last shell
@@ -880,6 +901,25 @@ class TestLineSlices:
         monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
         with pytest.raises(ArithmeticError, match="pair table"):
             bath._shell_sums(self._grid(m2, weight), self._rows, 2)
+
+    @pytest.mark.parametrize("case", ["permuted", "repeated", "no square", "wrong weight"])
+    def test_contracted_sums_match_the_definition(self, case, monkeypatch):
+        m2, weight = self._table(case)
+        u2 = np.linspace(0.5, 2.0, len(m2))
+        contract = lambda: bath._shell_sums(self._grid(m2, weight), self._rows, 2, u2)
+        try:
+            rows = _line_reference(m2.tolist(), weight.tolist(),
+                                   lambda n: (math.cos(0.3 * n), 1.0 * n))
+        except ArithmeticError:
+            for chunk in (bath._CHUNK, self.CHUNK):
+                monkeypatch.setattr(bath, "_CHUNK", chunk)
+                with pytest.raises(ArithmeticError, match="pair table"):
+                    contract()
+            return
+        whole = contract()
+        np.testing.assert_allclose(whole, np.einsum("ci,i->c", rows, u2), rtol=1e-14)
+        monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
+        assert np.array_equal(contract(), whole)  # one dot over all shells, however sliced
 
     def test_slicing_changes_no_value(self, monkeypatch):
         # every pass over shells (the harmonic check, the tables, the walk) is elementwise
@@ -1057,6 +1097,12 @@ class TestLayout:
     def test_lattice_sites_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="count must be positive"):
             lattice_sites(0, 1)
+        for args in ((1, 1), (3, 1)):  # cached first: an untyped cache gives True the key of 1
+            lattice_sites(*args)
+        for count, dims, name in ((3, 1.5, "dims"), (2.5, 1, "count"), (True, 1, "count"),
+                                  (3, True, "dims")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+                lattice_sites(count, dims)
         proc = fresh_interpreter(  # a negative dimension looped forever
             "import qecbound as qb\n"
             "for build in (lambda: qb.lattice_sites(3, -1), lambda: qb.regular_layout(2, 100.0, -1, 1.0)):\n"

@@ -506,6 +506,27 @@ class TestImportLayers:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["16", "102"]  # both searches ran to a finite M
 
+    @pytest.mark.parametrize("cmd", ["eta", "lambda-star"])
+    def test_csv_run_maps_no_openssl(self, tmp_path, cmd):
+        # the config hash takes CPython's own SHA-256; hashlib would map OpenSSL's libcrypto
+        proc = fresh_interpreter(
+            "import sys\nfrom qecbound.cli import main\n"
+            "before = {'hashlib', '_hashlib'} & set(sys.modules)\n"
+            f"assert main(['--out', {str(tmp_path)!r}, {cmd!r}]) == 0\n"
+            "loaded = {'hashlib', '_hashlib'} & set(sys.modules) - before\n"
+            "assert not loaded, loaded")
+        assert proc.returncode == 0, proc.stderr
+        assert "# config: ab73b34ef89803d1" in (tmp_path / f"{cmd}.csv").read_text().splitlines()
+
+    def test_config_hash_without_a_builtin_sha2(self):
+        # where CPython has no SHA-2 module of its own, hashlib gives the same digest
+        proc = fresh_interpreter(
+            "import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from qecbound import default_config\n"
+            "print(default_config().config_hash(), 'hashlib' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ab73b34ef89803d1", "True"]
+
     def test_config_hash_unchanged(self):
         assert default_config().config_hash() == "ab73b34ef89803d1"  # the '# config:' header
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,24 @@ class TestAMatrix:
         a = a_matrix(grid, layout, ch, delta)
         np.testing.assert_allclose(a.values, ref, rtol=1e-12, atol=1e-12 * ref[0, 0])
         assert a.axis == "x"
+
+    def test_pair_sums_hold_no_row_per_separation(self):
+        # 29,123 shells and 6 separations: a shell-sized row per separation alone is 1.4 MB
+        geom = BathGeometry(D=2, L=2 * math.pi * 350, omega_c=1.0)
+        ch = BathChannel(axis="z", z_exp=1.0, s_exp=0.25, lam=1e-3)
+        layout = regular_layout(1, Xi=100.0, D_x=2, xi=1.0)
+        shared = build_mode_grid(geom, ch)
+        grid = ModeGrid(D=2, L=geom.L, omega=shared.omega, u2=shared.u2, weight=shared.weight,
+                        m2=shared.m2)  # no memoized pair sums
+        tracemalloc.start()
+        try:
+            a_matrix(grid, layout, ch, delta=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.stored_count == 29_123
+        assert len(coupling._separations(layout.padded_offsets(2))[0]) == 7  # d = 0 and 6 more
+        assert peak < 2_800_000
 
     def test_second_coupling_reuses_the_pair_sums(self, small_grid, monkeypatch):
         geom, ch, grid = small_grid
