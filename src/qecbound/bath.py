@@ -16,8 +16,9 @@ D = 1 with z_exp = 1 the shell frequencies are the harmonics j * 2*pi/L, and
 O(sqrt(shells)) calls suffice.  A position sum needs cos(k.d) per mode, so it
 walks the lattice in chunks, one point per +-k pair (_shell_sums), and bins each
 point into its shell, or contracts it with a per-shell weight where the sum is
-one scalar per d (the pair amplitudes).  All d of a position set share one walk,
-and so do the axis factors of the structure factor of a D >= 2 product layout.
+one scalar per d (the pair amplitudes); ModeGrid checked the shell table once.
+All d of a position set share one walk, and so do the axis factors of the
+structure factor of a D >= 2 product layout.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .config import _SCALARS, BathChannel, BathGeometry, _checked, _integer, _nu
 from .errors import CapabilityError, ConfigError, DegenerateInputError, DimensionError
 
 DEFAULT_MODE_BUDGET = 10_000_000
-_NOT_A_PAIR_TABLE = ("grid is not a +-k pair table: the weight of every shell must be the "
-                     "lattice's mode count at its |n|^2 (m2)")
+_NOT_A_PAIR_TABLE = ("grid is not a +-k pair table: m2 must be every |n|^2 of the ball, in "
+                     "increasing order, and each weight the lattice's mode count at its m2")
 _CHUNK = 1 << 14  # lattice points per step of a walk: bounds every temporary of a position sum
 _NO_LEAD = np.zeros((1, 0), dtype=np.int64)  # the leading coordinates of a D = 1 run: none
 
@@ -47,10 +48,11 @@ class ModeGrid:
     """Momentum lattice of one channel spectrum, as its shell table.
 
     m2, omega, u2 and weight are per shell, one entry per distinct |n|^2 in
-    increasing order: m2 is |n|^2 (k = (2*pi/L)*n) and weight the number of
-    modes in the shell.  A position sum walks the half lattice (see
-    _shell_sums), which checks a hand-built grid: unless every shell's weight
-    is the lattice's mode count at its m2, it raises ArithmeticError.
+    increasing order: m2 is an integer array holding every |n|^2 of the ball
+    |n|^2 <= max(m2) (k = (2*pi/L)*n), and weight the lattice's mode count at
+    each m2.  Construction checks this pair table, once, and raises
+    ArithmeticError for a hand-built grid that breaks it; every position sum
+    then walks the half lattice trusting it (see _shell_sums).
 
     A grid reads only the geometry, the exponents (z_exp, s_exp) and the
     mode budget, never the channel axis or coupling.  build_mode_grid
@@ -72,8 +74,8 @@ class ModeGrid:
     _memo: dict[str, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Refuses a grid no sum can use: arrays not 1-D of one length, no shells, or an omega
-        that is not positive and finite."""
+        """Refuses a grid no sum can use: arrays not 1-D of one length, no shells, an omega not
+        positive and finite, a u2 not non-negative and finite, or no +-k pair table."""
         arrays = (self.m2, self.omega, self.u2, self.weight)
         if any(np.ndim(a) != 1 for a in arrays) or len({len(a) for a in arrays}) != 1:
             raise DimensionError("mode grid m2, omega, u2 and weight must be 1-D, of one length")
@@ -81,6 +83,10 @@ class ModeGrid:
             raise DegenerateInputError("mode grid is empty")
         if not (np.isfinite(self.omega).all() and (self.omega > 0).all()):
             raise ValueError("mode grid omega must be positive and finite")
+        if not (np.isfinite(self.u2).all() and (self.u2 >= 0).all()):
+            raise ValueError("mode grid u2 must be non-negative and finite")
+        if not _is_pair_table(self.D, self.m2, self.weight):
+            raise ArithmeticError(_NOT_A_PAIR_TABLE)
 
     def memo(self, kind: str, key: Hashable, compute: Callable[[], Any]) -> Any:
         """compute(), memoized on this grid under (kind, key).
@@ -201,21 +207,34 @@ def _half_ball(D: int, m2max: int) -> Iterator[tuple]:
     return _runs(lead[: mid + 1], -half[: mid + 1], lens)
 
 
+@functools.lru_cache(maxsize=2)
 def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values of |n|^2, multiplicities) over the nonzero integer vectors of the ball.
+    """(values of |n|^2, multiplicities as floats) over the nonzero integer vectors of the ball.
 
     Each chunk of the half ball adds its points to one count table over
-    |n|^2 <= m2max, but for D = 1: shell |n| holds +n and -n.
+    |n|^2 <= m2max, but for D = 1: shell |n| holds +n and -n.  The two latest
+    are kept: a built grid holds them, and its check reads them, not a new walk.
     """
     if D == 1:
         r = np.arange(1, math.isqrt(m2max) + 1, dtype=np.int64)
-        return r * r, np.full(len(r), 2, dtype=np.int64)
+        return r * r, np.full(len(r), 2.0)
     counts = np.zeros(m2max + 1, dtype=np.int64)
     for lead, count, last in _half_ball(D, m2max):
         counts += np.bincount(np.repeat(np.einsum("ij,ij->i", lead, lead), count) + last * last,
                               minlength=m2max + 1)
     idx = np.flatnonzero(counts)
-    return idx, 2 * counts[idx]
+    return idx, 2.0 * counts[idx]
+
+
+def _is_pair_table(D: int, m2: np.ndarray, weight: np.ndarray) -> bool:
+    """Whether (m2, weight) is ModeGrid's table: on D = 1 the closed form, else _radial_counts."""
+    if not np.issubdtype(m2.dtype, np.integer):
+        return False
+    if D == 1:  # shell i is the pair n = +-(i + 1), checked in _slices: no shell-sized temporary
+        return all(np.array_equal(m2[s], np.arange(s.start + 1, s.stop + 1) ** 2)
+                   and (weight[s] == 2.0).all() for s in _slices(len(m2)))
+    m2max = int(m2.max())
+    return D > 1 and m2max >= 1 and all(map(np.array_equal, (m2, weight), _radial_counts(D, m2max)))
 
 
 @functools.lru_cache(maxsize=2)
@@ -239,10 +258,9 @@ def _shared_grid(geom: BathGeometry, z_exp: float, s_exp: float, max_modes: int)
             f"grid for (L={geom.L}, omega_c={geom.omega_c}) needs at least {count} modes, "
             f"exceeding the budget of {max_modes}"
         )
-    m2, counts = _radial_counts(geom.D, m2max)
+    m2, weight = _radial_counts(geom.D, m2max)
     k = (2.0 * math.pi / geom.L) * np.sqrt(m2.astype(np.float64))
-    grid = ModeGrid(D=geom.D, L=geom.L, omega=k**z_exp, u2=k ** (2.0 * s_exp),
-                    weight=counts.astype(np.float64), m2=m2)
+    grid = ModeGrid(D=geom.D, L=geom.L, omega=k**z_exp, u2=k ** (2.0 * s_exp), weight=weight, m2=m2)
     for array in (grid.omega, grid.u2, grid.weight, grid.m2):
         array.flags.writeable = False
     return grid
@@ -359,10 +377,7 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     d = np.atleast_1d(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
     if d.shape != (grid.D,):
         raise DimensionError(f"positions must have dimension {grid.D}")
-    if np.any(d):
-        table = _shell_table(grid, 2.0, _shell_cos(grid, [d])[0])
-    else:
-        table = grid._damping_table
+    table = _shell_table(grid, 2.0, _shell_cos(grid, [d])[0]) if d.any() else grid._damping_table
     return grid.prefactor * _oscillating_sum(grid, table, T)
 
 
@@ -411,53 +426,34 @@ def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int,
     The one kernel of the position sums: one walk of the half lattice (_half_ball), in which
     rows(lead, lens, last) gives a chunk's count rows.  Given a per-shell weight it returns
     (count,) and holds no shell-sized row: a chunk gathers the weight once and sums each row
-    against it pairwise (np.sum).  On D = 1 the shell |n| = j holds the one pair +-j, so the
-    walk runs over the shells, point n_1 = -j each, and bins nothing (a weight takes one dot
-    over all shells, which no slicing changes); the pair of |n| = j goes to the last shell
-    at m2 = j^2, as a lookup would.  ArithmeticError unless every weight is twice its pairs.
+    against it pairwise (np.sum).  The table is ModeGrid's checked pair table: on D = 1 shell
+    i is the pair n = +-(i + 1), so the walk runs over the shells in _slices, point -(i + 1)
+    each, and bins nothing (a weight takes one dot over all shells, which no slicing changes).
     """
     S, contract = len(grid.m2), weight is not None
-    sums = np.zeros(count) if contract else np.zeros((count, S + 1))  # column S: no shell's
-    if grid.D == 1:  # in _slices, the last first, so owner holds every later shell's claim
-        owner = np.full(math.isqrt(max(int(grid.m2.max(initial=0)), 0)) + 1, -1)  # |n| -> shell
-        owner[0] = S  # |n| = 0 holds no pair: always claimed
-        w = np.zeros(S) if contract else None  # the weight of each shell's pair, 0 for none
-        for s in reversed(_slices(S)):
-            j = np.sqrt(np.maximum(grid.m2[s], 0)).astype(np.intp)  # exact on squares below 2**53
-            j *= j * j == grid.m2[s]  # 0 where m2 is no square: no lattice point, no pair
-            shells, later = np.arange(s.start, s.stop), owner[j] >= 0  # j claimed by a later slice
-            owner[j] = shells  # within the slice, the last shell at each j wins
-            pairs = (owner[j] == shells) & ~later
-            if len(grid.weight) != S or not np.array_equal(2.0 * pairs, grid.weight[s]):
-                raise ArithmeticError(_NOT_A_PAIR_TABLE)
+    sums = np.zeros(count) if contract else np.zeros((count, S))
+    if grid.D == 1:
+        for s in [slice(0, S)] if contract else _slices(S):
+            chunk = rows(_NO_LEAD, [s.stop - s.start], -np.arange(s.start + 1, s.stop + 1))
             if contract:
-                np.multiply(weight[s], pairs, out=w[s])
-                continue
-            for total, values in zip(sums[:, s], rows(_NO_LEAD, [len(j)], -j)):
-                np.multiply(values, pairs, out=total)
-        if contract:
-            j = np.sqrt(np.maximum(grid.m2, 0)).astype(np.intp)  # read only where w is nonzero
-            sums += [np.einsum("i,i->", w, values) for values in rows(_NO_LEAD, [S], -j)]
-        return sums if contract else sums[:, :S]
-    m2max = int(grid.m2.max(initial=0))  # table: |n|^2 -> shell, S for none; a shell
-    table = np.full(m2max + 1, S, dtype=np.intp)  # below |n|^2 = 1 takes slot 0, which
-    table[np.maximum(grid.m2, 0)] = np.arange(S)  # no point of the walk reads
-    pairs, padded = np.zeros(S + 1), np.append(weight, 0.0) if contract else None
-    for lead, lens, last in _half_ball(grid.D, m2max):
+                return sums + [np.einsum("i,i->", weight, values) for values in chunk]
+            for total, values in zip(sums[:, s], chunk):
+                total[:] = values
+        return sums
+    table = np.empty(int(grid.m2[-1]) + 1, dtype=np.intp)  # |n|^2 -> shell; every point has one
+    table[grid.m2] = np.arange(S)
+    for lead, lens, last in _half_ball(grid.D, len(table) - 1):
         shell = table[np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
         if contract:
-            w = padded[shell]
+            w = weight[shell]
             sums += [np.sum(w * values) for values in rows(lead, lens, last)]
+            continue
         first = int(shell.min())  # binned over the shells the chunk reaches
         shell -= first
         reached = slice(first, first + int(shell.max()) + 1)
-        pairs[reached] += np.bincount(shell)
-        if not contract:
-            for total, values in zip(sums[:, reached], rows(lead, lens, last)):
-                total += np.bincount(shell, weights=values)
-    if not np.array_equal(2.0 * pairs[:S], grid.weight):
-        raise ArithmeticError(_NOT_A_PAIR_TABLE)
-    return sums if contract else sums[:, :S]
+        for total, values in zip(sums[:, reached], rows(lead, lens, last)):
+            total += np.bincount(shell, weights=values)
+    return sums
 
 
 def _phases(scale: np.ndarray, lead: np.ndarray, lens: np.ndarray, last: np.ndarray) -> Iterator:
@@ -474,7 +470,7 @@ def _shell_cos(grid: ModeGrid, seps: Sequence, weight: np.ndarray | None = None)
     """(separations, shells): per separation d, cos(k.d) summed over each shell's +-k pairs.
 
     One walk (_shell_sums) serves every d; given a per-shell weight, each d's row is
-    contracted with it (separations,).  ArithmeticError unless the grid is a pair table.
+    contracted with it (separations,).
     """
     scale = (2.0 * math.pi / grid.L) * np.asarray(seps, dtype=np.float64).reshape(-1, grid.D)
     return _shell_sums(grid, lambda *chunk: (np.cos(p, out=p) for p in _phases(scale, *chunk)),
@@ -504,7 +500,8 @@ def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
     The square is N + 2 sum_d m_d cos(k.d) over the distinct separations d
     of the pairs x < y (see _separations), which is real and exact for any
     positions; coincident pairs add 2 m_0.  It is formed per point and
-    binned once, in one walk (_shell_sums).  On D >= 2 a product layout of
+    binned once, in one walk (_shell_sums), or with no d besides 0 it is
+    (N + 2 m_0) * weight / 2, with no walk.  On D >= 2 a product layout of
     more than one position (see _product_axes) factorizes over the axes
     instead: S(k) = prod_a |sum_c e^{i k_a c}|^2 over axis a's coordinates
     c, each factor tabulated once per integer n_a and gathered in the walk;
@@ -513,6 +510,8 @@ def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
     axes = _product_axes(pos) if grid.D > 1 and len(pos) > 1 else None
     if axes is None:
         seps, mult, _ = _separations(pos)
+        if len(seps) == 1:
+            return (len(pos) + 2.0 * mult[0]) * (0.5 * grid.weight)
         scale = (2.0 * math.pi / grid.L) * seps[1:]
 
         def square(lead: np.ndarray, lens: np.ndarray, last: np.ndarray) -> Iterator[np.ndarray]:

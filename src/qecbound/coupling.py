@@ -44,7 +44,7 @@ def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
 
     Twice |u|^2 times cos summed over each shell's +-k pairs: one walk contracts every
     distinct separation with u2 as it goes (_shell_cos); separation 0, the on-site sum,
-    is u2 * weight / 2 with no walk.  A malformed grid raises (see ModeGrid).
+    is u2 * weight / 2 with no walk.
     """
     seps, _, index = _separations(positions)
     on_site = np.einsum("i,i->", grid.u2, grid.weight)  # 2 * (u2 . weight / 2), exactly
@@ -55,10 +55,10 @@ def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: f
     """Pair-amplitude matrix for one logical qubit's physical sites.
 
     Each distinct site separation d (d and -d folded, d = 0 the on-site sum)
-    costs one cos per +-k pair, all in one walk of the lattice; a malformed
-    hand-built grid raises ArithmeticError on every call.  The sums depend
-    on the grid and the offsets alone, so they are memoized on the grid and
-    only the (lambda * Delta)^2 scale is applied per call.
+    costs one cos per +-k pair, all in one walk of the lattice, which trusts
+    the shell table that ModeGrid checked when the grid was made.  The sums
+    depend on the grid and the offsets alone, so they are memoized on the
+    grid and only the (lambda * Delta)^2 scale is applied per call.
     """
     positions = layout.padded_offsets(grid.D)
     sums = grid.memo("pair_sums", positions.tobytes(), lambda: _pair_sums(grid, positions))

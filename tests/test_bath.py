@@ -46,9 +46,10 @@ class TestGridConstruction:
         ("empty", DegenerateInputError), ("ragged", DimensionError),
         ("two-dimensional", DimensionError),
         (0.0, ValueError), (-1.0, ValueError), (np.nan, ValueError), (np.inf, ValueError),
+        ("u2 nan", ValueError), ("u2 inf", ValueError), ("u2 negative", ValueError),
     ])
     def test_unusable_hand_built_grid_refused(self, case, error):
-        # a float case is one shell's omega
+        # a float case is one shell's omega, a "u2" case one shell's u2
         grid = build_mode_grid(BathGeometry(D=1, L=2 * math.pi * 10, omega_c=1.0), _ch())
         arrays = {name: np.array(getattr(grid, name)) for name in ("omega", "u2", "weight", "m2")}
         if case == "empty":
@@ -57,6 +58,8 @@ class TestGridConstruction:
             arrays["u2"] = arrays["u2"][1:]
         elif case == "two-dimensional":
             arrays = {name: array[None, :] for name, array in arrays.items()}
+        elif isinstance(case, str):
+            arrays["u2"][3] = {"u2 nan": np.nan, "u2 inf": np.inf, "u2 negative": -1e-3}[case]
         else:
             arrays["omega"][3] = case
         with pytest.raises(error, match="mode grid"):
@@ -565,6 +568,27 @@ class TestShellKernel:
         assert grid.mode_count == 904_088
         assert peak < 8_000_000
 
+    def test_line_grid_build_and_check_hold_few_shell_arrays(self):
+        # 125k shells of 1 MB each: the build holds its four arrays and about two of scratch,
+        # and the check of a hand-built copy works in _slices, with no shell-sized temporary
+        geom = BathGeometry(D=1, L=2 * math.pi * 125_000, omega_c=1.0)
+        shell_array = 8 * 125_000
+        bath._shared_grid.cache_clear()
+        bath._radial_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            grid = build_mode_grid(geom, _ch(s=0.25))
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=grid.weight, m2=grid.m2)
+            checked = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert grid.stored_count == 125_000
+        assert built <= 6.2 * shell_array
+        assert checked <= 0.5 * shell_array
+
     def test_radial_1d_counting_is_linear(self):
         geom = BathGeometry(D=1, L=2 * math.pi * 2000, omega_c=1.0)
         tracemalloc.start()
@@ -717,8 +741,13 @@ def _ref_a_matrix(geom, ch, offsets, scale):
     )
 
 
+def _hand_built(grid):
+    """The fields of a separate instance over a grid's arrays: nothing memoized on it."""
+    return {f: getattr(grid, f) for f in ("D", "L", "omega", "u2", "weight", "m2")}
+
+
 def _malformed(grid, case):
-    """A hand-built copy of a built grid that is not a +-k pair table."""
+    """The arrays of a hand-built copy of a built grid that is not a +-k pair table."""
     m2, weight = np.array(grid.m2), np.array(grid.weight)
     if case == "m2 off the lattice":  # 7 is no sum of three squares: no mode lies there
         m2[0] = 7
@@ -726,11 +755,14 @@ def _malformed(grid, case):
         m2[:2] = m2[1::-1]
     else:
         weight[0] += 2.0
-    return ModeGrid(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=m2)
+    return dict(D=grid.D, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=m2)
 
 
 class TestPlusMinusFold:
-    """Position sums walk one lattice point per +-k pair; check them against every mode."""
+    """Position sums walk one lattice point per +-k pair; check them against every mode.
+
+    The walk trusts the grid's shell table, so a table that is not the lattice's +-k pair
+    table is refused when the grid is made, and no position sum ever sees it."""
 
     @pytest.mark.parametrize("D_x", [1, 2])
     def test_zero_components_match_full_grid(self, D_x):
@@ -751,72 +783,90 @@ class TestPlusMinusFold:
 
     @pytest.mark.parametrize("case", ["m2 off the lattice", "m2 swapped", "wrong weight"])
     def test_malformed_grid_rejected_by_every_position_sum(self, case):
-        grid = _malformed(build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH), case)
-        register = regular_layout(2, Xi=7.0, D_x=1, xi=0.5)
-        positions = register.padded_logical_positions(3)
+        # refused when made, so no position sum can take it
+        arrays = _malformed(build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH), case)
         for _ in range(2):  # a failed check is not cached
             with pytest.raises(ArithmeticError, match="pair table"):
-                a_matrix(grid, register, _ch(), delta=1.0)
-            with pytest.raises(ArithmeticError, match="pair table"):
-                w_sum(grid, positions, 1.0)
-            with pytest.raises(ArithmeticError, match="pair table"):
-                w_pair(grid, positions[0], positions[1], 1.0)
+                ModeGrid(**arrays)
 
     @pytest.mark.parametrize("case", ["m2 off the lattice", "m2 swapped", "wrong weight"])
-    def test_contracted_walk_checks_the_table(self, case):
-        grid = _malformed(build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH), case)
-        for seps in (np.zeros((0, 3)), np.ones((2, 3))):  # no separation still walks
-            with pytest.raises(ArithmeticError, match="pair table"):
-                bath._shell_cos(grid, seps, grid.u2)
+    def test_contracted_walk_checks_the_table(self, case, monkeypatch):
+        # the check's own count walk, chunked as every walk is, finds the fault at any chunk size
+        arrays = _malformed(build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH), case)
+        monkeypatch.setattr(bath, "_CHUNK", 7)
+        bath._radial_counts.cache_clear()  # no table of the build to read: the check walks
+        with pytest.raises(ArithmeticError, match="pair table"):
+            ModeGrid(**arrays)
 
     @pytest.mark.parametrize("case", ["m2 off the lattice", "m2 repeated", "wrong weight"])
-    def test_malformed_line_grid_rejected(self, case):
-        # D = 1 walks its shells, not the lattice: the pair of |n| = j belongs to the last shell
-        # at m2 = j^2, and a shell without one must have weight 0
+    def test_malformed_line_grid_rejected(self, case, monkeypatch):
+        # D = 1 shell i must be the pair n = +-(i + 1): m2 = (i + 1)^2 and weight 2, in _slices
         grid = build_mode_grid(_SHELL_CASES[0][1], _SHELL_CH)
         m2, weight = np.array(grid.m2), np.array(grid.weight)
         if case == "m2 off the lattice":  # 2 is no square
             m2[1] = 2
-        elif case == "m2 repeated":  # two shells claim the one pair at |n| = 1
+        elif case == "m2 repeated":  # two shells at the one pair |n| = 1
             m2[1] = 1
         else:
             weight[-1] = 4.0
-        bad = ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=m2)
-        register = regular_layout(2, Xi=7.0, D_x=1, xi=0.5)
-        with pytest.raises(ArithmeticError, match="pair table"):
-            a_matrix(bad, register, _ch(), delta=1.0)
-        with pytest.raises(ArithmeticError, match="pair table"):
-            w_sum(bad, register.padded_logical_positions(1), 1.0)
+        for chunk in (bath._CHUNK, 7):  # the fault in the first or the last of several slices
+            monkeypatch.setattr(bath, "_CHUNK", chunk)
+            with pytest.raises(ArithmeticError, match="pair table"):
+                ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=m2)
 
-    def test_line_shell_without_a_pair_adds_nothing(self):
+    def test_line_shell_without_a_pair_refused(self):
         grid = build_mode_grid(_SHELL_CASES[0][1], _SHELL_CH)
         m2, weight = np.array(grid.m2), np.array(grid.weight)
         m2[1], weight[1] = 2, 0.0  # no lattice point at |n|^2 = 2, and no mode claimed there
-        odd = ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=m2)
-        dropped = ModeGrid(D=1, L=grid.L, **{name: np.delete(getattr(grid, name), 1)
-                                              for name in ("omega", "u2", "weight", "m2")})
-        register = regular_layout(2, Xi=7.0, D_x=1, xi=0.5)
-        np.testing.assert_allclose(a_matrix(odd, register, _ch(), delta=1.0).values,
-                                   a_matrix(dropped, register, _ch(), delta=1.0).values, rtol=1e-12)
-        positions = register.padded_logical_positions(1)
-        _assert_close(w_sum(odd, positions, 2.0), w_sum(dropped, positions, 2.0))
+        with pytest.raises(ArithmeticError, match="pair table"):
+            ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=m2)
+        with pytest.raises(ArithmeticError, match="pair table"):  # the ball without |n|^2 = 4
+            ModeGrid(D=1, L=grid.L, **{name: np.delete(getattr(grid, name), 1)
+                                        for name in ("omega", "u2", "weight", "m2")})
 
-    def test_permuted_grid_gives_the_same_sums(self):
-        # the walk finds each point's shell by |n|^2 (|n| on D = 1), not by its place in the table
-        for geom, D_x in ((_SHELL_CASES[2][1], 2), (_SHELL_CASES[0][1], 1)):
+    def test_permuted_grid_refused(self):
+        # the shells are in increasing order: the walk takes shell i for |n| = i + 1 on D = 1
+        for geom in (_SHELL_CASES[2][1], _SHELL_CASES[0][1]):
             grid = build_mode_grid(geom, _SHELL_CH)
             order = np.random.default_rng(5).permutation(grid.stored_count)
-            permuted = ModeGrid(D=grid.D, L=grid.L, omega=grid.omega[order], u2=grid.u2[order],
-                                weight=grid.weight[order], m2=grid.m2[order])
+            with pytest.raises(ArithmeticError, match="pair table"):
+                ModeGrid(D=grid.D, L=grid.L, omega=grid.omega[order], u2=grid.u2[order],
+                         weight=grid.weight[order], m2=grid.m2[order])
+
+    @pytest.mark.parametrize("kind", ["float", "negative"])
+    def test_table_of_other_values_refused(self, kind):
+        # m2 is an integer array of shells |n|^2 >= 1: a float copy or a shell at 0 is no table
+        for geom in (_SHELL_CASES[1][1], _SHELL_CASES[0][1]):
+            grid = build_mode_grid(geom, _SHELL_CH)
+            m2 = grid.m2.astype(float) if kind == "float" else np.array(grid.m2) - 1
+            with pytest.raises(ArithmeticError, match="pair table"):
+                ModeGrid(**{**_hand_built(grid), "m2": m2})
+
+    def test_position_sums_trust_the_checked_table(self, monkeypatch):
+        # the table is checked once, when the grid is made, and never by a position sum
+        cases = [(build_mode_grid(geom, _SHELL_CH), D_x)
+                 for geom, D_x in ((_SHELL_CASES[1][1], 2), (_SHELL_CASES[0][1], 1))]
+        checks = []
+        real = bath._is_pair_table
+        monkeypatch.setattr(bath, "_is_pair_table", lambda *args: checks.append(1) or real(*args))
+        for built, D_x in cases:
+            grid = ModeGrid(**_hand_built(built))
             register = regular_layout(4, Xi=7.0, D_x=D_x, xi=0.5)
-            positions = register.padded_logical_positions(geom.D)
-            for T in (3.7, 2.5 * grid.L + 0.9):
-                _assert_close(w_sum(permuted, positions, T), w_sum(grid, positions, T))
-                x, y = positions[0], positions[-1]
-                _assert_close(w_pair(permuted, x, y, T), w_pair(grid, x, y, T))
-            want = a_matrix(grid, register, _SHELL_CH, delta=1.5).values
-            got = a_matrix(permuted, register, _SHELL_CH, delta=1.5).values
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want[0, 0])
+            positions = register.padded_logical_positions(grid.D)
+            a_matrix(grid, register, _SHELL_CH, delta=1.5)
+            w_sum(grid, positions, 3.7)
+            w_pair(grid, positions[0], positions[-1], 3.7)
+        assert len(checks) == 2
+
+    def test_built_grid_walks_the_lattice_once(self, monkeypatch):
+        # the check of a D >= 2 grid reads the table of the build's count walk
+        walks = []
+        real = bath._half_ball
+        monkeypatch.setattr(bath, "_half_ball", lambda *args: walks.append(1) or real(*args))
+        bath._shared_grid.cache_clear()
+        bath._radial_counts.cache_clear()
+        ModeGrid(**_hand_built(build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH)))
+        assert walks == [1]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -838,29 +888,29 @@ class TestPlusMinusFold:
 
 
 def _line_reference(m2, weight, f):
-    """D = 1 position sums by their definition, unchunked: the pair of |n| = j belongs to the
-    last shell at m2 = j^2, every shell's weight must be twice its pairs, and the shell holding
-    the pair of |n| = j gets f(-j), every other shell 0."""
-    owner = {math.isqrt(m): i for i, m in enumerate(m2) if m > 0 and math.isqrt(m) ** 2 == m}
-    holds = {i: j for j, i in owner.items()}
-    if [2.0 * (i in holds) for i in range(len(m2))] != list(weight):
+    """D = 1 position sums by their definition, unchunked: shell i must be the pair
+    n = +-(i + 1), at m2 = (i + 1)^2 with weight 2, and it gets f(-(i + 1))."""
+    if list(m2) != [(i + 1) ** 2 for i in range(len(m2))] or set(weight) - {2.0}:
         raise ArithmeticError("grid is not a +-k pair table")
-    return np.array([f(-holds[i]) if i in holds else (0.0, 0.0) for i in range(len(m2))]).T
+    return np.array([f(-(i + 1)) for i in range(len(m2))]).T
 
 
 class TestLineSlices:
-    """D = 1 shells are checked and summed in slices of _CHUNK, last slice first; the pair of
-    |n| = j still belongs to the last shell at m2 = j^2 when its copies fall in different slices."""
+    """D = 1 shells are checked and summed in slices of _CHUNK: shell i is the pair
+    n = +-(i + 1), and a table that is not (permuted, a repeated or missing square, a shell
+    off the squares, another weight) is refused when the grid is made, as the definition
+    refuses it, wherever the fault falls among the slices."""
 
     CHUNK = 7  # 30 shells: four full slices and a short one
     REPEAT = (2, 25)  # shells in slices 0 and 3
 
     @staticmethod
     def _table(case):
-        m2 = (np.random.default_rng(19).permutation(30) + 1) ** 2
-        weight = np.full(30, 2.0)
+        m2, weight = (np.arange(30) + 1) ** 2, np.full(30, 2.0)
         first, last = TestLineSlices.REPEAT
-        if case.startswith("repeated"):
+        if case == "permuted":
+            m2 = m2[np.random.default_rng(19).permutation(30)]
+        elif case.startswith("repeated"):
             m2[first] = m2[last]
             weight[[first, last]] = {"repeated": (0.0, 2.0), "repeated, both claim": (2.0, 2.0),
                                      "repeated, first copy claims": (2.0, 0.0)}[case]
@@ -879,15 +929,31 @@ class TestLineSlices:
     def _rows(lead, lens, last):
         return [np.cos(0.3 * last), 1.0 * last]
 
-    @pytest.mark.parametrize("case", ["permuted", "repeated", "no square"])
+    def _refused_like_the_definition(self, case, monkeypatch):
+        """True, having checked the refusal at both chunk sizes, if the definition refuses case."""
+        m2, weight = self._table(case)
+        try:
+            _line_reference(m2.tolist(), weight.tolist(), lambda n: (0.0, 0.0))
+        except ArithmeticError:
+            for chunk in (bath._CHUNK, self.CHUNK):
+                monkeypatch.setattr(bath, "_CHUNK", chunk)
+                with pytest.raises(ArithmeticError, match="pair table"):
+                    self._grid(m2, weight)
+            return True
+        return False
+
+    @pytest.mark.parametrize("case", ["pair table", "permuted", "repeated", "no square"])
     def test_sums_match_the_definition(self, case, monkeypatch):
+        if self._refused_like_the_definition(case, monkeypatch):
+            assert case != "pair table"
+            return
         m2, weight = self._table(case)
         whole = bath._shell_sums(self._grid(m2, weight), self._rows, 2)
         monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
         seen = []
         rows = lambda lead, lens, last: seen.append(len(last)) or self._rows(lead, lens, last)
         sliced = bath._shell_sums(self._grid(m2, weight), rows, 2)
-        assert seen == [2, 7, 7, 7, 7]  # the short last slice first
+        assert seen == [7, 7, 7, 7, 2]
         assert np.array_equal(sliced, whole)
         want = _line_reference(m2.tolist(), weight.tolist(), lambda n: (math.cos(0.3 * n), 1.0 * n))
         np.testing.assert_allclose(sliced, want, rtol=0, atol=1e-15)
@@ -895,27 +961,18 @@ class TestLineSlices:
     @pytest.mark.parametrize("case", ["repeated, first copy claims", "repeated, both claim",
                                       "no square with a weight", "wrong weight"])
     def test_malformed_tables_rejected(self, case, monkeypatch):
-        m2, weight = self._table(case)
-        with pytest.raises(ArithmeticError, match="pair table"):
-            _line_reference(m2.tolist(), weight.tolist(), lambda n: (0.0, 0.0))
-        monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
-        with pytest.raises(ArithmeticError, match="pair table"):
-            bath._shell_sums(self._grid(m2, weight), self._rows, 2)
+        assert self._refused_like_the_definition(case, monkeypatch)
 
-    @pytest.mark.parametrize("case", ["permuted", "repeated", "no square", "wrong weight"])
+    @pytest.mark.parametrize("case", ["pair table", "permuted", "repeated", "no square",
+                                      "wrong weight"])
     def test_contracted_sums_match_the_definition(self, case, monkeypatch):
+        if self._refused_like_the_definition(case, monkeypatch):
+            assert case != "pair table"
+            return
         m2, weight = self._table(case)
         u2 = np.linspace(0.5, 2.0, len(m2))
         contract = lambda: bath._shell_sums(self._grid(m2, weight), self._rows, 2, u2)
-        try:
-            rows = _line_reference(m2.tolist(), weight.tolist(),
-                                   lambda n: (math.cos(0.3 * n), 1.0 * n))
-        except ArithmeticError:
-            for chunk in (bath._CHUNK, self.CHUNK):
-                monkeypatch.setattr(bath, "_CHUNK", chunk)
-                with pytest.raises(ArithmeticError, match="pair table"):
-                    contract()
-            return
+        rows = _line_reference(m2.tolist(), weight.tolist(), lambda n: (math.cos(0.3 * n), 1.0 * n))
         whole = contract()
         np.testing.assert_allclose(whole, np.einsum("ci,i->c", rows, u2), rtol=1e-14)
         monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
@@ -969,21 +1026,27 @@ class TestShellTableGrid:
 
     @pytest.mark.parametrize("z", [1.0, 1.2], ids=["harmonic", "per-shell"])
     def test_shell_weight_other_than_two_rejected_by_every_position_sum(self, z):
+        # refused when made, harmonic or not, so no position sum can take it
         grid = build_mode_grid(_LINE_GEOM, _ch(z=z))
         weight = np.array(grid.weight)
         weight[3] = 4.0
-        malformed = ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=grid.m2)
-        for layout in _LINE_LAYOUTS.values():
-            positions = layout.padded_logical_positions(1)
-            for _ in range(2):  # a failed check is not memoized
-                with pytest.raises(ArithmeticError, match="pair table"):
-                    a_matrix(malformed, layout, _ch(), delta=1.0)
-                with pytest.raises(ArithmeticError, match="pair table"):
-                    w_sum(malformed, positions, 1.0)
-                with pytest.raises(ArithmeticError, match="pair table"):
-                    w_sum(malformed, positions[:1], 1.0)  # one site: no separation to form
-                with pytest.raises(ArithmeticError, match="pair table"):
-                    w_pair(malformed, positions[0], positions[-1], 1.0)
+        for _ in range(2):  # a failed check is not memoized
+            with pytest.raises(ArithmeticError, match="pair table"):
+                ModeGrid(D=1, L=grid.L, omega=grid.omega, u2=grid.u2, weight=weight, m2=grid.m2)
+
+
+@pytest.mark.parametrize("geom", [geom for _, geom in _SHELL_CASES], ids=["D1", "D2", "D3"])
+def test_one_position_register_is_the_diagonal_pair(geom, monkeypatch):
+    # no nonzero separation: the structure factor is (N + 2 m_0) * weight / 2, with no walk
+    grid = ModeGrid(**_hand_built(build_mode_grid(geom, _SHELL_CH)))  # nothing memoized
+    walks = []
+    real = bath._shell_sums
+    monkeypatch.setattr(bath, "_shell_sums", lambda *args: walks.append(1) or real(*args))
+    x = np.linspace(0.3, 1.1, geom.D)
+    for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
+        assert w_sum(grid, [x], T) == w_pair(grid, x, x, T)
+        _assert_parts_close(w_sum(grid, [x, x, x], T), 9.0 * w_pair(grid, x, x, T))
+    assert walks == []
 
 
 _PRODUCT_CASES = [  # (grid geometry, z, positions): each a full product of per-axis coordinates
