@@ -10,13 +10,14 @@ for nonzero integer vectors n, cut off at omega <= omega_c.
 Dispersion and coupling weight depend only on |k|, so the modes group into
 shells, one per distinct |n|**2, and every sum here is even in k.  A grid is
 therefore a shell table on every D, and stores no mode vector.  Every
-time-dependent sum bins its static weights into shells once and then costs
-one cos (and one sin for an imaginary part) per shell and time point; on
-D = 1 with z_exp = 1 the shell frequencies are the harmonics j * 2*pi/L, and
-O(sqrt(shells)) calls suffice.  A position sum needs cos(k.d) per mode, so it
-walks the lattice in chunks, one point per +-k pair (_shell_sums), and bins each
-point into its shell, or contracts it with a per-shell weight where the sum is
-one scalar per d (the pair amplitudes); ModeGrid checked the shell table once.
+time-dependent sum reads one Spectrum, its static weights binned into shells
+once: a time point costs one cos (and one sin for an imaginary part) per
+shell, or O(sqrt(shells)) on D = 1 with z_exp = 1, where the shell
+frequencies are the harmonics j * 2*pi/L.  A position sum needs cos(k.d) per
+mode, so it walks the lattice in chunks, one point per +-k pair (_shell_sums),
+and bins each point into its shell, or contracts it with a per-shell weight
+where the sum is one scalar per d (the pair amplitudes); ModeGrid checked the
+shell table once.
 All d of a position set share one walk, and so do the axis factors of the
 structure factor of a D >= 2 product layout.
 """
@@ -43,6 +44,56 @@ _CHUNK = 1 << 14  # lattice points per step of a walk: bounds every temporary of
 _NO_LEAD = np.zeros((1, 0), dtype=np.int64)  # the leading coordinates of a D = 1 run: none
 
 
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """The nodes of one time sum, sum_j weights_j * (1 - e^{i omega_j T}).
+
+    Every time sum has this form.  weights hold every static factor, the lattice
+    prefactor (2*pi/L)^D included, so a time sum reads nothing else; on a grid a node
+    is a shell, its weights binned once (ModeGrid.spectrum).  A time point costs a cos
+    and a sin per node, or O(sqrt(S)) of them on S harmonic nodes, omega bitwise
+    j * omega_1 (j = 1..S): then block is (B, its column sums), B[q, r] holding node
+    j = q*R + r (0 at j = 0 and past S), R = isqrt(S) + 1 >= sqrt(S + 1), and weights
+    a view of B.
+    """
+
+    omega: np.ndarray
+    weights: np.ndarray
+    block: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def static(self) -> float:
+        """sum of the weights: the time sum's long-time mean."""
+        return float(np.sum(self.weights))
+
+    def at(self, T: float, imag: bool = True) -> complex:
+        """sum over nodes of weights * (1 - e^{i omega T}).
+
+        The real part is sum weights * (1 - cos omega T), formed as the versine
+        vers x = 2 sin^2(x/2), which keeps its relative accuracy where omega T is small;
+        the imaginary part is -sum weights * sin omega T (skipped when imag is False).
+        On harmonic nodes, node j = q*R + r has phase a + b (a = omega_{q*R} T, b =
+        omega_r T), so one contraction of B with (cos b, sin b) gives 1 - cos(a + b) =
+        vers b + cos b vers a + sin b sin a and sin(a + b) = cos b sin a + sin b cos a.
+        """
+        # einsum, not np.dot or @: qecbound calls no BLAS routine (see the package docstring)
+        if self.block is None:
+            x = self.omega * T
+            im = -float(np.einsum("i,i->", self.weights, np.sin(x))) if imag else 0.0
+            re = float(np.einsum("i,i->", self.weights, 2.0 * np.sin(0.5 * x) ** 2))
+            return complex(re, im)
+        block, column_sums = self.block
+        R = block.shape[1]  # a, b from the stored omega of nodes q*R and r, rounded as omega * T is
+        a = np.concatenate(([0.0], self.omega[R - 1 :: R])) * T
+        b = np.concatenate(([0.0], self.omega[: R - 1])) * T
+        cos_sin_b = np.einsum("qr,kr->kq", block, [np.cos(b), np.sin(b)])
+        sin_a = np.sin(a)
+        re = np.einsum("r,r->", column_sums, 2.0 * np.sin(0.5 * b) ** 2) + np.einsum(
+            "kq,kq->", [2.0 * np.sin(0.5 * a) ** 2, sin_a], cos_sin_b)
+        im = -np.einsum("kq,kq->", [sin_a, np.cos(a)], cos_sin_b) if imag else 0.0
+        return complex(float(re), float(im))
+
+
 @dataclass(eq=False)
 class ModeGrid:
     """Momentum lattice of one channel spectrum, as its shell table.
@@ -59,8 +110,8 @@ class ModeGrid:
     returns one shared instance per such key and keeps the two most recently
     built alive, which covers both channels of one configuration; their
     arrays are read-only.  Everything derived from the grid alone is
-    computed once per instance: the per-shell damping (a cached property),
-    and through :meth:`memo` the register weights of the latest position
+    computed once per instance: the dephasing spectrum (a cached property),
+    and through :meth:`memo` the register spectrum of the latest position
     set (w_sum), the unscaled pair sums of the latest offset set (a_matrix)
     and the latest numeric single-qubit bound per (inputs, lambda*).
     """
@@ -116,11 +167,6 @@ class ModeGrid:
         """Number of lattice modes represented (multiplicities included)."""
         return int(round(float(np.sum(self.weight))))
 
-    @property
-    def shell_damping(self) -> np.ndarray:
-        """weight * |u|^2 / omega^2 per shell."""
-        return self._damping_table[0]
-
     @functools.cached_property
     def fundamental(self) -> float | None:
         """omega_1 if shell j has omega bitwise j * omega_1 (any D = 1, z = 1 grid), else None."""
@@ -130,13 +176,23 @@ class ModeGrid:
         return float(w1) if all(harmonic) else None
 
     @functools.cached_property
-    def _damping_table(self) -> tuple:
-        return _shell_table(self, 1.0, self.weight)
+    def dephasing(self) -> Spectrum:
+        """The spectrum of gamma / lambda*^2: weights prefactor * weight * |u|^2 / omega^2."""
+        return self.spectrum(self.weight, 1.0)
 
-    @property
-    def static_sum(self) -> float:
-        """sum over modes of |u|^2 / omega^2 (no lattice prefactor)."""
-        return float(np.sum(self.shell_damping))
+    def spectrum(self, factor: np.ndarray, scale: float) -> Spectrum:
+        """The spectrum of weights scale * prefactor * u2 / omega**2 * factor per shell, formed
+        in _slices in the one buffer kept: on a harmonic grid (fundamental), the block."""
+        S, R = len(self.omega), math.isqrt(len(self.omega)) + 1
+        flat = np.zeros(S + 1 + -(S + 1) % R) if self.fundamental is not None else np.empty(S + 1)
+        weights = flat[1 : S + 1]
+        scale *= self.prefactor
+        for s in _slices(S):
+            np.multiply(scale * self.u2[s] / self.omega[s] ** 2, factor[s], out=weights[s])
+        if self.fundamental is None:
+            return Spectrum(self.omega, weights)
+        block = flat.reshape(-1, R)
+        return Spectrum(self.omega, weights, (block, block.sum(axis=0)))
 
 
 def _isqrt_exact(values: np.ndarray) -> np.ndarray:
@@ -227,14 +283,21 @@ def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _is_pair_table(D: int, m2: np.ndarray, weight: np.ndarray) -> bool:
-    """Whether (m2, weight) is ModeGrid's table: on D = 1 the closed form, else _radial_counts."""
+    """Whether (m2, weight) is ModeGrid's table: on D = 1 the closed form, else _radial_counts,
+    read only for a mode count that two cubes allow."""
     if not np.issubdtype(m2.dtype, np.integer):
         return False
     if D == 1:  # shell i is the pair n = +-(i + 1), checked in _slices: no shell-sized temporary
         return all(np.array_equal(m2[s], np.arange(s.start + 1, s.stop + 1) ** 2)
                    and (weight[s] == 2.0).all() for s in _slices(len(m2)))
     m2max = int(m2.max())
-    return D > 1 and m2max >= 1 and all(map(np.array_equal, (m2, weight), _radial_counts(D, m2max)))
+    if D < 2 or m2max < 1:
+        return False
+    # the ball holds the cube of half-side isqrt(m2max // D) and lies in that of isqrt(m2max);
+    # a mode count between the two bounds the walk at D^(D/2) times the count
+    inner, outer = ((2 * math.isqrt(m2max // c) + 1) ** D - 1 for c in (D, 1))
+    return (inner <= float(np.sum(weight)) <= outer
+            and all(map(np.array_equal, (m2, weight), _radial_counts(D, m2max))))
 
 
 @functools.lru_cache(maxsize=2)
@@ -285,61 +348,6 @@ def build_radial_mode_grid(
     return build_mode_grid(geom, ch, max_modes)
 
 
-# -- spectral sums -----------------------------------------------------------
-#
-# Every time-dependent sum has the form sum_k w_k (1 - e^{i omega_k T}) with
-# static weights w_k.  omega is constant on a shell, so the weights are binned
-# into shells once and each time point costs a cos and a sin per shell, or
-# O(sqrt(shells)) of them where omega_j = j * omega_1 (ModeGrid.fundamental).
-
-
-def _shell_table(grid: ModeGrid, scale: float, factor: np.ndarray) -> tuple:
-    """(weights, None, None), or on a harmonic grid (weights, block, column sums of block).
-
-    weights = scale * u2 / omega**2 * factor, formed in _slices in the one buffer kept: on a
-    harmonic grid block, in which shell j = q*R + r of S sits at [q, r], R = isqrt(S) + 1 >=
-    sqrt(S + 1), and which is 0 elsewhere.
-    """
-    S, R = len(grid.omega), math.isqrt(len(grid.omega)) + 1
-    flat = np.zeros(S + 1 + -(S + 1) % R) if grid.fundamental is not None else np.empty(S + 1)
-    weights = flat[1 : S + 1]
-    for s in _slices(S):
-        np.multiply(scale * grid.u2[s] / grid.omega[s] ** 2, factor[s], out=weights[s])
-    if grid.fundamental is None:
-        return weights, None, None
-    block = flat.reshape(-1, R)
-    return weights, block, block.sum(axis=0)
-
-
-def _oscillating_sum(grid: ModeGrid, table: tuple, T: float, imag: bool = True) -> complex:
-    """sum over shells of weights * (1 - e^{i omega T}), no prefactor; table from _shell_table.
-
-    The real part is sum weights * (1 - cos omega T), formed as the versine
-    2 sin^2(omega T / 2), which keeps its relative accuracy where omega T is
-    small; the imaginary part is -sum weights * sin omega T (skipped when
-    imag is False).  On a harmonic grid
-    shell j = q*R + r has phase a + b (a = omega_{q*R} T, b = omega_r T), so one
-    contraction of block with (cos b, sin b) gives 1 - cos(a + b) = vers b +
-    cos b vers a + sin b sin a, vers x = 2 sin^2(x/2), and sin(a + b) = cos b sin a + sin b cos a.
-    """
-    weights, block, column_sums = table
-    # einsum, not np.dot or @: qecbound calls no BLAS routine (see the package docstring)
-    if block is None:
-        x = grid.omega * T
-        im = -float(np.einsum("i,i->", weights, np.sin(x))) if imag else 0.0
-        re = float(np.einsum("i,i->", weights, 2.0 * np.sin(0.5 * x) ** 2))
-        return complex(re, im)
-    R = block.shape[1]  # a, b from the stored omega of shells q*R and r, rounded as omega * T is
-    a = np.concatenate(([0.0], grid.omega[R - 1 :: R])) * T
-    b = np.concatenate(([0.0], grid.omega[: R - 1])) * T
-    cos_sin_b = np.einsum("qr,kr->kq", block, [np.cos(b), np.sin(b)])
-    sin_a = np.sin(a)
-    re = np.einsum("r,r->", column_sums, 2.0 * np.sin(0.5 * b) ** 2) + np.einsum(
-        "kq,kq->", [2.0 * np.sin(0.5 * a) ** 2, sin_a], cos_sin_b)
-    im = -np.einsum("kq,kq->", [sin_a, np.cos(a)], cos_sin_b) if imag else 0.0
-    return complex(float(re), float(im))
-
-
 def _check_time(T: float) -> None:  # first thing in every time sum
     if not 0.0 <= T < math.inf:  # false for nan as well
         raise ValueError(f"time T must be finite and non-negative, got {T}")
@@ -354,13 +362,12 @@ def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
     non-negative (ValueError).
     """
     _check_time(T)
-    osc = _oscillating_sum(grid, grid._damping_table, T, imag=False).real
-    return grid.prefactor * lambda_star**2 * osc
+    return lambda_star**2 * grid.dephasing.at(T, imag=False).real
 
 
 def gamma_infinity(grid: ModeGrid, lambda_star: float) -> float:
     """Long-time mean of gamma: the static sum with the oscillatory term dropped."""
-    return grid.prefactor * lambda_star**2 * grid.static_sum
+    return lambda_star**2 * grid.dephasing.static
 
 
 def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> complex:
@@ -369,16 +376,27 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
     W_{x,y}(T) = (2*pi/L)^D * sum_k (|u_k|^2/omega_k^2) e^{-i k.(x-y)} (1 - e^{i omega_k T}).
 
     Symmetric under x <-> y; complex in general (the x = y imaginary part is
-    -prefactor * sum (|u|^2/omega^2) sin(omega T)).  For x != y the sum runs
-    over the +-k pairs (see _shell_cos), so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.
-    T must be finite and non-negative (ValueError).
+    -(2*pi/L)^D * sum (|u|^2/omega^2) sin(omega T)).  x = y reads grid.dephasing;
+    for x != y each call forms the pair's spectrum, whose sum runs over the +-k
+    pairs (see _shell_cos), so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.  T must be
+    finite and non-negative, then x and y finite (ValueError, before any work).
     """
     _check_time(T)
-    d = np.atleast_1d(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
-    if d.shape != (grid.D,):
+    x, y = (_positions(grid, [np.atleast_1d(v)])[0] for v in (x, y))
+    d = x - y
+    spectrum = grid.spectrum(_shell_cos(grid, [d])[0], 2.0) if d.any() else grid.dephasing
+    return spectrum.at(T)
+
+
+def _positions(grid: ModeGrid, positions: Any) -> np.ndarray:
+    """positions as (N, D) floats, (N,) read as (N, 1), or DimensionError; finite, or ValueError."""
+    pos = np.asarray(positions, dtype=np.float64)
+    pos = pos[:, None] if pos.ndim == 1 else pos
+    if pos.ndim != 2 or pos.shape[1] != grid.D:
         raise DimensionError(f"positions must have dimension {grid.D}")
-    table = _shell_table(grid, 2.0, _shell_cos(grid, [d])[0]) if d.any() else grid._damping_table
-    return grid.prefactor * _oscillating_sum(grid, table, T)
+    if not np.isfinite(pos).all():
+        raise ValueError("positions must be finite")
+    return pos
 
 
 def _quanta(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -541,20 +559,14 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
     Evaluated through the register structure factor: the pair double sum
     collapses to sum_k (|u|^2/omega^2) |sum_x e^{i k.x}|^2 (1 - e^{i omega T}),
     algebraically identical to summing w_pair over all pairs.  positions is
-    (N, D), or (N,) on D = 1; T must be finite and non-negative (ValueError),
-    which is checked before any work on the positions.
+    (N, D), or (N,) on D = 1, of finite coordinates; T must be finite and
+    non-negative.  Both are checked (ValueError) before any work on the positions.
     """
     _check_time(T)
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.ndim == 1:
-        pos = pos[:, None]
-    if pos.shape[1] != grid.D:
-        raise DimensionError(f"positions must have dimension {grid.D}")
-    table = grid.memo(  # T-independent, so a time series over one register reuses it
-        "register", pos.tobytes(),
-        lambda: _shell_table(grid, 2.0, _structure_factor(grid, pos)),
-    )
-    return grid.prefactor * _oscillating_sum(grid, table, T)
+    pos = _positions(grid, positions)
+    spectrum = grid.memo(  # T-independent, so a time series over one register reuses it
+        "register", pos.tobytes(), lambda: grid.spectrum(_structure_factor(grid, pos), 2.0))
+    return spectrum.at(T)
 
 
 # -- qubit geometry ----------------------------------------------------------

@@ -27,8 +27,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bath import ModeGrid, QubitLayout, _caller_stacklevel, gamma, gamma_infinity, w_sum
-from .config import BathChannel, BathGeometry, BoundInput
+from .bath import (ModeGrid, QubitLayout, _caller_stacklevel, _check_time, gamma, gamma_infinity,
+                   w_sum)
+from .config import BathChannel, BathGeometry, BoundInput, _number
 from .coupling import EffectiveCoupling
 from .errors import ConfigError, CriterionUnreachableError, CapabilityError
 
@@ -206,6 +207,7 @@ def mmax_single(
     _require_kind(report, SumKind.SINGLE_DEPHASING)
     if mode not in ("asymptotic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
+    lambda_star = _number(lambda_star, "lambda*")  # finite (ConfigError) before any shortcut
     if lambda_star == 0.0:
         return math.inf
     if mode == "numeric":
@@ -293,6 +295,7 @@ def calibrate_c_cal(
     unchanged.
     """
     _require_kind(report, SumKind.SINGLE_DEPHASING)
+    lambda_star = _number(lambda_star, "lambda*")  # finite (ConfigError) before any shortcut
     if report.regime == Regime.SUPER_OHMIC:
         return inputs.c_cal
     m_num = _mmax_single_numeric(inputs, lambda_star, grid)
@@ -317,6 +320,7 @@ def mmax_multi(
     minimum over channels.
     """
     _require_kind(report, SumKind.W_SELF, SumKind.W_CORRELATED)
+    lambda_star = _number(lambda_star, "lambda*")  # finite (ConfigError) before any shortcut
     if lambda_star == 0.0:
         return math.inf
     target = inputs.b_cal * inputs.d_crit / (inputs.n_logical * abs(lambda_star))
@@ -329,6 +333,7 @@ def _lam2_by_grid(
     """sum of lambda*^2 over the coupled channels of each distinct grid object."""
     lam2: dict[ModeGrid, float] = {}
     for axis, lam_star in couplings.lambda_star.items():
+        _number(lam_star, f"lambda* of channel '{axis}'")
         if lam_star != 0.0:
             if axis not in grids:
                 raise ConfigError(f"no mode grid supplied for channel '{axis}'")
@@ -349,8 +354,11 @@ def hs_distance(
     position pairs of W(T)|^2), with the pair sum running over all ordered
     logical-position pairs including the diagonal.  W depends on a channel
     only through its grid, so channels sharing one grid object share one
-    evaluation: sum lambda*^2 |W|^2 = (sum lambda*^2) |W|^2.
+    evaluation: sum lambda*^2 |W|^2 = (sum lambda*^2) |W|^2.  T is checked as in
+    w_sum, and every lambda* must be finite (ValueError), both before any work.
     """
+    _check_time(T)
+    lam2_by_grid = _lam2_by_grid(grids, couplings)
     n = layout.n_logical
     strongest = couplings.max_value
     if strongest**2 * n > 0.1:
@@ -359,7 +367,7 @@ def hs_distance(
             stacklevel=_caller_stacklevel(),
         )
     acc = 0.0
-    for grid, lam2 in _lam2_by_grid(grids, couplings).items():
+    for grid, lam2 in lam2_by_grid.items():
         total = w_sum(grid, layout.padded_logical_positions(grid.D), T)
         acc += lam2 * abs(total) ** 2
     return proportionality * math.sqrt(acc)
@@ -373,9 +381,9 @@ def mmax_multi_numeric(
     proportionality: float = 1.0,
 ) -> int | float:
     """Register bound: the first-crossing search (_first_crossing) on the Hilbert-Schmidt bound."""
-    # hard ceiling: |sum of W| <= 2 * prefactor * N^2 * static sum per grid
+    # hard ceiling: |sum of W| <= 2 * N^2 * static sum per grid
     n = layout.n_logical
-    ceiling_sq = sum(w * (2.0 * g.prefactor * n**2 * g.static_sum) ** 2
+    ceiling_sq = sum(w * (2.0 * n**2 * g.dephasing.static) ** 2
                      for g, w in _lam2_by_grid(grids, couplings).items())
     return _first_crossing(
         lambda T: hs_distance(grids, couplings, layout, T, proportionality),

@@ -111,9 +111,7 @@ def _times(flags: Mapping[str, Any]) -> np.ndarray:
 
 def _run_eta(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     table = enumerate_eta(cfg.stabilizer_code())
-    rows = [
-        (e.alpha, e.beta, e.i, e.j, e.k, e.logical_type.value) for e in table.entries
-    ]
+    rows = [(e.alpha, e.beta, e.i, e.j, e.k, e.logical_type.value) for e in table.entries]
     return Output(["alpha", "beta", "i", "j", "k", "logical_type"], rows,
                   summary={"entries": len(rows)}, extra_files={"eta.txt": table.to_text()})
 
@@ -204,9 +202,7 @@ def _run_regimes(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     for ch in cfg.channels:
         for kind in SumKind:
             report = zeta_and_regime(ch, geom, kind, D_x=cfg.D_x)
-            rows.append(
-                (ch.axis, kind.value, report.zeta, report.boundary, report.regime.value)
-            )
+            rows.append((ch.axis, kind.value, report.zeta, report.boundary, report.regime.value))
     return Output(["axis", "kind", "zeta", "boundary", "regime"], rows)
 
 
@@ -216,44 +212,22 @@ def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     mode = flags["mode"]
     geom, channels, _, _, layout, grids, couplings = _pipeline(cfg)
     inputs = cfg.bound_input()
-    rows: list[tuple] = []
-    bounds: list[float] = []
-
     axis = _dephasing_axis(cfg)
-    single_report = zeta_and_regime(channels[axis], geom, SumKind.SINGLE_DEPHASING)
-    m_single = mmax_single(
-        single_report, inputs, couplings[axis], geom, mode=mode, grid=grids[axis]
-    )
-    rows.append(
-        (
-            "single",
-            axis,
-            SumKind.SINGLE_DEPHASING.value,
-            mode,
-            single_report.zeta,
-            single_report.regime.value,
-            float(m_single),
-        )
-    )
-    bounds.append(float(m_single))
-
+    report = zeta_and_regime(channels[axis], geom, SumKind.SINGLE_DEPHASING)
+    m_single = mmax_single(report, inputs, couplings[axis], geom, mode=mode, grid=grids[axis])
+    rows: list[tuple] = [("single", axis, SumKind.SINGLE_DEPHASING.value, mode, report.zeta,
+                          report.regime.value, float(m_single))]
     if mode == "numeric":
-        m_joint = mmax_multi_numeric(
-            grids, couplings, layout, inputs, cfg.proportionality
-        )
+        m_joint = mmax_multi_numeric(grids, couplings, layout, inputs, cfg.proportionality)
         rows.append(("multi", "all", "hs_numeric", mode, "", "", float(m_joint)))
-        bounds.append(float(m_joint))
     else:
         for ch in cfg.channels:
             for kind in (SumKind.W_SELF, SumKind.W_CORRELATED):
                 report = zeta_and_regime(ch, geom, kind, D_x=cfg.D_x)
                 m = mmax_multi(report, inputs, couplings[ch.axis], geom)
-                rows.append(
-                    ("multi", ch.axis, kind.value, mode, report.zeta, report.regime.value, float(m))
-                )
-                bounds.append(float(m))
-
-    overall = min(bounds)
+                rows.append(("multi", ch.axis, kind.value, mode, report.zeta,
+                             report.regime.value, float(m)))
+    overall = min(row[-1] for row in rows)  # every row's bound
     rows.append(("overall", "", "", mode, "", "", overall))
     return Output(["scope", "axis", "kind", "mode", "zeta", "regime", "mmax"], rows,
                   summary={"mmax_overall": overall})
@@ -263,11 +237,8 @@ def _run_hs(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     from .bounds import hs_distance
 
     _, _, _, _, layout, grids, couplings = _pipeline(cfg)
-    rows = []
-    for t in _times(flags):
-        rows.append(
-            (float(t), hs_distance(grids, couplings, layout, float(t), cfg.proportionality))
-        )
+    rows = [(float(t), hs_distance(grids, couplings, layout, float(t), cfg.proportionality))
+            for t in _times(flags)]
     return Output(["T", "hs_distance"], rows, summary={"hs_final": rows[-1][1]})
 
 

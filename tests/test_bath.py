@@ -329,6 +329,28 @@ def test_time_is_checked_before_any_position_work(monkeypatch):
     assert calls == [] and "register" not in grid._memo
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("D", [1, 2])
+def test_positions_must_be_finite(D, bad, monkeypatch):
+    grid = ModeGrid(**_hand_built(build_mode_grid(  # nothing memoized yet
+        BathGeometry(D=D, L=2 * math.pi * 20, omega_c=1.0), _ch())))
+    calls = []
+    for name in ("_structure_factor", "_shell_sums"):
+        real = getattr(bath, name)
+        monkeypatch.setattr(bath, name, lambda *args, real=real: calls.append(1) or real(*args))
+    x, y = [bad] + [0.5] * (D - 1), [0.0] * D
+    for call in (lambda: w_pair(grid, x, y, 1.0), lambda: w_pair(grid, y, x, 1.0),
+                 lambda: w_sum(grid, [y, x], 1.0), lambda: w_sum(grid, [x], 1.0)):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            call()
+    with pytest.raises(ValueError, match="time T"):  # the time is checked first
+        w_pair(grid, x, y, math.nan)
+    if D == 1:  # the (N,) form of a D = 1 register
+        with pytest.raises(ValueError, match="positions must be finite"):
+            w_sum(grid, [0.0, bad], 1.0)
+    assert calls == [] and "register" not in grid._memo
+
+
 class TestWPair:
     def test_zero_time(self, grid_1d):
         assert w_pair(grid_1d, [3.0], [1.0], 0.0) == 0j
@@ -485,6 +507,23 @@ def shell_case(request):
     return geom, grid, (3.7, 2.5 * geom.L + 0.9)
 
 
+class TestSpectrum:
+    def test_quadrature_nodes_need_no_grid(self):
+        # the exponential-cutoff spectrum u2 = e^{-k}, omega = k on D = 1 (both signs of k):
+        # gamma / lambda*^2 = 2 [T atan T - ln(1 + T^2) / 2], here on 40 Gauss-Legendre panels
+        # of 40 nodes each over k in (0, 40]
+        x, w = np.polynomial.legendre.leggauss(40)
+        k = (np.arange(40.0)[:, None] + 0.5 * (x + 1.0)).ravel()  # panel j is [j, j + 1]
+        dk = 0.5 * np.tile(w, 40)
+        spectrum = bath.Spectrum(omega=k, weights=2.0 * dk * np.exp(-k) / k**2)
+        assert spectrum.at(0.0) == 0j
+        for T in (0.01, 1.0, 10.0, 100.0):
+            closed = 2.0 * (T * math.atan(T) - 0.5 * math.log1p(T * T))
+            got = spectrum.at(T, imag=False)
+            assert got.imag == 0.0
+            assert abs(got.real - closed) <= 1e-12 * closed
+
+
 class TestShellKernel:
     def test_shells_partition_the_modes(self, shell_case):
         geom, grid, _ = shell_case
@@ -505,10 +544,11 @@ class TestShellKernel:
         want = np.array([np.einsum("i,i->", grid.u2, row) for row in rows])
         got = bath._shell_cos(grid, seps, grid.u2)
         assert got.shape == (2,)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * grid.static_sum)
+        scale = grid.dephasing.static / grid.prefactor  # sum weight * u2 / omega^2
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
         monkeypatch.setattr(bath, "_CHUNK", 7)  # many walk chunks per shell
         np.testing.assert_allclose(bath._shell_cos(grid, seps, grid.u2), want, rtol=1e-12,
-                                   atol=1e-12 * grid.static_sum)
+                                   atol=1e-12 * scale)
         assert bath._shell_cos(grid, seps[:0], grid.u2).shape == (0,)
 
     def test_gamma(self, shell_case):
@@ -519,8 +559,8 @@ class TestShellKernel:
 
     def test_static_sum(self, shell_case):
         _, grid, _ = shell_case
-        ref = float(np.sum(grid.weight * grid.u2 / grid.omega**2))
-        assert grid.static_sum == pytest.approx(ref, rel=1e-12)
+        ref = grid.prefactor * float(np.sum(grid.weight * grid.u2 / grid.omega**2))
+        assert grid.dephasing.static == pytest.approx(ref, rel=1e-12)
 
     def test_w_pair(self, shell_case):
         geom, grid, times = shell_case
@@ -652,7 +692,7 @@ def harmonic_case(request):
 
 class TestHarmonicKernel:
     """1-D linear-dispersion grids: every shell frequency is j * 2*pi/L, and the
-    sums take the harmonic path of bath._oscillating_sum."""
+    sums take the harmonic path of Spectrum.at."""
 
     def test_fundamental_detected(self, harmonic_case):
         _, _, grid, _ = harmonic_case
@@ -694,16 +734,15 @@ class TestHarmonicKernel:
         assert grid.fundamental is None
         d = np.arange(1.0, geom.D + 1) * 0.7
         positions = regular_layout(4, Xi=7.0, D_x=geom.D, xi=0.5).padded_logical_positions(geom.D)
-        pair_weights = 2.0 * grid.u2 / grid.omega**2 * bath._shell_cos(grid, [d])[0]
-        register_weights = 2.0 * grid.u2 / grid.omega**2 * bath._structure_factor(grid, positions)
+        pair = grid.spectrum(bath._shell_cos(grid, [d])[0], 2.0)
+        register = grid.spectrum(bath._structure_factor(grid, positions), 2.0)
+        damping = grid.dephasing
+        assert damping.block is None and pair.block is None and register.block is None
         for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
-            assert gamma(grid, 0.03, T) == grid.prefactor * 0.03**2 * _per_shell(
-                grid, grid.shell_damping, T).real
-            assert w_pair(grid, d, np.zeros(geom.D), T) == grid.prefactor * _per_shell(
-                grid, pair_weights, T)
-            assert w_pair(grid, d, d, T) == grid.prefactor * _per_shell(grid, grid.shell_damping, T)
-            register = grid.prefactor * _per_shell(grid, register_weights, T)
-            assert w_sum(grid, positions, T) == register
+            assert gamma(grid, 0.03, T) == 0.03**2 * _per_shell(grid, damping.weights, T).real
+            assert w_pair(grid, d, np.zeros(geom.D), T) == _per_shell(grid, pair.weights, T)
+            assert w_pair(grid, d, d, T) == _per_shell(grid, damping.weights, T)
+            assert w_sum(grid, positions, T) == _per_shell(grid, register.weights, T)
 
 
 def _versine_reference(grid, lam, T):
@@ -867,6 +906,19 @@ class TestPlusMinusFold:
         bath._radial_counts.cache_clear()
         ModeGrid(**_hand_built(build_mode_grid(_SHELL_CASES[2][1], _SHELL_CH)))
         assert walks == [1]
+
+    @pytest.mark.parametrize("D, m2max, modes", [
+        (3, 40_000, 12.0),  # far below the inscribed cube's 231^3 - 1 modes
+        (2, 10**6, 8e6),  # above the enclosing square's 2001^2 - 1
+    ])
+    def test_impossible_mode_count_refused_without_a_walk(self, D, m2max, modes):
+        # the ball |n|^2 <= max(m2) holds the cube of half-side isqrt(max(m2) // D) and lies in
+        # that of isqrt(max(m2)): a claimed mode count outside the two is refused unwalked
+        before = bath._radial_counts.cache_info()
+        with pytest.raises(ArithmeticError, match="pair table"):
+            ModeGrid(D=D, L=10.0, omega=np.array([1.0, 2.0]), u2=np.ones(2),
+                     weight=np.full(2, modes / 2), m2=np.array([1, m2max]))
+        assert bath._radial_counts.cache_info() == before
 
     @settings(max_examples=40, deadline=None)
     @given(

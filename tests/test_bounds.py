@@ -473,6 +473,12 @@ class TestHsDistance:
         with pytest.warns(UserWarning, match="perturbative"):
             hs_distance({"x": grid, "z": grid}, couplings, layout, 1.0)
 
+    @pytest.mark.parametrize("T", [-1.0, math.nan, math.inf])
+    def test_time_checked_with_every_coupling_zero(self, hs_setup, T):
+        _, grid, layout = hs_setup
+        with pytest.raises(ValueError, match="time T must be finite and non-negative"):
+            hs_distance({"z": grid}, EffectiveCoupling({"z": 0.0}), layout, T)
+
     def test_missing_grid(self, hs_setup):
         _, grid, layout = hs_setup
         couplings = EffectiveCoupling({"z": 1e-3, "x": 1e-4})
@@ -500,6 +506,42 @@ class TestHsDistance:
         _, grid, layout = hs_setup
         couplings = EffectiveCoupling({"z": 0.0})
         assert mmax_multi_numeric({"z": grid}, couplings, layout, _inputs()) == math.inf
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+class TestNonFiniteLambdaStar:
+    """Every entry point refuses a lambda* that is not finite, naming it, before any search."""
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "numeric"])
+    def test_mmax_single(self, hs_setup, mode, lam):
+        geom, grid, _ = hs_setup
+        rep = zeta_and_regime(_ch(s=0.25), geom, SumKind.SINGLE_DEPHASING)
+        with pytest.raises(ValueError, match=r"lambda\* must be a finite number"):
+            mmax_single(rep, _inputs(), lam, geom, mode=mode, grid=grid)
+
+    def test_calibrate_c_cal(self, hs_setup, lam):
+        geom, grid, _ = hs_setup
+        rep = zeta_and_regime(_ch(s=0.25), geom, SumKind.SINGLE_DEPHASING)
+        with pytest.raises(ValueError, match=r"lambda\* must be a finite number"):
+            calibrate_c_cal(rep, _inputs(), lam, geom, grid)
+
+    def test_mmax_multi(self, hs_setup, lam):
+        geom, _, _ = hs_setup
+        rep = zeta_and_regime(_ch(s=0.25), geom, SumKind.W_SELF)
+        with pytest.raises(ValueError, match=r"lambda\* must be a finite number"):
+            mmax_multi(rep, _inputs(n_logical=4), lam, geom)
+
+    def test_hs_distance(self, hs_setup, lam):
+        _, grid, layout = hs_setup
+        couplings = EffectiveCoupling({"x": 0.0, "z": lam})
+        with pytest.raises(ValueError, match=r"lambda\* of channel 'z' must be a finite number"):
+            hs_distance({"x": grid, "z": grid}, couplings, layout, 1.0)
+
+    def test_mmax_multi_numeric(self, hs_setup, lam):
+        _, grid, layout = hs_setup
+        couplings = EffectiveCoupling({"z": lam})
+        with pytest.raises(ValueError, match=r"lambda\* of channel 'z' must be a finite number"):
+            mmax_multi_numeric({"z": grid}, couplings, layout, _inputs(n_logical=4))
 
 
 def _unshared(grid):
@@ -602,7 +644,7 @@ class TestSharedGridSums:
 
 class TestSearchPins:
     """The searches on a D = 1, z = 1 grid, whose sums take the harmonic path of
-    bath._oscillating_sum: M, c_cal and the number of gamma / w_sum evaluations
+    Spectrum.at: M, c_cal and the number of gamma / w_sum evaluations
     are those of the per-shell kernel the harmonic path replaced there."""
 
     GEOM = BathGeometry(D=1, L=2 * math.pi * 3000, omega_c=1.0)
