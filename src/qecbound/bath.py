@@ -42,6 +42,7 @@ _NOT_A_PAIR_TABLE = ("grid is not a +-k pair table: m2 must be every |n|^2 of th
                      "increasing order, and each weight the lattice's mode count at its m2")
 _CHUNK = 1 << 14  # lattice points per step of a walk: bounds every temporary of a position sum
 _NO_LEAD = np.zeros((1, 0), dtype=np.int64)  # the leading coordinates of a D = 1 run: none
+_VALUES_CAP = 4096  # scalars a Spectrum keeps (Spectrum.at): a search makes about 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,25 +55,34 @@ class Spectrum:
     and a sin per node, or O(sqrt(S)) of them on S harmonic nodes, omega bitwise
     j * omega_1 (j = 1..S): then block is (B, its column sums), B[q, r] holding node
     j = q*R + r (0 at j = 0 and past S), R = isqrt(S) + 1 >= sqrt(S + 1), and weights
-    a view of B.
+    a view of B.  A value depends on (T, imag) alone: at keeps each in a table of scalars,
+    emptied at _VALUES_CAP of them, which every search, series and thread on it shares.
     """
 
     omega: np.ndarray
     weights: np.ndarray
     block: tuple[np.ndarray, np.ndarray] | None = None
+    _values: dict[tuple[float, bool], complex] = field(default_factory=dict, init=False, repr=False)
 
-    @property
+    @functools.cached_property
     def static(self) -> float:
         """sum of the weights: the time sum's long-time mean."""
         return float(np.sum(self.weights))
 
     def at(self, T: float, imag: bool = True) -> complex:
-        """sum over nodes of weights * (1 - e^{i omega T}).
+        """sum over nodes of weights * (1 - e^{i omega T}) (_evaluate), once per (T, imag)."""
+        value = self._values.get((T, imag))
+        if value is None:
+            if len(self._values) >= _VALUES_CAP:
+                self._values.clear()
+            value = self._values[T, imag] = self._evaluate(T, imag)
+        return value
 
-        The real part is sum weights * (1 - cos omega T), formed as the versine
-        vers x = 2 sin^2(x/2), which keeps its relative accuracy where omega T is small;
-        the imaginary part is -sum weights * sin omega T (skipped when imag is False).
-        On harmonic nodes, node j = q*R + r has phase a + b (a = omega_{q*R} T, b =
+    def _evaluate(self, T: float, imag: bool) -> complex:
+        """The sum at stores, computed.  The real part is sum weights * (1 - cos omega T),
+        formed as the versine vers x = 2 sin^2(x/2), which keeps its relative accuracy where
+        omega T is small; the imaginary part is -sum weights * sin omega T (skipped when imag is
+        False).  On harmonic nodes, node j = q*R + r has phase a + b (a = omega_{q*R} T, b =
         omega_r T), so one contraction of B with (cos b, sin b) gives 1 - cos(a + b) =
         vers b + cos b vers a + sin b sin a and sin(a + b) = cos b sin a + sin b cos a.
         """
@@ -112,8 +122,8 @@ class ModeGrid:
     arrays are read-only.  Everything derived from the grid alone is
     computed once per instance: the dephasing spectrum (a cached property),
     and through :meth:`memo` the register spectrum of the latest position
-    set (w_sum), the unscaled pair sums of the latest offset set (a_matrix)
-    and the latest numeric single-qubit bound per (inputs, lambda*).
+    set (w_sum) and the unscaled pair sums of the latest offset set
+    (a_matrix); each spectrum keeps its own values (Spectrum.at).
     """
 
     D: int
@@ -275,9 +285,8 @@ def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
         r = np.arange(1, math.isqrt(m2max) + 1, dtype=np.int64)
         return r * r, np.full(len(r), 2.0)
     counts = np.zeros(m2max + 1, dtype=np.int64)
-    for lead, count, last in _half_ball(D, m2max):
-        counts += np.bincount(np.repeat(np.einsum("ij,ij->i", lead, lead), count) + last * last,
-                              minlength=m2max + 1)
+    for lead, count, last in _half_ball(D, m2max):  # add.at costs the chunk, not the table
+        np.add.at(counts, np.repeat(np.einsum("ij,ij->i", lead, lead), count) + last * last, 1)
     idx = np.flatnonzero(counts)
     return idx, 2.0 * counts[idx]
 

@@ -202,7 +202,9 @@ def mmax_single(
     reach the target in floating point.
 
     Numeric mode runs the first-crossing search (_first_crossing) on the
-    exact trace distance of the supplied grid.
+    exact trace distance of the supplied grid.  Its gamma values are the
+    grid's dephasing spectrum's, computed once (Spectrum.at), so searches on
+    one grid for other couplings, or a repeated one, share its evaluations.
     """
     _require_kind(report, SumKind.SINGLE_DEPHASING)
     if mode not in ("asymptotic", "numeric"):
@@ -211,7 +213,17 @@ def mmax_single(
     if lambda_star == 0.0:
         return math.inf
     if mode == "numeric":
-        return _mmax_single_numeric(inputs, lambda_star, grid)
+        if grid is None:
+            raise ConfigError("numeric mode requires a mode grid")
+        sigma = inputs.sigma_plus_abs
+        if inputs.d_crit >= sigma:
+            raise CriterionUnreachableError(f"criterion {inputs.d_crit} can never be exceeded: "
+                                            f"the trace distance saturates at |<sigma+>| = {sigma}")
+        return _first_crossing(
+            lambda T: trace_distance_single(gamma(grid, lambda_star, T), sigma),
+            trace_distance_single(2.0 * gamma_infinity(grid, lambda_star), sigma),  # gamma <= 2 * static sum
+            inputs, "the grid's infrared resolution may be too coarse for this coupling",
+        )
 
     if report.regime == Regime.SUPER_OHMIC and grid is not None:
         if d_sat(grid, lambda_star, inputs.sigma_plus_abs) >= inputs.d_crit:
@@ -221,29 +233,6 @@ def mmax_single(
             )
     target = inputs.c_cal * inputs.d_crit / lambda_star**2
     return _steps_to(report, geom, inputs.delta, target)
-
-
-def _mmax_single_numeric(
-    inputs: BoundInput, lambda_star: float, grid: ModeGrid | None
-) -> int | float:
-    """The numeric single-qubit bound, memoized on the grid per (inputs, lambda*).
-
-    Only the latest search is kept: calibrate_c_cal repeats the search that
-    mmax_single just made, while other repeats are rare.
-    """
-    if grid is None:
-        raise ConfigError("numeric mode requires a mode grid")
-    sigma = inputs.sigma_plus_abs
-    if inputs.d_crit >= sigma:
-        raise CriterionUnreachableError(
-            f"criterion {inputs.d_crit} can never be exceeded: the trace distance "
-            f"saturates at |<sigma+>| = {sigma}"
-        )
-    return grid.memo("mmax_single", (inputs, lambda_star), lambda: _first_crossing(
-        lambda T: trace_distance_single(gamma(grid, lambda_star, T), sigma),
-        trace_distance_single(2.0 * gamma_infinity(grid, lambda_star), sigma),  # gamma <= 2 * static sum
-        inputs, "the grid's infrared resolution may be too coarse for this coupling",
-    ))
 
 
 def _first_crossing(
@@ -290,15 +279,16 @@ def calibrate_c_cal(
     """One-point calibration: the c_cal making the asymptotic bound match numerics.
 
     The bound solves law(M) = c_cal * D_crit / lambda*^2, so at the
-    numerically exact M_max c_cal = lambda*^2 * law(M_max) / D_crit.  In the
-    saturating regime both routes are infinite and c_cal is returned
-    unchanged.
+    numerically exact M_max c_cal = lambda*^2 * law(M_max) / D_crit, with
+    M_max from mmax_single in numeric mode: after that same search it reads
+    stored values and evaluates nothing.  In the saturating regime both routes
+    are infinite and c_cal is returned unchanged.
     """
     _require_kind(report, SumKind.SINGLE_DEPHASING)
     lambda_star = _number(lambda_star, "lambda*")  # finite (ConfigError) before any shortcut
     if report.regime == Regime.SUPER_OHMIC:
         return inputs.c_cal
-    m_num = _mmax_single_numeric(inputs, lambda_star, grid)
+    m_num = mmax_single(report, inputs, lambda_star, geom, mode="numeric", grid=grid)
     if not m_num or math.isinf(m_num):
         raise ValueError(f"numeric bound {m_num} cannot calibrate the asymptotic formula")
     return lambda_star**2 * _law(report, geom, inputs.delta, m_num) / inputs.d_crit

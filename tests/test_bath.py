@@ -523,6 +523,34 @@ class TestSpectrum:
             assert got.imag == 0.0
             assert abs(got.real - closed) <= 1e-12 * closed
 
+    def test_threads_sharing_a_spectrum_read_the_values_of_their_keys(self, monkeypatch):
+        monkeypatch.setattr(bath, "_VALUES_CAP", 16)  # emptied every few steps, under contention
+        omega = np.arange(1.0, 65.0)
+        spectrum, fresh = (bath.Spectrum(omega=omega, weights=1.0 / omega**2) for _ in range(2))
+        keys = [(0.37 * j, bool(j % 3)) for j in range(40)]
+        want = {key: fresh.at(*key) for key in keys}
+        results, interval, start = [[] for _ in range(4)], sys.getswitchinterval(), threading.Barrier(4)
+
+        def run(k):
+            start.wait(timeout=60)
+            for step in range(400):
+                key = keys[(7 * step + k) % len(keys)]
+                results[k].append((key, spectrum.at(*key)))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            assert len(got) == 400 and all(value == want[key] for key, value in got)
+        assert len(spectrum._values) < 16 + len(threads)  # a thread stores at most one past the cap
+
 
 class TestShellKernel:
     def test_shells_partition_the_modes(self, shell_case):
@@ -639,6 +667,19 @@ class TestShellKernel:
             tracemalloc.stop()
         assert grid.mode_count == 4000
         assert peak < 1_000_000
+
+    def test_plane_counting_holds_the_count_table_and_a_chunk(self):
+        # the disc |n|^2 <= 1000^2 holds 3.1M modes; its count table is 8 MB of int64, and a
+        # bincount over the whole table per chunk (2.04x) made the count quadratic in the radius
+        table = 8 * (1000**2 + 1)
+        tracemalloc.start()
+        try:
+            m2, weight = bath._radial_counts.__wrapped__(2, 1000**2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weight.sum() == sum(2 * math.isqrt(1000**2 - x * x) + 1 for x in range(-1000, 1001)) - 1
+        assert peak < 1.8 * table
 
 
 def _ref_register(geom, ch, positions, T):

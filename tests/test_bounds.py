@@ -34,7 +34,7 @@ from qecbound import (
     w_sum_asymptotic,
     zeta_and_regime,
 )
-from qecbound import bounds
+from qecbound import bath, bounds
 
 
 def _ch(z=1.0, s=0.0, lam=1e-3):
@@ -634,21 +634,45 @@ class TestSharedGridSums:
         rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
         lam = 1.3e-2
         m = mmax_single(rep, _inputs(), lam, GEOM_1D, mode="numeric", grid=grid)
-        calls = _counting(monkeypatch, bounds, "gamma")
+        evaluations = _counting(monkeypatch, bath.Spectrum, "_evaluate")
         c = calibrate_c_cal(rep, _inputs(), lam, GEOM_1D, grid)
-        assert calls == []
+        assert evaluations == []  # the same search, read from the grid's dephasing spectrum
         assert c == calibrate_c_cal(rep, _inputs(), lam, GEOM_1D, _unshared(grid))
-        assert calls  # the fresh grid searched
+        assert evaluations  # the fresh grid searched
         assert m == mmax_single(rep, _inputs(), lam, GEOM_1D, mode="numeric", grid=_unshared(grid))
+
+    def test_searches_for_other_couplings_share_the_evaluations(self, monkeypatch):
+        grid = _unshared(build_mode_grid(GEOM_1D, _ch()))
+        rep = zeta_and_regime(_ch(), GEOM_1D, SumKind.SINGLE_DEPHASING)
+        gammas = _counting(monkeypatch, bounds, "gamma")
+        evaluations = _counting(monkeypatch, bath.Spectrum, "_evaluate")
+        couplings = (1.3e-2, 1.7e-2, 1.3e-2)
+        found = [mmax_single(rep, _inputs(), lam, GEOM_1D, mode="numeric", grid=grid)
+                 for lam in couplings]
+        # each (T, imag) the searches read is evaluated once, on the grid's dephasing spectrum
+        assert len(set(evaluations)) == len(evaluations) < len(gammas)
+        assert set(evaluations) == {(grid.dephasing, T, False) for _, _, T in gammas}
+        fresh = [mmax_single(rep, _inputs(), lam, GEOM_1D, mode="numeric", grid=_unshared(grid))
+                 for lam in couplings]
+        assert found == fresh and 0 < found[1] < found[0] == found[2] < math.inf
+
+    def test_a_spectrum_keeps_at_most_its_cap_of_values(self):
+        grid = _unshared(build_mode_grid(BathGeometry(D=1, L=2 * math.pi * 50, omega_c=1.0), _ch()))
+        times = [0.25 * j for j in range(bath._VALUES_CAP + 1)]
+        first = [gamma(grid, 1e-2, T) for T in times]
+        values = grid.dephasing._values
+        assert len(values) == 1 and all(type(v) is complex for v in values.values())  # emptied once
+        assert [gamma(grid, 1e-2, T) for T in times] == first  # evaluated again, bitwise
+        assert 0 < len(values) <= bath._VALUES_CAP
 
 
 class TestSearchPins:
     """The searches on a D = 1, z = 1 grid, whose sums take the harmonic path of
-    Spectrum.at: M, c_cal and the number of gamma / w_sum evaluations
-    are those of the per-shell kernel the harmonic path replaced there."""
+    Spectrum.at: M, c_cal and the number of kernel evaluations of the gamma and the
+    w_sum spectrum are those of the per-shell kernel the harmonic path replaced there."""
 
     GEOM = BathGeometry(D=1, L=2 * math.pi * 3000, omega_c=1.0)
-    CASES = [  # (single-qubit lambda*, register lambda*, M, c_cal, gamma calls, M, w_sum calls)
+    CASES = [  # (single-qubit lambda*, register lambda*, M, c_cal, gamma evals, M, w_sum evals)
         (0.006, 1e-6, 838, 0.10421362674813692, 20, 1383, 22),
         (0.012, 3e-6, 60, 0.11154192037077361, 12, 300, 18),
         (0.025, 1e-5, 5, 0.1397542485937369, 6, 90, 14),
@@ -661,15 +685,19 @@ class TestSearchPins:
         assert grid.fundamental is not None
         rep = zeta_and_regime(_ch(s=0.25), self.GEOM, SumKind.SINGLE_DEPHASING)
         inputs = _inputs(n_logical=8)
-        gammas = _counting(monkeypatch, bounds, "gamma")
-        w_sums = _counting(monkeypatch, bounds, "w_sum")
+        evaluations = _counting(monkeypatch, bath.Spectrum, "_evaluate")
+
+        def counts():
+            gammas = sum(spectrum is grid.dephasing for spectrum, _, _ in evaluations)
+            return gammas, len(evaluations) - gammas
+
         assert mmax_single(rep, inputs, lam, self.GEOM, mode="numeric", grid=grid) == m_single
         assert calibrate_c_cal(rep, inputs, lam, self.GEOM, grid) == pytest.approx(c_cal, rel=1e-12)
-        assert (len(gammas), len(w_sums)) == (n_gamma, 0)
+        assert counts() == (n_gamma, 0)  # the calibration evaluates nothing more
         layout = regular_layout(8, Xi=100.0, D_x=1, xi=1.0)
         couplings = EffectiveCoupling({"z": lam_register})
         assert mmax_multi_numeric({"z": grid}, couplings, layout, inputs) == m_multi
-        assert (len(gammas), len(w_sums)) == (n_gamma, n_w_sum)
+        assert counts() == (n_gamma, n_w_sum)
 
 
 class TestSearchScratch:
