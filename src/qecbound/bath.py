@@ -14,10 +14,10 @@ time-dependent sum reads one Spectrum, its static weights binned into shells
 once: a time point costs one cos (and one sin for an imaginary part) per
 shell, or O(sqrt(shells)) on D = 1 with z_exp = 1, where the shell
 frequencies are the harmonics j * 2*pi/L.  A position sum needs cos(k.d) per
-mode, so it walks the lattice in chunks, one point per +-k pair (_shell_sums),
-and bins each point into its shell, or contracts it with a per-shell weight
-where the sum is one scalar per d (the pair amplitudes); ModeGrid checked the
-shell table once.
+mode, so it walks the lattice in chunks, one point per +-k pair (_shell_sums,
+which doubles what it sums), and bins each point into its shell, or contracts
+it with a per-shell weight where the sum is one scalar per d (the pair sums);
+ModeGrid checked the shell table once.
 All d of a position set share one walk, and so do the axis factors of the
 structure factor of a D >= 2 product layout.
 """
@@ -122,8 +122,8 @@ class ModeGrid:
     arrays are read-only.  Everything derived from the grid alone is
     computed once per instance: the dephasing spectrum (a cached property),
     and through :meth:`memo` the register spectrum of the latest position
-    set (w_sum) and the unscaled pair sums of the latest offset set
-    (a_matrix); each spectrum keeps its own values (Spectrum.at).
+    set (w_sum) and the pair sums of the latest offset set (_pair_sums);
+    each spectrum keeps its own values (Spectrum.at).
     """
 
     D: int
@@ -188,17 +188,16 @@ class ModeGrid:
     @functools.cached_property
     def dephasing(self) -> Spectrum:
         """The spectrum of gamma / lambda*^2: weights prefactor * weight * |u|^2 / omega^2."""
-        return self.spectrum(self.weight, 1.0)
+        return self.spectrum(self.weight)
 
-    def spectrum(self, factor: np.ndarray, scale: float) -> Spectrum:
-        """The spectrum of weights scale * prefactor * u2 / omega**2 * factor per shell, formed
-        in _slices in the one buffer kept: on a harmonic grid (fundamental), the block."""
+    def spectrum(self, factor: np.ndarray) -> Spectrum:
+        """The spectrum of weights prefactor * u2 / omega**2 * factor, factor per shell summed
+        over its modes, formed in _slices in the one buffer kept: on a harmonic grid, the block."""
         S, R = len(self.omega), math.isqrt(len(self.omega)) + 1
         flat = np.zeros(S + 1 + -(S + 1) % R) if self.fundamental is not None else np.empty(S + 1)
         weights = flat[1 : S + 1]
-        scale *= self.prefactor
         for s in _slices(S):
-            np.multiply(scale * self.u2[s] / self.omega[s] ** 2, factor[s], out=weights[s])
+            np.multiply(self.prefactor * self.u2[s] / self.omega[s] ** 2, factor[s], out=weights[s])
         if self.fundamental is None:
             return Spectrum(self.omega, weights)
         block = flat.reshape(-1, R)
@@ -368,15 +367,16 @@ def gamma(grid: ModeGrid, lambda_star: float, T: float) -> float:
     gamma(T) = (2*pi/L)^D * lambda_star^2 * sum_k (|u_k|^2/omega_k^2) * (1 - cos(omega_k T)).
 
     Non-negative and bounded by twice the static sum.  T must be finite and
-    non-negative (ValueError).
+    non-negative (ValueError), then lambda_star a finite number (ConfigError).
     """
     _check_time(T)
-    return lambda_star**2 * grid.dephasing.at(T, imag=False).real
+    return _number(lambda_star, "lambda*") ** 2 * grid.dephasing.at(T, imag=False).real
 
 
 def gamma_infinity(grid: ModeGrid, lambda_star: float) -> float:
-    """Long-time mean of gamma: the static sum with the oscillatory term dropped."""
-    return lambda_star**2 * grid.dephasing.static
+    """Long-time mean of gamma: the static sum with the oscillatory term dropped.  lambda_star
+    must be a finite number (ConfigError)."""
+    return _number(lambda_star, "lambda*") ** 2 * grid.dephasing.static
 
 
 def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> complex:
@@ -386,14 +386,14 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
 
     Symmetric under x <-> y; complex in general (the x = y imaginary part is
     -(2*pi/L)^D * sum (|u|^2/omega^2) sin(omega T)).  x = y reads grid.dephasing;
-    for x != y each call forms the pair's spectrum, whose sum runs over the +-k
-    pairs (see _shell_cos), so e^{-i k.(x-y)} is cos(k.(x-y)) exactly.  T must be
-    finite and non-negative, then x and y finite (ValueError, before any work).
+    for x != y each call forms the pair's spectrum from cos(k.(x-y)) summed over
+    every mode (_shell_cos), the sum of e^{-i k.(x-y)} exactly, as it is even in k.
+    T must be finite and non-negative, then x and y finite (ValueError, before any work).
     """
     _check_time(T)
     x, y = (_positions(grid, [np.atleast_1d(v)])[0] for v in (x, y))
     d = x - y
-    spectrum = grid.spectrum(_shell_cos(grid, [d])[0], 2.0) if d.any() else grid.dephasing
+    spectrum = grid.spectrum(_shell_cos(grid, [d])[0]) if d.any() else grid.dephasing
     return spectrum.at(T)
 
 
@@ -448,10 +448,11 @@ def _separation_table(data: bytes, shape: tuple[int, ...]) -> tuple:
 
 def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int,
                 weight: np.ndarray | None = None) -> np.ndarray:
-    """(count, shells): count per-pair quantities, each summed over every shell's +-k pairs.
+    """(count, shells): count quantities even in k, each summed over all of every shell's modes.
 
-    The one kernel of the position sums: one walk of the half lattice (_half_ball), in which
-    rows(lead, lens, last) gives a chunk's count rows.  Given a per-shell weight it returns
+    The one kernel of the position sums: one walk of the half lattice (_half_ball), one point
+    per +-k pair, in which rows(lead, lens, last) gives a chunk's count rows; doubling the sums
+    at the end, exactly, counts both points of each pair.  Given a per-shell weight it returns
     (count,) and holds no shell-sized row: a chunk gathers the weight once and sums each row
     against it pairwise (np.sum).  The table is ModeGrid's checked pair table: on D = 1 shell
     i is the pair n = +-(i + 1), so the walk runs over the shells in _slices, point -(i + 1)
@@ -463,23 +464,25 @@ def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int,
         for s in [slice(0, S)] if contract else _slices(S):
             chunk = rows(_NO_LEAD, [s.stop - s.start], -np.arange(s.start + 1, s.stop + 1))
             if contract:
-                return sums + [np.einsum("i,i->", weight, values) for values in chunk]
-            for total, values in zip(sums[:, s], chunk):
-                total[:] = values
-        return sums
-    table = np.empty(int(grid.m2[-1]) + 1, dtype=np.intp)  # |n|^2 -> shell; every point has one
-    table[grid.m2] = np.arange(S)
-    for lead, lens, last in _half_ball(grid.D, len(table) - 1):
-        shell = table[np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
-        if contract:
-            w = weight[shell]
-            sums += [np.sum(w * values) for values in rows(lead, lens, last)]
-            continue
-        first = int(shell.min())  # binned over the shells the chunk reaches
-        shell -= first
-        reached = slice(first, first + int(shell.max()) + 1)
-        for total, values in zip(sums[:, reached], rows(lead, lens, last)):
-            total += np.bincount(shell, weights=values)
+                sums += [np.einsum("i,i->", weight, values) for values in chunk]
+            else:
+                for total, values in zip(sums[:, s], chunk):
+                    total[:] = values
+    else:
+        table = np.empty(int(grid.m2[-1]) + 1, dtype=np.intp)  # |n|^2 -> shell, for every point
+        table[grid.m2] = np.arange(S)
+        for lead, lens, last in _half_ball(grid.D, len(table) - 1):
+            shell = table[np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
+            if contract:
+                w = weight[shell]
+                sums += [np.sum(w * values) for values in rows(lead, lens, last)]
+                continue
+            first = int(shell.min())  # binned over the shells the chunk reaches
+            shell -= first
+            reached = slice(first, first + int(shell.max()) + 1)
+            for total, values in zip(sums[:, reached], rows(lead, lens, last)):
+                total += np.bincount(shell, weights=values)
+    sums *= 2.0  # the +-k fold undone: each point stands for its pair
     return sums
 
 
@@ -494,7 +497,7 @@ def _phases(scale: np.ndarray, lead: np.ndarray, lens: np.ndarray, last: np.ndar
 
 
 def _shell_cos(grid: ModeGrid, seps: Sequence, weight: np.ndarray | None = None) -> np.ndarray:
-    """(separations, shells): per separation d, cos(k.d) summed over each shell's +-k pairs.
+    """(separations, shells): per separation d, cos(k.d) summed over all of each shell's modes.
 
     One walk (_shell_sums) serves every d; given a per-shell weight, each d's row is
     contracted with it (separations,).
@@ -522,13 +525,13 @@ def _product_axes(pos: np.ndarray) -> list[np.ndarray] | None:
 
 
 def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
-    """Per shell, |sum_x e^{i k.x}|^2 summed over the shell's +-k pairs.
+    """Per shell, |sum_x e^{i k.x}|^2 summed over all of the shell's modes.
 
     The square is N + 2 sum_d m_d cos(k.d) over the distinct separations d
     of the pairs x < y (see _separations), which is real and exact for any
     positions; coincident pairs add 2 m_0.  It is formed per point and
     binned once, in one walk (_shell_sums), or with no d besides 0 it is
-    (N + 2 m_0) * weight / 2, with no walk.  On D >= 2 a product layout of
+    (N + 2 m_0) * weight, with no walk.  On D >= 2 a product layout of
     more than one position (see _product_axes) factorizes over the axes
     instead: S(k) = prod_a |sum_c e^{i k_a c}|^2 over axis a's coordinates
     c, each factor tabulated once per integer n_a and gathered in the walk;
@@ -538,7 +541,7 @@ def _structure_factor(grid: ModeGrid, pos: np.ndarray) -> np.ndarray:
     if axes is None:
         seps, mult, _ = _separations(pos)
         if len(seps) == 1:
-            return (len(pos) + 2.0 * mult[0]) * (0.5 * grid.weight)
+            return (len(pos) + 2.0 * mult[0]) * grid.weight
         scale = (2.0 * math.pi / grid.L) * seps[1:]
 
         def square(lead: np.ndarray, lens: np.ndarray, last: np.ndarray) -> Iterator[np.ndarray]:
@@ -574,8 +577,20 @@ def w_sum(grid: ModeGrid, positions: np.ndarray, T: float) -> complex:
     _check_time(T)
     pos = _positions(grid, positions)
     spectrum = grid.memo(  # T-independent, so a time series over one register reuses it
-        "register", pos.tobytes(), lambda: grid.spectrum(_structure_factor(grid, pos), 2.0))
+        "register", pos.tobytes(), lambda: grid.spectrum(_structure_factor(grid, pos)))
     return spectrum.at(T)
+
+
+def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
+    """sum_{k != 0} |u_k|^2 cos(k.(x_i - x_j)) for every pair of the (N, D) positions, memoized
+    on the grid: one walk contracts each distinct separation with u2 (_shell_cos), and
+    separation 0, the on-site sum, is u2 . weight with no walk."""
+    def sums() -> np.ndarray:
+        seps, _, index = _separations(positions)
+        on_site = np.einsum("i,i->", grid.u2, grid.weight)
+        return np.array([on_site, *_shell_cos(grid, seps[1:], grid.u2)])[index]
+
+    return grid.memo("pair_sums", positions.tobytes(), sums)
 
 
 # -- qubit geometry ----------------------------------------------------------

@@ -94,10 +94,10 @@ def trace_distance_single(gamma_val: float, sigma_plus_abs: float) -> float:
     """Exact single-qubit trace distance under pure dephasing.
 
     D = |<sigma+>| * (1 - exp(-4*gamma)); monotone in gamma, saturating at
-    |<sigma+>|.
+    |<sigma+>|.  A negative or NaN gamma is refused (ValueError).
     """
-    if gamma_val < 0:
-        raise ValueError("decoherence function must be non-negative")
+    if not gamma_val >= 0:  # true for nan as well
+        raise ValueError(f"decoherence function must be non-negative, got {gamma_val}")
     return sigma_plus_abs * (-math.expm1(-4.0 * gamma_val))
 
 

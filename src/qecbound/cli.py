@@ -69,7 +69,7 @@ def _fmt(value: Any) -> str:
 
 
 def _pipeline(cfg: RunConfig):
-    """Shared setup: code, table, grids, pair amplitudes, effective couplings."""
+    """Shared setup: geometry, channels, layout, grids and effective couplings."""
     import numpy as np
 
     from .bath import build_mode_grid
@@ -91,7 +91,7 @@ def _pipeline(cfg: RunConfig):
             amats[axis] = AMatrix(axis, np.zeros((n_sites, n_sites)))
     lambdas = {axis: ch.lam for axis, ch in channels.items()}
     couplings = lambda_star(lambdas, table, amats)
-    return geom, channels, code, table, layout, grids, couplings
+    return geom, channels, layout, grids, couplings
 
 
 def _dephasing_axis(cfg: RunConfig) -> str:
@@ -150,7 +150,7 @@ def _run_code_check(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
 
 
 def _run_lambda_star(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
-    _, channels, _, _, _, _, couplings = _pipeline(cfg)
+    _, channels, _, _, couplings = _pipeline(cfg)
     rows = []
     summary: dict[str, Any] = {}
     for axis in sorted(couplings.lambda_star):
@@ -164,7 +164,7 @@ def _gamma_series(cfg: RunConfig, flags: Mapping[str, Any]):
     """The dephasing channel's axis, grid and lambda*, and (T, gamma(T)) per time."""
     from .bath import gamma
 
-    _, _, _, _, _, grids, couplings = _pipeline(cfg)
+    _, _, _, grids, couplings = _pipeline(cfg)
     axis = _dephasing_axis(cfg)
     grid, lam_star = grids[axis], couplings[axis]
     series = [(float(t), gamma(grid, lam_star, float(t))) for t in _times(flags)]
@@ -210,7 +210,7 @@ def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     from .bounds import SumKind, mmax_multi, mmax_multi_numeric, mmax_single, zeta_and_regime
 
     mode = flags["mode"]
-    geom, channels, _, _, layout, grids, couplings = _pipeline(cfg)
+    geom, channels, layout, grids, couplings = _pipeline(cfg)
     inputs = cfg.bound_input()
     axis = _dephasing_axis(cfg)
     report = zeta_and_regime(channels[axis], geom, SumKind.SINGLE_DEPHASING)
@@ -236,7 +236,7 @@ def _run_mmax(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
 def _run_hs(cfg: RunConfig, flags: Mapping[str, Any]) -> Output:
     from .bounds import hs_distance
 
-    _, _, _, _, layout, grids, couplings = _pipeline(cfg)
+    _, _, layout, grids, couplings = _pipeline(cfg)
     rows = [(float(t), hs_distance(grids, couplings, layout, float(t), cfg.proportionality))
             for t in _times(flags)]
     return Output(["T", "hs_distance"], rows, summary={"hs_final": rows[-1][1]})

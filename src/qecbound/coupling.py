@@ -6,7 +6,8 @@ and lives in :mod:`qecbound.pauli` (re-exported here).  Each entry
 alpha and a correlated pair on sites j, k through channel beta.  Contracting
 the pair through the bath two-point function turns the entry into a
 dimensionless amplitude a_{beta,jk} and the whole table into the effective
-single-site coupling lambda*_alpha of the coarse-grained logical qubit.
+single-site coupling lambda*_alpha of the coarse-grained logical qubit.  The
+lattice sums behind a_{beta,jk} are formed in :mod:`qecbound.bath` (_pair_sums).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bath import ModeGrid, QubitLayout, _separations, _shell_cos
+from .bath import ModeGrid, QubitLayout, _pair_sums
 from .config import BathChannel
 from .errors import ConfigError
 from .pauli import CHANNEL_AXES, EtaEntry, EtaTable, enumerate_eta  # noqa: F401 - re-exported
@@ -27,7 +28,7 @@ class AMatrix:
     """Pair amplitudes a_{alpha,ij} over the physical sites of one logical qubit.
 
     a_{alpha,ij} = (lambda_alpha * Delta)^2 * sum_{k != 0} |u_k|^2 exp(-i k.(x_i - x_j)),
-    real by construction: summed per +-k pair, the phase is cos(k.(x_i - x_j)).
+    real by construction: the sum is even in k, so the phase is cos(k.(x_i - x_j)).
     """
 
     axis: str
@@ -39,29 +40,10 @@ class AMatrix:
         return float(self.values[i - 1, j - 1])
 
 
-def _pair_sums(grid: ModeGrid, positions: np.ndarray) -> np.ndarray:
-    """sum_k |u_k|^2 cos(k.(x_i - x_j)) for every site pair (i, j), no coupling scale.
-
-    Twice |u|^2 times cos summed over each shell's +-k pairs: one walk contracts every
-    distinct separation with u2 as it goes (_shell_cos); separation 0, the on-site sum,
-    is u2 * weight / 2 with no walk.
-    """
-    seps, _, index = _separations(positions)
-    on_site = np.einsum("i,i->", grid.u2, grid.weight)  # 2 * (u2 . weight / 2), exactly
-    return np.array([on_site, *2.0 * _shell_cos(grid, seps[1:], grid.u2)])[index]
-
-
 def a_matrix(grid: ModeGrid, layout: QubitLayout, channel: BathChannel, delta: float) -> AMatrix:
-    """Pair-amplitude matrix for one logical qubit's physical sites.
-
-    Each distinct site separation d (d and -d folded, d = 0 the on-site sum)
-    costs one cos per +-k pair, all in one walk of the lattice, which trusts
-    the shell table that ModeGrid checked when the grid was made.  The sums
-    depend on the grid and the offsets alone, so they are memoized on the
-    grid and only the (lambda * Delta)^2 scale is applied per call.
-    """
-    positions = layout.padded_offsets(grid.D)
-    sums = grid.memo("pair_sums", positions.tobytes(), lambda: _pair_sums(grid, positions))
+    """Pair-amplitude matrix for one logical qubit's physical sites: bath's lattice sums over
+    the site offsets (_pair_sums, memoized on the grid) times (lambda * Delta)^2."""
+    sums = _pair_sums(grid, layout.padded_offsets(grid.D))
     return AMatrix(channel.axis, (channel.lam * delta) ** 2 * sums)
 
 

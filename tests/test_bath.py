@@ -616,9 +616,9 @@ class TestShellKernel:
         for _, geom in _SHELL_CASES:
             grid = build_mode_grid(geom, _SHELL_CH)
             assert build_radial_mode_grid(geom, _SHELL_CH) is grid
-            # the walk of the half lattice finds half of each shell's modes
+            # the walk of the half lattice, each point counted for its +-k pair, finds every mode
             ones = bath._shell_sums(grid, lambda lead, lens, last: [np.ones(len(last))], 1)
-            assert np.array_equal(2.0 * ones[0], grid.weight)
+            assert np.array_equal(ones[0], grid.weight)
 
     def test_position_sums_stream_the_lattice(self):
         # 904k modes: one stored vector per +-k pair alone would take 10.8 MB
@@ -696,11 +696,11 @@ def _mode_m2(geom, ch):
 
 
 def _ref_shell_factor(geom, ch, positions):
-    """Per shell, |sum_x e^{i k.x}|^2 summed over half the shell's modes, from the enumeration."""
+    """Per shell, |sum_x e^{i k.x}|^2 summed over all of the shell's modes, from the enumeration."""
     k = grid_modes(geom, ch)[0]
     shells = np.unique(_mode_m2(geom, ch), return_inverse=True)[1]
     factor = np.abs(np.exp(1j * (k @ positions.T)).sum(axis=1)) ** 2
-    return 0.5 * np.bincount(shells, weights=factor)
+    return np.bincount(shells, weights=factor)
 
 
 def _assert_parts_close(got, ref):
@@ -775,8 +775,8 @@ class TestHarmonicKernel:
         assert grid.fundamental is None
         d = np.arange(1.0, geom.D + 1) * 0.7
         positions = regular_layout(4, Xi=7.0, D_x=geom.D, xi=0.5).padded_logical_positions(geom.D)
-        pair = grid.spectrum(bath._shell_cos(grid, [d])[0], 2.0)
-        register = grid.spectrum(bath._structure_factor(grid, positions), 2.0)
+        pair = grid.spectrum(bath._shell_cos(grid, [d])[0])
+        register = grid.spectrum(bath._structure_factor(grid, positions))
         damping = grid.dephasing
         assert damping.block is None and pair.block is None and register.block is None
         for T in (0.0, 3.7, 2.5 * geom.L + 0.9):
@@ -977,15 +977,16 @@ class TestPlusMinusFold:
         assert all(next(c for c in v if c) < 0 for v in vectors)  # lexicographically negative
         assert len(set(vectors)) == len(vectors) == grid.mode_count // 2
         ones = bath._shell_sums(grid, lambda lead, lens, last: [np.ones(len(last))], 1)
-        assert np.array_equal(2.0 * ones[0], grid.weight)
+        assert np.array_equal(ones[0], grid.weight)
 
 
 def _line_reference(m2, weight, f):
     """D = 1 position sums by their definition, unchunked: shell i must be the pair
-    n = +-(i + 1), at m2 = (i + 1)^2 with weight 2, and it gets f(-(i + 1))."""
+    n = +-(i + 1), at m2 = (i + 1)^2 with weight 2, and it gets 2 f(-(i + 1)): the walk
+    visits n = -(i + 1) and counts it for both modes of the pair."""
     if list(m2) != [(i + 1) ** 2 for i in range(len(m2))] or set(weight) - {2.0}:
         raise ArithmeticError("grid is not a +-k pair table")
-    return np.array([f(-(i + 1)) for i in range(len(m2))]).T
+    return 2.0 * np.array([f(-(i + 1)) for i in range(len(m2))]).T
 
 
 class TestLineSlices:
@@ -1130,7 +1131,7 @@ class TestShellTableGrid:
 
 @pytest.mark.parametrize("geom", [geom for _, geom in _SHELL_CASES], ids=["D1", "D2", "D3"])
 def test_one_position_register_is_the_diagonal_pair(geom, monkeypatch):
-    # no nonzero separation: the structure factor is (N + 2 m_0) * weight / 2, with no walk
+    # no nonzero separation: the structure factor is (N + 2 m_0) * weight, with no walk
     grid = ModeGrid(**_hand_built(build_mode_grid(geom, _SHELL_CH)))  # nothing memoized
     walks = []
     real = bath._shell_sums
@@ -1163,7 +1164,7 @@ _PAIR_CASES = [  # (grid geometry, z, positions): the separation form over shell
 def _separation_form(grid, positions):
     """N + 2 sum_d m_d cos(k.d) per shell, one bath._shell_cos walk per distinct separation."""
     seps, mult, _ = bath._separations(positions)
-    total = (len(positions) + 2.0 * mult[0]) * (0.5 * grid.weight)  # the pair counts
+    total = (len(positions) + 2.0 * mult[0]) * grid.weight  # the pair counts
     for d, m in zip(seps[1:], mult[1:]):
         total = total + 2.0 * m * bath._shell_cos(grid, [d])[0]
     return total

@@ -155,6 +155,25 @@ class TestTraceDistance:
             trace_distance_single(-0.1, 0.5)
 
 
+_FINITE = r"lambda\* must be a finite number"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda grid: gamma(grid, math.nan, 1.0), ConfigError, _FINITE),
+    (lambda grid: gamma(grid, math.inf, 1.0), ConfigError, _FINITE),
+    (lambda grid: gamma(grid, math.nan, math.nan), ValueError, "time T must be finite"),  # T first
+    (lambda grid: gamma_infinity(grid, math.nan), ConfigError, _FINITE),
+    (lambda grid: d_sat(grid, math.inf, 0.5), ConfigError, _FINITE),
+    (lambda grid: trace_distance_single(math.nan, 0.5), ValueError,
+     "decoherence function must be non-negative, got nan"),
+], ids=["gamma-nan", "gamma-inf", "gamma-time-first", "gamma_infinity", "d_sat",
+        "trace_distance"])
+def test_non_finite_dephasing_input_is_named(call, error, message):
+    grid = build_mode_grid(BathGeometry(D=1, L=2 * math.pi * 20, omega_c=1.0), _ch())
+    with pytest.raises(error, match=message):
+        call(grid)
+
+
 class TestAsymptotics:
     def test_ohmic_first_step_is_zero(self):
         rep = zeta_and_regime(_ch(s=0.5), GEOM_1D, SumKind.SINGLE_DEPHASING)

@@ -220,7 +220,7 @@ class TestSweep:
 
 class TestPipelineStages:
     def test_coupling_sweep_builds_each_stage_once(self, monkeypatch):
-        from qecbound import bath, coupling
+        from qecbound import bath
 
         counts = {"grids": 0, "pair_sums": 0}
 
@@ -238,7 +238,7 @@ class TestPipelineStages:
         flags = {"param": param, "from_": 1e-4, "to": 5e-3, "points": 6, "target": "lambda-star"}
         bath._shared_grid.cache_clear()
         counting(bath, "_radial_counts", "grids")  # once per grid build, D = 1 included
-        counting(coupling, "_pair_sums", "pair_sums")
+        counting(bath, "_shell_cos", "pair_sums")  # the one walk of each pair-sum computation
         rows = run_subcommand("sweep", cfg, flags).rows
         assert counts == {"grids": 1, "pair_sums": 1}
         for row in rows:
@@ -277,7 +277,7 @@ class TestPipelineStages:
                 ],
             }
         }
-        grids = _pipeline(from_dict(tree))[5]
+        grids = _pipeline(from_dict(tree))[3]
         assert (grids["x"] is grids["z"]) == shared
         assert not shared or grids["x"].mode_count == grids["z"].mode_count
 

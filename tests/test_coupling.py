@@ -25,7 +25,7 @@ from qecbound import (
     regular_layout,
     syndrome,
 )
-from qecbound import coupling
+from qecbound import bath
 
 from conftest import grid_modes
 
@@ -212,16 +212,16 @@ class TestAMatrix:
         finally:
             tracemalloc.stop()
         assert grid.stored_count == 29_123
-        assert len(coupling._separations(layout.padded_offsets(2))[0]) == 7  # d = 0 and 6 more
+        assert len(bath._separations(layout.padded_offsets(2))[0]) == 7  # d = 0 and 6 more
         assert peak < 2_800_000
 
     def test_second_coupling_reuses_the_pair_sums(self, small_grid, monkeypatch):
         geom, ch, grid = small_grid
         layout = regular_layout(1, Xi=100.0, D_x=1, xi=1.0)
         first = a_matrix(grid, layout, ch, delta=1.5)
-        real = coupling._pair_sums
+        real = bath._shell_cos  # one walk per computation of the pair sums
         calls = []
-        monkeypatch.setattr(coupling, "_pair_sums", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(bath, "_shell_cos", lambda *args: calls.append(1) or real(*args))
         other = BathChannel(axis="x", z_exp=1.0, s_exp=0.0, lam=0.7)
         second = a_matrix(grid, layout, other, delta=0.4)
         assert calls == []

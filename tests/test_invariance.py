@@ -1,4 +1,4 @@
-"""Exact invariances of the position sums: none depends on where a register sits.
+"""Exact invariances of the lattice sums: where a register sits, and the size of the box.
 
 Translating a set of positions, or permuting it, leaves every separation as
 it was, and W is even in the separation; so w_sum, hs_distance and a_matrix
@@ -6,6 +6,11 @@ are unchanged, and w_pair is symmetric, up to the rounding of the
 coordinates (relative 1e-12).  Each case runs on one product layout (the
 factorized structure factor on D >= 2) and one that is not a product (the
 separation table).
+
+Shrinking the box and everything in it by c (L -> L/c, omega_c -> c omega_c,
+T -> T/c and positions -> positions/c, at z = 1) keeps the integer mode set,
+so each time sum scales by exactly c^(D + 2s - 2): the prefactor gives c^D and
+|u|^2 / omega^2 gives c^(2s - 2), while every phase k.d and omega T is unchanged.
 """
 
 import math
@@ -16,14 +21,20 @@ import pytest
 from qecbound import (
     BathChannel,
     BathGeometry,
+    BoundInput,
     EffectiveCoupling,
     QubitLayout,
+    SumKind,
     a_matrix,
     build_mode_grid,
+    gamma,
+    gamma_infinity,
     hs_distance,
     lattice_sites,
+    mmax_single,
     w_pair,
     w_sum,
+    zeta_and_regime,
 )
 from qecbound.bath import _product_axes
 
@@ -110,3 +121,48 @@ def test_a_matrix_ignores_translation_of_the_offsets(case, layout):
     want = a_matrix(grid, _register(logical, offsets), CH, delta=1.0).values
     got = a_matrix(grid, _register(logical, shifted), CH, delta=1.0).values
     np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
+
+
+def _scaled_pair(D, s, c):
+    """(channel, the box shrunk by c, its grid, the grid of GEOMS[D], c^(D + 2s - 2)), at z = 1."""
+    ch = BathChannel(axis="z", z_exp=1.0, s_exp=s, lam=1e-3)
+    geom = GEOMS[D]
+    small = BathGeometry(D=D, L=geom.L / c, omega_c=geom.omega_c * c)
+    grids = build_mode_grid(small, ch), build_mode_grid(geom, ch)
+    return ch, small, *grids, float(c) ** (D + 2 * s - 2)
+
+
+_SCALE_CASES = [(D, s, c) for D in sorted(GEOMS) for s in (0.0, 0.25) for c in (2, 4)]
+
+
+@pytest.mark.parametrize("D, s, c", _SCALE_CASES)
+class TestScaleCovariance:
+    """gamma, w_pair and w_sum on a box shrunk by c are c^(D + 2s - 2) times their values.
+
+    a_matrix and lambda_star are left out: their pair sums lack the (2*pi/L)^D measure that
+    gamma and W carry, so they come out low by exactly c^-D (ROADMAP item 2).  The fix of that
+    item's step 1 adds them here.
+    """
+
+    def test_time_sums_scale(self, D, s, c):
+        _, _, small, grid, power = _scaled_pair(D, s, c)
+        assert np.array_equal(small.m2, grid.m2)  # the same mode set
+        for positions in _layouts(D).values():
+            x, y = positions[0], positions[1]
+            for T in (3.7, 41.3, 250.9):
+                _assert_close(gamma(small, 0.03, T / c), power * gamma(grid, 0.03, T))
+                _assert_close(w_pair(small, x / c, y / c, T / c), power * w_pair(grid, x, y, T))
+                _assert_close(w_sum(small, positions / c, T / c), power * w_sum(grid, positions, T))
+
+    def test_numeric_mmax_is_invariant(self, D, s, c):
+        ch, small_geom, small, grid, power = _scaled_pair(D, s, c)
+        report = zeta_and_regime(ch, GEOMS[D], SumKind.SINGLE_DEPHASING)
+        inputs = BoundInput(d_crit=0.01, sigma_plus_abs=0.5, n_logical=1, delta=0.125)
+        shrunk = BoundInput(d_crit=0.01, sigma_plus_abs=0.5, n_logical=1, delta=0.125 / c)
+        gamma_crit = -0.25 * math.log1p(-0.01 / 0.5)  # the criterion's gamma
+        for f in (1.1, 2.0, 8.0):  # a late, a middle and an early crossing
+            lam = math.sqrt(f * gamma_crit / gamma_infinity(grid, 1.0))
+            m = mmax_single(report, inputs, lam, GEOMS[D], mode="numeric", grid=grid)
+            assert 0 < m < math.inf
+            scaled = lam * float(c) ** (-(D + 2 * s - 2) / 2)
+            assert mmax_single(report, shrunk, scaled, small_geom, mode="numeric", grid=small) == m
