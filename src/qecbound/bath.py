@@ -14,10 +14,10 @@ time-dependent sum reads one Spectrum, its static weights binned into shells
 once: a time point costs one cos (and one sin for an imaginary part) per
 shell, or O(sqrt(shells)) on D = 1 with z_exp = 1, where the shell
 frequencies are the harmonics j * 2*pi/L.  A position sum needs cos(k.d) per
-mode, so it walks the lattice in chunks, one point per +-k pair (_shell_sums,
-which doubles what it sums), and bins each point into its shell, or contracts
-it with a per-shell weight where the sum is one scalar per d (the pair sums);
-ModeGrid checked the shell table once.
+mode, so it walks the lattice in chunks, one point per +-k pair, the same walk
+on every D (_shell_sums, which doubles what it sums), and bins each point into
+its shell, or contracts it with a per-shell weight where the sum is one scalar
+per d (the pair sums); ModeGrid checked the shell table once.
 All d of a position set share one walk, and so do the axis factors of the
 structure factor of a D >= 2 product layout.
 """
@@ -41,7 +41,6 @@ DEFAULT_MODE_BUDGET = 10_000_000
 _NOT_A_PAIR_TABLE = ("grid is not a +-k pair table: m2 must be every |n|^2 of the ball, in "
                      "increasing order, and each weight the lattice's mode count at its m2")
 _CHUNK = 1 << 14  # lattice points per step of a walk: bounds every temporary of a position sum
-_NO_LEAD = np.zeros((1, 0), dtype=np.int64)  # the leading coordinates of a D = 1 run: none
 _VALUES_CAP = 4096  # scalars a Spectrum keeps (Spectrum.at): a search makes about 40
 
 
@@ -111,19 +110,17 @@ class ModeGrid:
     m2, omega, u2 and weight are per shell, one entry per distinct |n|^2 in
     increasing order: m2 is an integer array holding every |n|^2 of the ball
     |n|^2 <= max(m2) (k = (2*pi/L)*n), and weight the lattice's mode count at
-    each m2.  Construction checks this pair table, once, and raises
-    ArithmeticError for a hand-built grid that breaks it; every position sum
-    then walks the half lattice trusting it (see _shell_sums).
+    each m2.  Construction checks this pair table and the box (L, D), once;
+    every position sum then walks the half lattice trusting it (see _shell_sums).
 
-    A grid reads only the geometry, the exponents (z_exp, s_exp) and the
-    mode budget, never the channel axis or coupling.  build_mode_grid
-    returns one shared instance per such key and keeps the two most recently
-    built alive, which covers both channels of one configuration; their
-    arrays are read-only.  Everything derived from the grid alone is
+    A grid reads only the geometry, the exponents (z_exp, s_exp) and the mode
+    budget, never the channel axis or coupling.  build_mode_grid shares one
+    read-only instance per such key and keeps the two latest alive (both
+    channels of one configuration).  What derives from the grid alone is
     computed once per instance: the dephasing spectrum (a cached property),
-    and through :meth:`memo` the register spectrum of the latest position
-    set (w_sum) and the pair sums of the latest offset set (_pair_sums);
-    each spectrum keeps its own values (Spectrum.at).
+    and through :meth:`memo` the register spectrum of the latest position set
+    (w_sum) and the pair sums of the latest offset set (_pair_sums); each
+    spectrum keeps its own values (Spectrum.at).
     """
 
     D: int
@@ -135,8 +132,12 @@ class ModeGrid:
     _memo: dict[str, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Refuses a grid no sum can use: arrays not 1-D of one length, no shells, an omega not
+        """Refuses a grid no sum can use: an L not a positive finite number or a D not an integer
+        >= 1 (ConfigError naming it), arrays not 1-D of one length, no shells, an omega not
         positive and finite, a u2 not non-negative and finite, or no +-k pair table."""
+        self.L = _checked("mode grid L", _SCALARS["bath.L"], self.L)
+        self.D = _checked("mode grid D", ("", None, _integer, lambda v: v >= 1,
+                                          "must be at least 1"), self.D)
         arrays = (self.m2, self.omega, self.u2, self.weight)
         if any(np.ndim(a) != 1 for a in arrays) or len({len(a) for a in arrays}) != 1:
             raise DimensionError("mode grid m2, omega, u2 and weight must be 1-D, of one length")
@@ -291,15 +292,13 @@ def _radial_counts(D: int, m2max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _is_pair_table(D: int, m2: np.ndarray, weight: np.ndarray) -> bool:
-    """Whether (m2, weight) is ModeGrid's table: on D = 1 the closed form, else _radial_counts,
-    read only for a mode count that two cubes allow."""
+    """Whether (m2, weight) is ModeGrid's table, _radial_counts of its ball, read only for a table
+    long enough and a mode count that two cubes allow."""
     if not np.issubdtype(m2.dtype, np.integer):
         return False
-    if D == 1:  # shell i is the pair n = +-(i + 1), checked in _slices: no shell-sized temporary
-        return all(np.array_equal(m2[s], np.arange(s.start + 1, s.stop + 1) ** 2)
-                   and (weight[s] == 2.0).all() for s in _slices(len(m2)))
     m2max = int(m2.max())
-    if D < 2 or m2max < 1:
+    # each square j^2 <= m2max is an |n|^2: _radial_counts makes no table longer than this one
+    if D < 1 or m2max < 1 or len(m2) < math.isqrt(m2max):
         return False
     # the ball holds the cube of half-side isqrt(m2max // D) and lies in that of isqrt(m2max);
     # a mode count between the two bounds the walk at D^(D/2) times the count
@@ -312,9 +311,8 @@ def _is_pair_table(D: int, m2: np.ndarray, weight: np.ndarray) -> bool:
 def _shared_grid(geom: BathGeometry, z_exp: float, s_exp: float, max_modes: int) -> ModeGrid:
     """The grid of one spectrum, keyed by exactly what it reads.
 
-    Two entries hold both channels of one configuration, so at most one
-    configuration's grids outlive their use.  The arrays are made read-only
-    because every caller with this key shares them.
+    Two entries hold both channels of one configuration, so at most one configuration's grids
+    outlive their use.  The arrays are read-only, as every caller with this key shares them.
     """
     m2max = _lattice_extent(geom, z_exp)
     count = 2 * math.isqrt(m2max)  # the +-n of one axis: all modes on D = 1, a floor on any D
@@ -342,9 +340,9 @@ def build_mode_grid(
 ) -> ModeGrid:
     """The shell table of the modes with omega(|k|) <= omega_c; shared (see ModeGrid).
 
-    max_modes bounds the time of a position sum, which walks the modes.  Every
-    array of a grid or of a sum is per shell, so on D = 1, where a shell is one
-    +-k pair, max_modes bounds the memory too.
+    max_modes bounds the time of a position sum, which walks the modes in chunks.
+    Every array of a grid or of a sum is per shell, and on D = 1 a shell is one
+    +-k pair, so there max_modes bounds the memory too.
     """
     return _shared_grid(geom, ch.z_exp, ch.s_exp, max_modes)
 
@@ -398,11 +396,13 @@ def w_pair(grid: ModeGrid, x: Sequence[float], y: Sequence[float], T: float) -> 
 
 
 def _positions(grid: ModeGrid, positions: Any) -> np.ndarray:
-    """positions as (N, D) floats, (N,) read as (N, 1), or DimensionError; finite, or ValueError."""
+    """positions as (N, D) floats, (N,) as (N, 1), or DimensionError; N > 0 finite or ValueError."""
     pos = np.asarray(positions, dtype=np.float64)
     pos = pos[:, None] if pos.ndim == 1 else pos
     if pos.ndim != 2 or pos.shape[1] != grid.D:
         raise DimensionError(f"positions must have dimension {grid.D}")
+    if len(pos) == 0:
+        raise ValueError("positions must hold at least one position")
     if not np.isfinite(pos).all():
         raise ValueError("positions must be finite")
     return pos
@@ -450,38 +450,33 @@ def _shell_sums(grid: ModeGrid, rows: Callable[..., Iterable], count: int,
                 weight: np.ndarray | None = None) -> np.ndarray:
     """(count, shells): count quantities even in k, each summed over all of every shell's modes.
 
-    The one kernel of the position sums: one walk of the half lattice (_half_ball), one point
-    per +-k pair, in which rows(lead, lens, last) gives a chunk's count rows; doubling the sums
-    at the end, exactly, counts both points of each pair.  Given a per-shell weight it returns
-    (count,) and holds no shell-sized row: a chunk gathers the weight once and sums each row
-    against it pairwise (np.sum).  The table is ModeGrid's checked pair table: on D = 1 shell
-    i is the pair n = +-(i + 1), so the walk runs over the shells in _slices, point -(i + 1)
-    each, and bins nothing (a weight takes one dot over all shells, which no slicing changes).
+    The one kernel of the position sums, on every D: one walk of the half lattice (_half_ball),
+    one point per +-k pair, in which rows(lead, lens, last) gives a chunk's count rows; doubling
+    the sums at the end, exactly, counts both points of each pair.  Given a per-shell weight it
+    returns (count,) and holds no shell-sized row: a chunk gathers the weight once and sums each
+    row against it pairwise (np.sum).  In ModeGrid's checked table, point n = -(i + 1) is shell
+    i on D = 1; on D >= 2 a lookup from |n|^2 finds the shell.  Count 0 takes no walk.
     """
     S, contract = len(grid.m2), weight is not None
     sums = np.zeros(count) if contract else np.zeros((count, S))
-    if grid.D == 1:
-        for s in [slice(0, S)] if contract else _slices(S):
-            chunk = rows(_NO_LEAD, [s.stop - s.start], -np.arange(s.start + 1, s.stop + 1))
-            if contract:
-                sums += [np.einsum("i,i->", weight, values) for values in chunk]
-            else:
-                for total, values in zip(sums[:, s], chunk):
-                    total[:] = values
-    else:
-        table = np.empty(int(grid.m2[-1]) + 1, dtype=np.intp)  # |n|^2 -> shell, for every point
+    if count == 0:
+        return sums
+    table = None
+    if grid.D > 1:  # |n|^2 -> shell, for every point
+        table = np.empty(int(grid.m2[-1]) + 1, dtype=np.intp)
         table[grid.m2] = np.arange(S)
-        for lead, lens, last in _half_ball(grid.D, len(table) - 1):
-            shell = table[np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last]
-            if contract:
-                w = weight[shell]
-                sums += [np.sum(w * values) for values in rows(lead, lens, last)]
-                continue
-            first = int(shell.min())  # binned over the shells the chunk reaches
-            shell -= first
-            reached = slice(first, first + int(shell.max()) + 1)
-            for total, values in zip(sums[:, reached], rows(lead, lens, last)):
-                total += np.bincount(shell, weights=values)
+    for lead, lens, last in _half_ball(grid.D, int(grid.m2[-1])):
+        shell = (-1 - last if table is None
+                 else table[np.repeat(np.einsum("ij,ij->i", lead, lead), lens) + last * last])
+        if contract:
+            w = weight[shell]
+            sums += [np.sum(w * values) for values in rows(lead, lens, last)]
+            continue
+        first = int(shell.min())  # binned over the shells the chunk reaches
+        shell -= first
+        reached = slice(first, first + int(shell.max()) + 1)
+        for total, values in zip(sums[:, reached], rows(lead, lens, last)):
+            total += np.bincount(shell, weights=values)
     sums *= 2.0  # the +-k fold undone: each point stands for its pair
     return sums
 
@@ -651,11 +646,14 @@ class QubitLayout:
     D_x: int
 
     def __post_init__(self) -> None:
-        """Checks every field (ConfigError naming it): finite spacings and coordinates, D_x >= 0."""
+        """Checks every field (ConfigError naming it): finite spacings, D_x >= 0, and positions
+        and offsets of finite coordinates, at least one of each."""
         self.xi, self.Xi = _number(self.xi, "layout.xi"), _number(self.Xi, "layout.Xi")
         self.D_x = _checked("layout.D_x", _SCALARS["layout.D_x"], self.D_x)
         for name in ("logical_positions", "physical_offsets"):
             array = np.atleast_2d(np.asarray(getattr(self, name), dtype=np.float64))
+            if array.size == 0:  # [] reads as shape (1, 0): one position, with no coordinate
+                raise ConfigError(f"layout {name} must hold at least one position")
             if not np.isfinite(array).all():
                 raise ConfigError(f"layout {name} must be finite numbers")
             setattr(self, name, array)

@@ -65,6 +65,19 @@ class TestGridConstruction:
         with pytest.raises(error, match="mode grid"):
             ModeGrid(D=1, L=grid.L, **arrays)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("L", math.nan, "must be a finite number"), ("L", math.inf, "must be a finite number"),
+        ("L", 0.0, "must be positive"), ("L", -2 * math.pi * 10, "must be positive"),
+        ("L", "62.8", "must be a number"), ("D", 0, "must be at least 1"),
+        ("D", True, "must be an integer"), ("D", 1.0, "must be an integer"),
+    ])
+    def test_box_no_sum_can_use_refused(self, field, value, message):
+        # checked before the table: a nan L made every sum nan, L = 0 a ZeroDivisionError,
+        # L < 0 a negative gamma and an infinite L every sum 0
+        grid = build_mode_grid(BathGeometry(D=1, L=2 * math.pi * 10, omega_c=1.0), _ch())
+        with pytest.raises(ConfigError, match=f"^mode grid {field} {message}$"):
+            ModeGrid(**{**_hand_built(grid), field: value})
+
     def test_minimal_1d_grid(self):
         geom = BathGeometry(D=1, L=2 * math.pi, omega_c=1.0)
         grid = build_mode_grid(geom, _ch())
@@ -348,6 +361,20 @@ def test_positions_must_be_finite(D, bad, monkeypatch):
     if D == 1:  # the (N,) form of a D = 1 register
         with pytest.raises(ValueError, match="positions must be finite"):
             w_sum(grid, [0.0, bad], 1.0)
+    assert calls == [] and "register" not in grid._memo
+
+
+@pytest.mark.parametrize("D", [1, 3])
+def test_positions_must_not_be_empty(D, monkeypatch):
+    grid = ModeGrid(**_hand_built(build_mode_grid(  # nothing memoized yet
+        BathGeometry(D=D, L=2 * math.pi * 6, omega_c=1.0), _ch())))
+    calls = []
+    for name in ("_structure_factor", "_shell_sums"):
+        real = getattr(bath, name)
+        monkeypatch.setattr(bath, name, lambda *args, real=real: calls.append(1) or real(*args))
+    for positions in [np.empty((0, D))] + ([[]] if D == 1 else []):  # [] is the (N,) form of D = 1
+        with pytest.raises(ValueError, match="^positions must hold at least one position$"):
+            w_sum(grid, positions, 1.0)
     assert calls == [] and "register" not in grid._memo
 
 
@@ -1069,8 +1096,8 @@ class TestLineSlices:
         rows = _line_reference(m2.tolist(), weight.tolist(), lambda n: (math.cos(0.3 * n), 1.0 * n))
         whole = contract()
         np.testing.assert_allclose(whole, np.einsum("ci,i->c", rows, u2), rtol=1e-14)
-        monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
-        assert np.array_equal(contract(), whole)  # one dot over all shells, however sliced
+        monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)  # each chunk's sum is its own dot
+        np.testing.assert_allclose(contract(), whole, rtol=1e-14)
 
     def test_slicing_changes_no_value(self, monkeypatch):
         # every pass over shells (the harmonic check, the tables, the walk) is elementwise
@@ -1087,7 +1114,37 @@ class TestLineSlices:
 
         whole = values()
         monkeypatch.setattr(bath, "_CHUNK", self.CHUNK)
-        assert values() == whole and whole[0] is not None
+        sliced = values()
+        # each shell gets one point, so only the pair sums, one dot per chunk, move with slicing
+        assert sliced[:4] == whole[:4] and whole[0] is not None
+        np.testing.assert_allclose(sliced[4], whole[4], rtol=1e-14)
+
+    def test_pair_sums_hold_no_shell_row(self):
+        # 200k shells of 1.6 MB each: the walk contracts each chunk of points with u2
+        built = build_mode_grid(BathGeometry(D=1, L=2 * math.pi * 200_000, omega_c=1.0), _ch())
+        grid = ModeGrid(**_hand_built(built))  # nothing memoized
+        offsets = lattice_sites(5, 1) * 0.7
+        tracemalloc.start()
+        try:
+            sums = bath._pair_sums(grid, offsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.stored_count == 200_000 and sums.shape == (5, 5)
+        assert peak < 8 * grid.stored_count
+
+    def test_table_longer_than_handed_in_refused_unmade(self):
+        # claims the 2e9 modes of |n| <= 1e9 in two shells: the squares of the ball need 1e9
+        # shells, so the check refuses it before it makes a table of them
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArithmeticError, match="pair table"):
+                ModeGrid(D=1, L=10.0, omega=np.array([1.0, 2.0]), u2=np.ones(2),
+                         weight=np.array([1e9, 1e9]), m2=np.array([1, 10**18]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 _LINE_GEOM = BathGeometry(D=1, L=2 * math.pi * 50, omega_c=1.0)
@@ -1141,6 +1198,20 @@ def test_one_position_register_is_the_diagonal_pair(geom, monkeypatch):
         assert w_sum(grid, [x], T) == w_pair(grid, x, x, T)
         _assert_parts_close(w_sum(grid, [x, x, x], T), 9.0 * w_pair(grid, x, x, T))
     assert walks == []
+
+
+@pytest.mark.parametrize("geom", [_SHELL_CASES[0][1], _SHELL_CASES[2][1]], ids=["D1", "D3"])
+def test_one_site_pair_sums_take_no_walk(geom, monkeypatch):
+    # one site has no nonzero separation: the pair sums are the on-site u2 . weight alone
+    grid = ModeGrid(**_hand_built(build_mode_grid(geom, _SHELL_CH)))  # nothing memoized
+    walks = []
+    real = bath._half_ball
+    monkeypatch.setattr(bath, "_half_ball", lambda *args: walks.append(1) or real(*args))
+    layout = QubitLayout(np.zeros((1, 1)), np.full((1, 1), 0.4), xi=0.0, Xi=1.0, D_x=1)
+    got = a_matrix(grid, layout, _SHELL_CH, delta=1.5).values
+    assert walks == []
+    want = (_SHELL_CH.lam * 1.5) ** 2 * math.fsum(grid.u2 * grid.weight)
+    np.testing.assert_allclose(got, [[want]], rtol=1e-14)
 
 
 _PRODUCT_CASES = [  # (grid geometry, z, positions): each a full product of per-axis coordinates
@@ -1316,6 +1387,14 @@ class TestLayout:
             QubitLayout(np.zeros((2, 1)), offsets, xi=0.1, Xi=10.0, D_x=1)
         with pytest.raises(ConfigError, match="^layout logical_positions must be finite numbers$"):
             QubitLayout([[0.0], [math.nan]], lattice_sites(5, 1), xi=0.1, Xi=10.0, D_x=1)
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 1))], ids=["list", "array"])
+    @pytest.mark.parametrize("name", ["logical_positions", "physical_offsets"])
+    def test_empty_position_set_refused(self, name, empty):
+        # np.atleast_2d reads [] as one position with no coordinate: a phantom qubit at 0
+        fields = dict(logical_positions=np.zeros((2, 1)), physical_offsets=lattice_sites(5, 1) * 0.1)
+        with pytest.raises(ConfigError, match=f"^layout {name} must hold at least one position$"):
+            QubitLayout(**{**fields, name: empty}, xi=0.1, Xi=10.0, D_x=1)
 
     def test_dimension_read_through_the_schema(self):
         for D_x, message in ((-1, "must be non-negative"), (1.5, "must be an integer")):

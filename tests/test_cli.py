@@ -222,7 +222,7 @@ class TestPipelineStages:
     def test_coupling_sweep_builds_each_stage_once(self, monkeypatch):
         from qecbound import bath
 
-        counts = {"grids": 0, "pair_sums": 0}
+        counts = {"pair_sums": 0}
 
         def counting(module, name, key):
             real = getattr(module, name)
@@ -237,23 +237,25 @@ class TestPipelineStages:
         cfg = from_dict(SMALL_BATH)
         flags = {"param": param, "from_": 1e-4, "to": 5e-3, "points": 6, "target": "lambda-star"}
         bath._shared_grid.cache_clear()
-        counting(bath, "_radial_counts", "grids")  # once per grid build, D = 1 included
         counting(bath, "_shell_cos", "pair_sums")  # the one walk of each pair-sum computation
         rows = run_subcommand("sweep", cfg, flags).rows
-        assert counts == {"grids": 1, "pair_sums": 1}
+        grids = bath._shared_grid.cache_info().misses  # one miss per grid built
+        assert (grids, counts["pair_sums"]) == (1, 1)
         for row in rows:
             bath._shared_grid.cache_clear()  # a separate run shares nothing
             single = run_subcommand("lambda-star", cfg.with_value(param, row[1]), {})
+            grids += bath._shared_grid.cache_info().misses
             assert row[2:] == (single.summary["lambda_star_x"], single.summary["lambda_star_z"])
-        assert counts == {"grids": 7, "pair_sums": 7}
+        assert (grids, counts["pair_sums"]) == (7, 7)
 
         # a bath.L sweep: both channels share each point's grid and pair sums, and every
         # point's layout is built from the same two site tables (N = 1 and 5 sites, D_x = 1)
-        counts.update(grids=0, pair_sums=0)
+        counts["pair_sums"] = 0
+        bath._shared_grid.cache_clear()
         bath.lattice_sites.cache_clear()
         flags = {**flags, "param": "bath.L", "from_": 100 * math.pi, "to": 300 * math.pi}
         run_subcommand("sweep", cfg, flags)
-        assert counts == {"grids": 6, "pair_sums": 6}
+        assert (bath._shared_grid.cache_info().misses, counts["pair_sums"]) == (6, 6)
         assert bath.lattice_sites.cache_info().misses == 2
         with pytest.raises(ValueError):
             bath.lattice_sites(5, 1)[0, 0] = 1.0
